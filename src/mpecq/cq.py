@@ -6,11 +6,19 @@ certificate whenever the verdict is "fails":
   MPEC_LICQ        active-gradient bundle linearly independent
   MPEC_MFCQ_TNLP   bundle positively linearly independent (tightened NLP)
   MPEC_MFCQ_RNLP   MFCQ of the relaxed NLP at the point
-  NNAMCQ           no nonzero abnormal multiplier (full sign enumeration)
+  NNAMCQ           no nonzero abnormal multiplier over the biactive sign branches
   MPEC_GMFCQ       direction-based generalized MFCQ over biactive partitions
   MPEC_ACQ_AFFINE  Abadie CQ via the affine shortcut only
 
-"undecided" occurs only when a biactive enumeration exceeds the branch
+NNAMCQ and GMFCQ quantify over 3^k sign branches or partitions of the
+k biactive pairs.  Both are searched depth first by `first_leaf`, which
+also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
+node whose relaxation settles every leaf below it skips its subtree.
+On a full-rank bundle NNAMCQ is one LP and GMFCQ at most 2^k.  GMFCQ
+keeps its own primal direction route, so the audited NNAMCQ <=> GMFCQ
+edge compares two independent computations.
+
+"undecided" occurs only when the biactive count exceeds the branch
 cap, when the ACQ shortcut does not apply, or (for the model-specific
 theorem checkers elsewhere) when a theorem hypothesis is not
 established.
@@ -18,7 +26,6 @@ established.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +77,6 @@ def _witness_cert(witness, labels) -> dict:
     return {
         "coefficients": [float(c) for c in coeffs],
         "labels": [list(lab) for lab in labels],
-        "margin": witness.margin,
         "residual": witness.residual,
     }
 
@@ -107,8 +113,7 @@ def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
     labels = ([pv for pv, c in zip(bundle.provenance, bundle.classes) if c == "signed"]
               + [pv for pv, c in zip(bundle.provenance, bundle.classes) if c == "free"])
     query = make_query(ev.dims.n, nonneg=nonneg, free=free)
-    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol,
-                                        strict_margin_eps=tol.strict_margin_eps)
+    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
     if witness.exists:
         return CqVerdict("MPEC_MFCQ_TNLP", "fails",
                          certificate=_witness_cert(witness, labels))
@@ -140,72 +145,109 @@ def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
     for i in pattern.I_H:
         free.append(ev.H_grads[i]); labels.append(("H", i))
     query = make_query(ev.dims.n, nonneg=nonneg, free=free)
-    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol,
-                                        strict_margin_eps=tol.strict_margin_eps)
+    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
     if witness.exists:
         return CqVerdict("MPEC_MFCQ_RNLP", "fails",
                          certificate=_witness_cert(witness, labels))
     return CqVerdict("MPEC_MFCQ_RNLP", "holds")
 
 
-def _nnamcq_branch_query(ev, pattern, branch):
-    """Assemble the sign-class query for one biactive branch.
+def first_leaf(pairs, choices, admit):
+    """Depth-first search for the first admitted full assignment.
 
-    branch[i] is 0 (both multipliers strictly positive), 1 (gamma pinned
-    to zero, nu free), or 2 (nu pinned to zero, gamma free).  Multiplier
+    Pairs are assigned in order, each to one of `choices` in order, and
+    the pairs not yet assigned stay relaxed.  `admit(partial)` is called
+    at every node with a dict from the assigned prefix of `pairs` to
+    their choices; a falsy result skips the node's subtree, so a search
+    may return falsy only when no leaf below can be admitted.  Returns
+    (assignment, admit value) for the first admitted full assignment in
+    lexicographic choice order, or None.
+    """
+    def visit(partial):
+        value = admit(partial)
+        if not value:
+            return None
+        if len(partial) == len(pairs):
+            return partial, value
+        for choice in choices:
+            found = visit({**partial, pairs[len(partial)]: choice})
+            if found is not None:
+                return found
+        return None
+
+    return visit({})
+
+
+def _nnamcq_query(ev, pattern, partial):
+    """Sign-class query for a node of the NNAMCQ branch search.
+
+    partial maps biactive indices to "nonneg" (both multipliers >= 0),
+    "gamma_zero" (gamma pinned, nu free) or "nu_zero" (nu pinned, gamma
+    free); unassigned pairs have both multipliers free.  Multiplier
     conventions: coefficient on +grad g is lambda_g, on +grad h is
     lambda_h, on -grad G is lambda_G, on -grad H is lambda_H.
     """
-    nonneg, strict, zero, free = [], [], [], []
-    labels_n, labels_s, labels_z, labels_f = [], [], [], []
+    nonneg, zero, free = [], [], []
+    labels_n, labels_z, labels_f = [], [], []
     for i in pattern.I_g:
         nonneg.append(ev.g_grads[i]); labels_n.append(("lambda_g", i))
-    for i, choice in zip(pattern.I_GH, branch):
-        if choice == 0:
-            strict.append(-ev.G_grads[i]); labels_s.append(("lambda_G", i))
-            strict.append(-ev.H_grads[i]); labels_s.append(("lambda_H", i))
-        elif choice == 1:
-            zero.append(-ev.G_grads[i]); labels_z.append(("lambda_G", i))
-            free.append(-ev.H_grads[i]); labels_f.append(("lambda_H", i))
-        else:
-            zero.append(-ev.H_grads[i]); labels_z.append(("lambda_H", i))
-            free.append(-ev.G_grads[i]); labels_f.append(("lambda_G", i))
+    for i in pattern.I_GH:
+        choice = partial.get(i)
+        for kind, row in (("lambda_G", -ev.G_grads[i]), ("lambda_H", -ev.H_grads[i])):
+            if choice == "nonneg":
+                nonneg.append(row); labels_n.append((kind, i))
+            elif (choice, kind) in (("gamma_zero", "lambda_G"), ("nu_zero", "lambda_H")):
+                zero.append(row); labels_z.append((kind, i))
+            else:
+                free.append(row); labels_f.append((kind, i))
     for j in range(ev.dims.p):
         free.append(ev.h_grads[j]); labels_f.append(("lambda_h", j))
     for i in pattern.I_G:
         free.append(-ev.G_grads[i]); labels_f.append(("lambda_G", i))
     for i in pattern.I_H:
         free.append(-ev.H_grads[i]); labels_f.append(("lambda_H", i))
-    query = make_query(ev.dims.n, nonneg=nonneg, strict=strict, zero=zero, free=free)
-    return query, labels_n + labels_s + labels_z + labels_f
+    query = make_query(ev.dims.n, nonneg=nonneg, zero=zero, free=free)
+    return query, labels_n + labels_z + labels_f
 
 
 def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
                  cap: int = DEFAULT_BRANCH_CAP) -> CqVerdict:
     """No nonzero abnormal multiplier condition.
 
-    Each biactive pair allows its multiplier pair to be both strictly
-    positive or to have one component pinned at zero, giving three
-    branches per pair.  The condition fails as soon as one branch
-    admits a nonzero multiplier vector; it holds only when every branch
-    is clean.
+    Each biactive multiplier pair is either both strictly positive or
+    has one component at zero.  Per pair that set equals the union of
+    three closed branches, both >= 0, gamma = 0 and nu = 0, so the
+    condition fails exactly when some branch admits a nonzero
+    multiplier vector.  The branches are searched depth first with the
+    unassigned pairs free; a node whose relaxation admits no nonzero
+    multiplier clears its whole subtree, and the root is the MFCQ-TNLP
+    query.  The failing branch is reported as read off the witness.
     """
     k = len(pattern.I_GH)
     if k > cap:
         return CqVerdict("NNAMCQ", "undecided",
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
-    for branch in itertools.product((0, 1, 2), repeat=k):
-        query, labels = _nnamcq_branch_query(ev, pattern, branch)
-        witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol,
-                                            strict_margin_eps=tol.strict_margin_eps)
-        if witness.exists:
-            cert = _witness_cert(witness, labels)
-            cert["branch"] = {str(i): ("both_strict", "gamma_zero", "nu_zero")[c]
-                              for i, c in zip(pattern.I_GH, branch)}
-            cert["multipliers"] = _multipliers_from_witness(witness, labels)
-            return CqVerdict("NNAMCQ", "fails", certificate=cert)
-    return CqVerdict("NNAMCQ", "holds",
-                     certificate={"branches_checked": 3 ** k})
+
+    def admit(partial):
+        query, labels = _nnamcq_query(ev, pattern, partial)
+        witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
+        return (witness, labels) if witness.exists else None
+
+    found = first_leaf(pattern.I_GH, ("nonneg", "gamma_zero", "nu_zero"), admit)
+    if found is None:
+        return CqVerdict("NNAMCQ", "holds",
+                         certificate={"branches_checked": 3 ** k})
+    witness, labels = found[1]
+    cert = _witness_cert(witness, labels)
+    multipliers = _multipliers_from_witness(witness, labels)
+    eps = tol.activity_eps
+    cert["branch"] = {
+        str(i): ("gamma_zero" if abs(multipliers["lambda_G"][str(i)]) <= eps
+                 else "nu_zero" if abs(multipliers["lambda_H"][str(i)]) <= eps
+                 else "both_strict")
+        for i in pattern.I_GH}
+    cert["multipliers"] = multipliers
+    return CqVerdict("NNAMCQ", "fails", certificate=cert)
 
 
 def _multipliers_from_witness(witness, labels) -> dict:
@@ -215,11 +257,13 @@ def _multipliers_from_witness(witness, labels) -> dict:
     return out
 
 
-def _direction_margin(n: int, eq_rows, geq_rows, strict_row) -> float:
+def _direction_margin(n: int, eq_rows, geq_rows, strict_rows) -> float:
     """max t over directions d with eq.d = 0, geq.d >= 0, strict.d >= t.
 
-    Always feasible (d = 0, t = 0); t is capped at 1, so the returned
-    margin is in [0, 1].
+    Always feasible (d = 0, t = 0); t is capped at 1, and the
+    constraints are a cone in d, so the returned margin is 1 when some
+    direction makes every strict row positive and 0 otherwise, up to
+    rounding.
     """
     lp = LinearProgram()
     dv = lp.add_vars(n, free=True)
@@ -236,8 +280,9 @@ def _direction_margin(n: int, eq_rows, geq_rows, strict_row) -> float:
     for row in geq_rows:
         slack = lp.add_var()
         lp.add_eq(row_coeffs(row, {slack: -1.0}), 0.0)
-    slack = lp.add_var()
-    lp.add_eq(row_coeffs(strict_row, {tv: -1.0, slack: -1.0}), 0.0)
+    for row in strict_rows:
+        slack = lp.add_var()
+        lp.add_eq(row_coeffs(row, {tv: -1.0, slack: -1.0}), 0.0)
     feasible, _, margin = lp.solve(maximize=tv, cap=1.0)
     if not feasible:  # cannot happen: d = 0 is feasible
         raise RuntimeError("direction LP unexpectedly infeasible")
@@ -257,6 +302,14 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     rows {grad h, grad G on I_G+Q, grad H on I_H+P} are linearly
     independent and some direction in their null space strictly
     decreases every active g (vacuous when no g is active).
+
+    Both are searched depth first over the biactive pairs.  An
+    unassigned pair keeps grad G.d = 0 and grad H.d = 0, which every
+    choice for it admits, so a node whose direction satisfies the
+    condition certifies every partition below it and its subtree is
+    skipped.  In (i) a node runs one LP: each assigned R row >= 0 and
+    their sum >= t.  A leaf still not certified is the failing
+    partition; (i) is searched in R, P, Q order, (ii) in P, Q order.
     """
     k = len(pattern.I_GH)
     if k > cap:
@@ -266,62 +319,49 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     h_rows = [ev.h_grads[j] for j in range(ev.dims.p)]
     g_neg = [-ev.g_grads[i] for i in pattern.I_g]
 
-    for assign in itertools.product((0, 1, 2), repeat=k):
-        P = [i for i, c in zip(pattern.I_GH, assign) if c == 0]
-        Q = [i for i, c in zip(pattern.I_GH, assign) if c == 1]
-        R = [i for i, c in zip(pattern.I_GH, assign) if c == 2]
-        if not R:
-            continue
-        eq = (h_rows + [ev.G_grads[i] for i in pattern.I_G]
-              + [ev.G_grads[i] for i in Q]
-              + [ev.H_grads[i] for i in pattern.I_H]
-              + [ev.H_grads[i] for i in P])
-        cone = ([ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R])
-        satisfied = False
-        for idx in range(len(cone)):
-            margin = _direction_margin(n, eq, g_neg + cone[:idx] + cone[idx + 1:],
-                                       cone[idx])
-            if margin >= tol.strict_margin_eps:
-                satisfied = True
-                break
-        if not satisfied:
-            return CqVerdict("MPEC_GMFCQ", "fails", certificate={
-                "condition": "i", "P": P, "Q": Q, "R": R,
-                "detail": "no direction enters the biactive cone strictly"})
+    def side(partial, *choices):
+        return [i for i in pattern.I_GH if partial.get(i) in choices]
 
-    for assign in itertools.product((0, 1), repeat=k):
-        P = [i for i, c in zip(pattern.I_GH, assign) if c == 0]
-        Q = [i for i, c in zip(pattern.I_GH, assign) if c == 1]
-        eq_rows = (h_rows + [ev.G_grads[i] for i in sorted(set(pattern.I_G) | set(Q))]
-                   + [ev.H_grads[i] for i in sorted(set(pattern.I_H) | set(P))])
-        if eq_rows:
-            mat = np.vstack(eq_rows)
-            rr = numerical_rank(mat, tol.rank_rel_tol)
-            if rr.rank < mat.shape[0]:
-                return CqVerdict("MPEC_GMFCQ", "fails", certificate={
-                    "condition": "ii-independence", "P": P, "Q": Q,
-                    "null_witness": [float(w) for w in rr.null_witness]})
-        if pattern.I_g:
-            # all active g strictly decreasing along d: fold them into one
-            # margin problem per candidate is unnecessary; require the
-            # minimum of -grad g . d to exceed the margin
-            lp = LinearProgram()
-            dv = lp.add_vars(n, free=True)
-            tv = lp.add_var()
-            for row in eq_rows:
-                lp.add_eq({dv[j]: float(row[j]) for j in range(n) if row[j]}, 0.0)
-            for i in pattern.I_g:
-                slack = lp.add_var()
-                coeffs = {dv[j]: float(-ev.g_grads[i][j]) for j in range(n)
-                          if ev.g_grads[i][j]}
-                coeffs[tv] = -1.0
-                coeffs[slack] = -1.0
-                lp.add_eq(coeffs, 0.0)
-            feasible, _, margin = lp.solve(maximize=tv, cap=1.0)
-            if not feasible or margin is None or margin < tol.strict_margin_eps:
-                return CqVerdict("MPEC_GMFCQ", "fails", certificate={
-                    "condition": "ii-direction", "P": P, "Q": Q,
-                    "detail": "no null-space direction strictly decreases all active g"})
+    def eq_rows(partial):
+        # grad h; grad G on I_G, Q and unassigned; grad H on I_H, P and unassigned
+        return (h_rows
+                + [ev.G_grads[i] for i in sorted((*pattern.I_G, *side(partial, "Q", None)))]
+                + [ev.H_grads[i] for i in sorted((*pattern.I_H, *side(partial, "P", None)))])
+
+    def uncertified_i(partial):
+        R = side(partial, "R")
+        if not R:  # nothing to certify yet; a leaf without R is exempt
+            return len(partial) < k
+        cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
+        margin = _direction_margin(n, eq_rows(partial), g_neg + cone,
+                                   [np.sum(cone, axis=0)])
+        return margin < tol.strict_margin_eps
+
+    found = first_leaf(pattern.I_GH, ("R", "P", "Q"), uncertified_i)
+    if found is not None:
+        partial = found[0]
+        return CqVerdict("MPEC_GMFCQ", "fails", certificate={
+            "condition": "i", "P": side(partial, "P"), "Q": side(partial, "Q"),
+            "R": side(partial, "R"),
+            "detail": "no direction enters the biactive cone strictly"})
+
+    def uncertified_ii(partial):
+        eq = eq_rows(partial)
+        if eq:
+            rr = numerical_rank(np.vstack(eq), tol.rank_rel_tol)
+            if rr.rank < len(eq):
+                return {"condition": "ii-independence",
+                        "null_witness": [float(w) for w in rr.null_witness]}
+        if pattern.I_g and _direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
+            return {"condition": "ii-direction",
+                    "detail": "no null-space direction strictly decreases all active g"}
+        return None
+
+    found = first_leaf(pattern.I_GH, ("P", "Q"), uncertified_ii)
+    if found is not None:
+        partial, failure = found
+        return CqVerdict("MPEC_GMFCQ", "fails", certificate={
+            "P": side(partial, "P"), "Q": side(partial, "Q"), **failure})
 
     return CqVerdict("MPEC_GMFCQ", "holds",
                      certificate={"partitions_i": 3 ** k - 2 ** k,

@@ -26,6 +26,11 @@ from .errors import WitnessVerificationError
 WITNESS_RESIDUAL_SLACK = 1e-6
 
 _PIVOT_TOL = 1e-10
+# Phase 1 cannot be unbounded in exact arithmetic.  When it reports so,
+# Bland's index tie-break on a degenerate ratio test has pivoted on a
+# rounding-noise entry, and phase 1 is rerun once treating entries up
+# to this size as zero.
+_RETRY_PIVOT_TOL = 1e-8
 _ENTER_TOL = 1e-10
 _DRIVE_TOL = 1e-9
 
@@ -46,7 +51,7 @@ def _pivot(T: np.ndarray, z: np.ndarray | None, i: int, j: int) -> None:
         z -= z[j] * T[i]
 
 
-def _pivot_loop(T, basis, z, max_iter):
+def _pivot_loop(T, basis, z, max_iter, pivot_tol):
     ncols = T.shape[1] - 1
     for _ in range(max_iter):
         cand = np.nonzero(z[:ncols] < -_ENTER_TOL)[0]
@@ -54,7 +59,7 @@ def _pivot_loop(T, basis, z, max_iter):
             return "optimal"
         j = int(cand[0])  # Bland: smallest eligible index
         col = T[:, j]
-        pos = np.nonzero(col > _PIVOT_TOL)[0]
+        pos = np.nonzero(col > pivot_tol)[0]
         if pos.size == 0:
             return "unbounded"
         ratios = T[pos, -1] / col[pos]
@@ -72,7 +77,8 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
     Dense tableau, phase 1 with artificial variables, Bland's rule in
     both phases (guarantees termination on degenerate tableaus).  Rows
     are equilibrated to unit inf-norm first; that rescaling does not
-    change the feasible set.
+    change the feasible set.  A phase 1 that reports unbounded is rerun
+    once at the stricter pivot tolerance `_RETRY_PIVOT_TOL`.
     """
     A = np.array(A, dtype=float, ndmin=2)
     b = np.array(b, dtype=float).ravel()
@@ -93,14 +99,16 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
     A[neg] *= -1.0
     b[neg] *= -1.0
 
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(n, n + m)
-    z = np.zeros(n + m + 1)
-    z[:n] = -T[:, :n].sum(axis=0)
-    z[-1] = -b.sum()
-
-    status = _pivot_loop(T, basis, z, max_iter)
-    if status != "optimal":  # phase 1 is always bounded below by 0
+    for pivot_tol in (_PIVOT_TOL, _RETRY_PIVOT_TOL):
+        T = np.hstack([A, np.eye(m), b[:, None]])
+        basis = np.arange(n, n + m)
+        z = np.zeros(n + m + 1)
+        z[:n] = -T[:, :n].sum(axis=0)
+        z[-1] = -b.sum()
+        status = _pivot_loop(T, basis, z, max_iter, pivot_tol)
+        if status == "optimal":
+            break
+    else:  # phase 1 is always bounded below by 0
         raise RuntimeError("phase 1 reported " + status)
     if -z[-1] > 1e-8 * max(1.0, m):
         return SimplexResult("infeasible", None, None)
@@ -124,7 +132,7 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
     z = np.concatenate([c, [0.0]])
     for i, bi in enumerate(basis):
         z -= c[bi] * T[i]
-    status = _pivot_loop(T, basis, z, max_iter)
+    status = _pivot_loop(T, basis, z, max_iter, pivot_tol)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
     x = np.zeros(n)
@@ -205,39 +213,6 @@ class LinearProgram:
         values[has_minus] -= res.x[minus[has_minus]]
         obj = values[maximize] if maximize is not None else 0.0
         return True, values, float(obj)
-
-
-@dataclass(frozen=True)
-class LpCertificate:
-    feasible: bool
-    x: np.ndarray | None
-    margin: float | None
-
-
-def lp_feasible(eq_matrix, eq_rhs, n_vars: int, nonneg_vars=(),
-                maximize_var: int | None = None, cap: float | None = 1.0) -> LpCertificate:
-    """Feasibility of {A x = b, x_i >= 0 for i in nonneg_vars}.
-
-    Variables outside `nonneg_vars` are free.  With `maximize_var`, the
-    margin of that variable is maximized (capped so the LP stays
-    bounded; an uncapped unbounded ray reports margin=inf).
-    """
-    eq_matrix = np.array(eq_matrix, dtype=float, ndmin=2)
-    eq_rhs = np.array(eq_rhs, dtype=float).ravel()
-    nonneg = set(int(i) for i in nonneg_vars)
-    lp = LinearProgram()
-    idx = [lp.add_var(free=(k not in nonneg)) for k in range(n_vars)]
-    for r in range(eq_matrix.shape[0]):
-        coeffs = {idx[k]: eq_matrix[r, k] for k in range(n_vars) if eq_matrix[r, k] != 0.0}
-        lp.add_eq(coeffs, eq_rhs[r])
-    feasible, values, obj = lp.solve(
-        maximize=None if maximize_var is None else idx[maximize_var], cap=cap)
-    if not feasible:
-        return LpCertificate(False, None, None)
-    if values is None:
-        return LpCertificate(True, None, float("inf"))
-    margin = None if maximize_var is None else float(obj)
-    return LpCertificate(True, values, margin)
 
 
 @dataclass(frozen=True)
@@ -334,25 +309,24 @@ def largest_eigenvalue(matrix, iters: int = 500, rtol: float = 1e-13) -> float:
 class SignedCombinationQuery:
     """Rows grouped by the sign class of their combination coefficient.
 
-    nonneg: coefficient >= 0; strict: coefficient > 0 required; zero:
-    fixed at zero (kept for provenance only); free: unconstrained.
+    nonneg: coefficient >= 0; zero: fixed at zero (kept for provenance
+    only); free: unconstrained.
     """
 
     nonneg: np.ndarray
-    strict: np.ndarray
     zero: np.ndarray
     free: np.ndarray
     labels: tuple = field(default=(), compare=False)
 
     @property
     def dim(self) -> int:
-        for block in (self.nonneg, self.strict, self.zero, self.free):
+        for block in (self.nonneg, self.zero, self.free):
             if block.shape[0]:
                 return block.shape[1]
         return self.nonneg.shape[1]
 
 
-def make_query(dim: int, nonneg=None, strict=None, zero=None, free=None,
+def make_query(dim: int, nonneg=None, zero=None, free=None,
                labels=()) -> SignedCombinationQuery:
     def block(rows):
         if rows is None or len(rows) == 0:
@@ -362,39 +336,33 @@ def make_query(dim: int, nonneg=None, strict=None, zero=None, free=None,
             raise ValueError("row dimension mismatch in query")
         return out
 
-    return SignedCombinationQuery(block(nonneg), block(strict), block(zero),
-                                  block(free), tuple(labels))
+    return SignedCombinationQuery(block(nonneg), block(zero), block(free),
+                                  tuple(labels))
 
 
 @dataclass(frozen=True)
 class CombinationWitness:
     exists: bool
-    # aligned with query rows in block order nonneg, strict, zero, free
+    # aligned with query rows in block order nonneg, zero, free
     coefficients: np.ndarray | None
-    margin: float | None
     residual: float | None
 
 
-def verify_combination(query: SignedCombinationQuery, coefficients,
-                       strict_margin_eps: float) -> float:
+def verify_combination(query: SignedCombinationQuery, coefficients) -> float:
     """Re-check a combination witness arithmetically; returns the residual.
 
     Raises WitnessVerificationError if the coefficients violate their
     sign classes, are essentially zero, or fail to annihilate the rows.
     """
     coeffs = np.asarray(coefficients, dtype=float)
-    kn, ks = query.nonneg.shape[0], query.strict.shape[0]
-    kz, kf = query.zero.shape[0], query.free.shape[0]
-    if coeffs.shape[0] != kn + ks + kz + kf:
+    kn, kz, kf = query.nonneg.shape[0], query.zero.shape[0], query.free.shape[0]
+    if coeffs.shape[0] != kn + kz + kf:
         raise WitnessVerificationError("witness length does not match query")
     a = coeffs[:kn]
-    s = coeffs[kn:kn + ks]
-    zc = coeffs[kn + ks:kn + ks + kz]
-    f = coeffs[kn + ks + kz:]
+    zc = coeffs[kn:kn + kz]
+    f = coeffs[kn + kz:]
     if np.any(a < -1e-9):
         raise WitnessVerificationError("nonneg coefficient is negative")
-    if ks and np.any(s < strict_margin_eps * (1.0 - 1e-9)):
-        raise WitnessVerificationError("strict coefficient below margin")
     if np.any(np.abs(zc) > 1e-12):
         raise WitnessVerificationError("zero-class coefficient is nonzero")
     total = np.abs(coeffs).sum()
@@ -403,8 +371,6 @@ def verify_combination(query: SignedCombinationQuery, coefficients,
     combo = np.zeros(query.dim)
     if kn:
         combo += a @ query.nonneg
-    if ks:
-        combo += s @ query.strict
     if kf:
         combo += f @ query.free
     residual = float(np.abs(combo).max()) if query.dim else 0.0
@@ -414,96 +380,45 @@ def verify_combination(query: SignedCombinationQuery, coefficients,
 
 
 def signed_combination_exists(query: SignedCombinationQuery, *,
-                              rank_rel_tol: float = 1e-12,
-                              strict_margin_eps: float = 1e-6) -> CombinationWitness:
+                              rank_rel_tol: float = 1e-12) -> CombinationWitness:
     """Decide whether a nonzero sign-respecting null combination exists.
 
     Existence is invariant under positive rescaling of any row.  The
     returned coefficients are normalized to unit 1-norm and re-verified
     before being handed back; zero-class rows always get coefficient 0.
 
-    Decision procedure: if the strict block is empty, a dependence among
-    the free rows alone settles the question via the rank kernel (the
-    only route that cannot be polluted by the split-variable artifact);
-    otherwise an LP with 1-norm normalization decides, maximizing the
-    common margin of the strict block when one is present.
+    Decision procedure: a dependence among the free rows alone settles
+    the question via the rank kernel (the only route that cannot be
+    polluted by the split-variable artifact); otherwise any witness
+    carries nonneg mass, and an LP normalized to unit nonneg mass
+    decides.
     """
-    kn, ks = query.nonneg.shape[0], query.strict.shape[0]
-    kz, kf = query.zero.shape[0], query.free.shape[0]
-    dim = query.dim
+    kn, kz, kf = query.nonneg.shape[0], query.zero.shape[0], query.free.shape[0]
 
-    def assemble(a, s, f, margin):
-        coeffs = np.concatenate([a, s, np.zeros(kz), f])
-        total = np.abs(coeffs).sum()
-        coeffs = coeffs / total
-        residual = verify_combination(query, coeffs, strict_margin_eps)
-        m = None if margin is None else float(margin / total)
-        return CombinationWitness(True, coeffs, m, residual)
+    def assemble(a, f):
+        coeffs = np.concatenate([a, np.zeros(kz), f])
+        coeffs = coeffs / np.abs(coeffs).sum()
+        residual = verify_combination(query, coeffs)
+        return CombinationWitness(True, coeffs, residual)
 
-    if kn + ks + kf == 0:
-        return CombinationWitness(False, None, None, None)
-
-    if ks == 0:
-        if kf:
-            rr = numerical_rank(query.free, rank_rel_tol)
-            if rr.rank < kf:
-                return assemble(np.zeros(kn), np.zeros(0), rr.null_witness, None)
-        if kn == 0:
-            return CombinationWitness(False, None, None, None)
-        # free rows independent: any witness must carry nonneg mass,
-        # which scales to exactly one
-        lp = LinearProgram()
-        av = lp.add_vars(kn)
-        fv = lp.add_vars(kf, free=True)
-        for col in range(dim):
-            coeffs = {av[i]: query.nonneg[i, col] for i in range(kn)
-                      if query.nonneg[i, col]}
-            for j in range(kf):
-                if query.free[j, col]:
-                    coeffs[fv[j]] = query.free[j, col]
-            lp.add_eq(coeffs, 0.0)
-        lp.add_eq({av[i]: 1.0 for i in range(kn)}, 1.0)
-        feasible, values, _ = lp.solve(maximize=None)
-        if not feasible:
-            return CombinationWitness(False, None, None, None)
-        a = values[:kn]
-        f = values[kn:kn + kf]
-        return assemble(a, np.zeros(0), f, None)
-
-    # strict block present: maximize the common margin t under the
-    # 1-norm normalization (which also caps t at 1)
+    if kf:
+        rr = numerical_rank(query.free, rank_rel_tol)
+        if rr.rank < kf:
+            return assemble(np.zeros(kn), rr.null_witness)
+    if kn == 0:
+        return CombinationWitness(False, None, None)
     lp = LinearProgram()
     av = lp.add_vars(kn)
-    sv = lp.add_vars(ks)
-    fp = lp.add_vars(kf)
-    fm = lp.add_vars(kf)
-    tv = lp.add_var()
-    for col in range(dim):
-        coeffs: dict[int, float] = {}
-        for i in range(kn):
-            if query.nonneg[i, col]:
-                coeffs[av[i]] = query.nonneg[i, col]
-        for i in range(ks):
-            if query.strict[i, col]:
-                coeffs[sv[i]] = query.strict[i, col]
+    fv = lp.add_vars(kf, free=True)
+    for col in range(query.dim):
+        coeffs = {av[i]: query.nonneg[i, col] for i in range(kn)
+                  if query.nonneg[i, col]}
         for j in range(kf):
             if query.free[j, col]:
-                coeffs[fp[j]] = query.free[j, col]
-                coeffs[fm[j]] = -query.free[j, col]
+                coeffs[fv[j]] = query.free[j, col]
         lp.add_eq(coeffs, 0.0)
-    norm = {v: 1.0 for v in av + sv + fp + fm}
-    lp.add_eq(norm, 1.0)
-    for i in range(ks):
-        slack = lp.add_var()
-        lp.add_eq({sv[i]: 1.0, tv: -1.0, slack: -1.0}, 0.0)
-    # normalization already forces t <= 1; the explicit cap just keeps
-    # phase 2 structurally bounded
-    feasible, values, margin = lp.solve(maximize=tv, cap=1.0)
+    lp.add_eq({av[i]: 1.0 for i in range(kn)}, 1.0)
+    feasible, values, _ = lp.solve(maximize=None)
     if not feasible:
-        return CombinationWitness(False, None, None, None)
-    if values is None or margin is None or margin < strict_margin_eps:
-        return CombinationWitness(False, None, None, None)
-    a = values[:kn]
-    s = values[kn:kn + ks]
-    f = values[kn + ks:kn + ks + kf] - values[kn + ks + kf:kn + ks + 2 * kf]
-    return assemble(a, s, f, margin)
+        return CombinationWitness(False, None, None)
+    return assemble(values[:kn], values[kn:kn + kf])

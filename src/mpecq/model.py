@@ -29,7 +29,7 @@ class Tolerances:
     activity_eps    absolute activity threshold |value| <= eps
     rank_rel_tol    relative SVD cutoff for numerical rank
     pd_eps          relative eigenvalue floor for definiteness
-    strict_margin_eps  acceptance margin for strict LP coefficients
+    strict_margin_eps  acceptance margin for strict direction inequalities (GMFCQ)
     feas_eps        feasibility residual tolerance
     """
 

@@ -14,27 +14,29 @@ constraints on the biactive multipliers (i in I_GH):
   M       (gamma_i > 0 and nu_i > 0) or gamma_i = 0 or nu_i = 0
   strong  gamma_i >= 0 and nu_i >= 0
 
-C and M are decided by exact sign-branch enumeration (2^k and 3^k
-branches); strict positivity uses a max-margin LP accepted at the
-configured margin.  Strong stationarity is a single LP and coincides
-with the classical KKT system of the problem viewed as a plain NLP,
-which `verify_kkt_equivalence` checks by building that second system
-independently.
+M's per-pair set equals the union of three closed branches, both
+>= 0, gamma = 0 and nu = 0, and C's the union of both >= 0 and both
+<= 0, so each is one LP per branch with no margin tolerance.  The
+branches are searched depth first (`cq.first_leaf`) with unassigned
+pairs free: a node whose system is infeasible clears its subtree, and
+the root is the weak system, already solved.  Strong stationarity is a
+single LP and coincides with the classical KKT system of the problem
+viewed as a plain NLP, which `verify_kkt_equivalence` checks by
+building that second system independently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cq import DEFAULT_BRANCH_CAP, first_leaf
 from .errors import WitnessVerificationError
 from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram
 from .model import ActivePattern, PointEvaluation, Tolerances
 
 CLASS_ORDER = ("strong", "M", "C", "weak")
-DEFAULT_BRANCH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,11 @@ class StationarityReport:
 
 
 def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
-                  gh_modes: dict, tol: Tolerances):
-    """Solve one multiplier system; returns (feasible, witness, margin).
+                  gh_modes: dict) -> dict | None:
+    """Solve one multiplier system; returns a verified witness or None.
 
     gh_modes maps each biactive index to (gamma_mode, nu_mode) with
-    modes 'free', 'nonneg', 'nonpos', 'zero', 'strict'.  Any 'strict'
-    mode turns the solve into a max-margin problem whose margin must
-    reach strict_margin_eps for the system to count as feasible.
+    modes 'free', 'nonneg', 'nonpos', 'zero'.
     """
     n = ev.dims.n
     grad_f = np.asarray(grad_f, dtype=float)
@@ -67,7 +67,6 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     # each multiplier appears in the equation through sign * var
     gam: dict[int, tuple[int, float]] = {}
     nu: dict[int, tuple[int, float]] = {}
-    strict_vars = []
     for i in pattern.I_G:
         gam[i] = (lp.add_var(free=True), 1.0)
     for i in pattern.I_H:
@@ -82,10 +81,6 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
             return (lp.add_var(), -1.0)
         if mode == "zero":
             return None
-        if mode == "strict":
-            v = lp.add_var()
-            strict_vars.append(v)
-            return (v, 1.0)
         raise ValueError(f"unknown multiplier mode {mode!r}")
 
     for i in pattern.I_GH:
@@ -97,7 +92,6 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         if n_entry is not None:
             nu[i] = n_entry
 
-    tv = lp.add_var() if strict_vars else None
     for col in range(n):
         coeffs: dict[int, float] = {}
 
@@ -114,15 +108,10 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         for i, (var, sign) in nu.items():
             add(var, -sign * float(ev.H_grads[i, col]))
         lp.add_eq(coeffs, -float(grad_f[col]))
-    for v in strict_vars:
-        slack = lp.add_var()
-        lp.add_eq({v: 1.0, tv: -1.0, slack: -1.0}, 0.0)
 
-    feasible, values, margin = lp.solve(maximize=tv, cap=1.0)
+    feasible, values, _ = lp.solve()
     if not feasible:
-        return False, None, None
-    if tv is not None and (margin is None or margin < tol.strict_margin_eps):
-        return False, None, None
+        return None
 
     multipliers = {
         "lambda_g": {str(i): float(values[lam[i]]) for i in pattern.I_g},
@@ -146,7 +135,7 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         raise WitnessVerificationError(
             f"stationarity witness residual {residual:.3e} too large")
     multipliers["residual"] = residual
-    return True, multipliers, margin
+    return multipliers
 
 
 def witness_residual(ev: PointEvaluation, pattern: ActivePattern, grad_f,
@@ -202,17 +191,17 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     notes: list[str] = []
     classes = {c: "fails" for c in CLASS_ORDER}
 
-    free_modes = {i: ("free", "free") for i in pattern.I_GH}
-    ok, weak_witness, _ = _solve_system(ev, pattern, grad_f, free_modes, tol)
-    if not ok:
+    weak_witness = _solve_system(ev, pattern, grad_f,
+                                 {i: ("free", "free") for i in pattern.I_GH})
+    if weak_witness is None:
         return StationarityReport("not_stationary", classes, None,
                                   ("multiplier equation infeasible even with free "
                                    "biactive signs",))
     classes["weak"] = "holds"
 
-    strong_modes = {i: ("nonneg", "nonneg") for i in pattern.I_GH}
-    ok, strong_witness, _ = _solve_system(ev, pattern, grad_f, strong_modes, tol)
-    if ok:
+    strong_witness = _solve_system(ev, pattern, grad_f,
+                                   {i: ("nonneg", "nonneg") for i in pattern.I_GH})
+    if strong_witness is not None:
         for cls in ("M", "C", "weak"):
             if not witness_satisfies(ev, pattern, grad_f, strong_witness, cls, tol):
                 raise WitnessVerificationError(
@@ -226,20 +215,19 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                      "M and C undecided")
         return StationarityReport("weak", classes, weak_witness, tuple(notes))
 
-    m_witness = None
-    for branch in itertools.product(("strict", "gamma_zero", "nu_zero"), repeat=k):
-        modes = {}
-        for i, choice in zip(pattern.I_GH, branch):
-            if choice == "strict":
-                modes[i] = ("strict", "strict")
-            elif choice == "gamma_zero":
-                modes[i] = ("zero", "free")
-            else:
-                modes[i] = ("free", "zero")
-        ok, witness, _ = _solve_system(ev, pattern, grad_f, modes, tol)
-        if ok:
-            m_witness = witness
-            break
+    def search(modes_of):
+        """Witness of the first feasible branch; choices in modes_of order."""
+        def admit(partial):
+            if not partial:  # the root is the weak system
+                return weak_witness
+            return _solve_system(ev, pattern, grad_f, {
+                i: modes_of.get(partial.get(i), ("free", "free")) for i in pattern.I_GH})
+
+        found = first_leaf(pattern.I_GH, tuple(modes_of), admit)
+        return None if found is None else found[1]
+
+    m_witness = search({"nonneg": ("nonneg", "nonneg"), "gamma_zero": ("zero", "free"),
+                        "nu_zero": ("free", "zero")})
     if m_witness is not None:
         if not witness_satisfies(ev, pattern, grad_f, m_witness, "C", tol):
             # an M witness with a mixed-sign zero pair still certifies C
@@ -247,13 +235,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         classes.update({"M": "holds", "C": "holds"})
         return StationarityReport("M", classes, m_witness, tuple(notes))
 
-    c_witness = None
-    for branch in itertools.product(("nonneg", "nonpos"), repeat=k):
-        modes = {i: (choice, choice) for i, choice in zip(pattern.I_GH, branch)}
-        ok, witness, _ = _solve_system(ev, pattern, grad_f, modes, tol)
-        if ok:
-            c_witness = witness
-            break
+    c_witness = search({"nonneg": ("nonneg", "nonneg"), "nonpos": ("nonpos", "nonpos")})
     if c_witness is not None:
         classes["C"] = "holds"
         return StationarityReport("C", classes, c_witness, tuple(notes))
@@ -270,8 +252,8 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     H_i >= 0 as ordinary inequalities with nonnegative multipliers on
     their active sets.  Both routes must agree at every feasible point.
     """
-    strong_modes = {i: ("nonneg", "nonneg") for i in pattern.I_GH}
-    strong_ok, _, _ = _solve_system(ev, pattern, grad_f, strong_modes, tol)
+    strong_ok = _solve_system(ev, pattern, grad_f,
+                              {i: ("nonneg", "nonneg") for i in pattern.I_GH}) is not None
 
     n = ev.dims.n
     lp = LinearProgram()

@@ -1,13 +1,21 @@
 """Independent oracles used only by the test suite.
 
 Everything here is deliberately implemented with different mathematics
-than the package (exact rational arithmetic instead of SVD), so that
-agreement between the two routes is meaningful evidence.
+than the package (exact rational arithmetic instead of SVD, exhaustive
+enumeration with strict-margin LPs instead of a pruned search over
+closed branches), so that agreement between the two routes is
+meaningful evidence.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from mpecq import (make_query, numerical_rank,
+                   signed_combination_exists)
+from mpecq.cq import _direction_margin
+from mpecq.kernels import LinearProgram
 
 
 def rational_rank(matrix) -> int:
@@ -54,3 +62,121 @@ def rational_lineq_feasible(rows, rhs) -> bool:
     A = np.asarray(rows)
     b = np.asarray(rhs).reshape(-1, 1)
     return rational_rank(A.T) == rational_rank(np.hstack([A.T, b]))
+
+
+# ------------------------------------------------------------------
+# Exhaustive branch enumerators: one LP per sign branch or partition,
+# with strictly positive multiplier pairs decided by a max-margin LP.
+# The package searches the same branches depth first with pruning and
+# replaces each strict pair by closed branches; these keep the original
+# definitions so the two routes can be compared verdict for verdict.
+
+
+def _max_margin(columns, rhs, free, strict, eps):
+    """Is sum_j x_j columns[j] = rhs solvable with x_j >= 0 off `free`
+    and x_j >= t >= eps on `strict`?  (t capped at 1)"""
+    lp = LinearProgram()
+    xs = [lp.add_var(free=(j in free)) for j in range(len(columns))]
+    tv = lp.add_var()
+    for r, value in enumerate(rhs):
+        lp.add_eq({x: float(col[r]) for x, col in zip(xs, columns) if col[r]}, value)
+    for j in strict:
+        slack = lp.add_var()
+        lp.add_eq({xs[j]: 1.0, tv: -1.0, slack: -1.0}, 0.0)
+    feasible, _, margin = lp.solve(maximize=tv, cap=1.0)
+    return feasible and (not strict or margin >= eps)
+
+
+def nnamcq_oracle(ev, pattern, tol) -> str:
+    """NNAMCQ over all 3^k branches: both multipliers strictly positive,
+    gamma = 0 or nu = 0 on each biactive pair."""
+    for branch in itertools.product(range(3), repeat=len(pattern.I_GH)):
+        nonneg = [ev.g_grads[i] for i in pattern.I_g]
+        strict = []
+        free = ([ev.h_grads[j] for j in range(ev.dims.p)]
+                + [-ev.G_grads[i] for i in pattern.I_G]
+                + [-ev.H_grads[i] for i in pattern.I_H])
+        for i, c in zip(pattern.I_GH, branch):
+            if c == 0:
+                strict += [-ev.G_grads[i], -ev.H_grads[i]]
+            else:
+                free.append(-(ev.H_grads[i] if c == 1 else ev.G_grads[i]))
+        if not strict:
+            exists = signed_combination_exists(
+                make_query(ev.dims.n, nonneg=nonneg, free=free),
+                rank_rel_tol=tol.rank_rel_tol).exists
+        else:
+            # unit 1-norm with free rows split in two nonneg parts
+            rows = nonneg + strict + free + [-r for r in free]
+            columns = [np.append(r, 1.0) for r in rows]
+            first = len(nonneg)
+            exists = _max_margin(columns, [0.0] * ev.dims.n + [1.0], (),
+                                 range(first, first + len(strict)),
+                                 tol.strict_margin_eps)
+        if exists:
+            return "fails"
+    return "holds"
+
+
+def gmfcq_oracle(ev, pattern, tol) -> tuple:
+    """GMFCQ over every partition, one direction LP per cone row in (i).
+    Returns (status, failing condition or None)."""
+    n, k = ev.dims.n, len(pattern.I_GH)
+    h_rows = [ev.h_grads[j] for j in range(ev.dims.p)]
+    g_neg = [-ev.g_grads[i] for i in pattern.I_g]
+    for assign in itertools.product(range(3), repeat=k):
+        P, Q, R = ([i for i, c in zip(pattern.I_GH, assign) if c == side]
+                   for side in range(3))
+        if not R:
+            continue
+        eq = (h_rows + [ev.G_grads[i] for i in pattern.I_G + tuple(Q)]
+              + [ev.H_grads[i] for i in pattern.I_H + tuple(P)])
+        cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
+        if not any(_direction_margin(n, eq, g_neg + cone[:j] + cone[j + 1:], [cone[j]])
+                   >= tol.strict_margin_eps for j in range(len(cone))):
+            return "fails", "i"
+    for assign in itertools.product(range(2), repeat=k):
+        P = [i for i, c in zip(pattern.I_GH, assign) if c == 0]
+        Q = [i for i, c in zip(pattern.I_GH, assign) if c == 1]
+        eq = (h_rows + [ev.G_grads[i] for i in pattern.I_G + tuple(Q)]
+              + [ev.H_grads[i] for i in pattern.I_H + tuple(P)])
+        if eq and numerical_rank(np.vstack(eq), tol.rank_rel_tol).rank < len(eq):
+            return "fails", "ii-independence"
+        if g_neg and _direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
+            return "fails", "ii-direction"
+    return "holds", None
+
+
+def stationarity_oracle(ev, pattern, grad_f, tol) -> str:
+    """Strongest class, with M over all 3^k and C over all 2^k branches."""
+    def feasible(modes):
+        columns = [ev.g_grads[i] for i in pattern.I_g]
+        free = ([ev.h_grads[j] for j in range(ev.dims.p)]
+                + [-ev.G_grads[i] for i in pattern.I_G]
+                + [-ev.H_grads[i] for i in pattern.I_H])
+        strict = []
+        for i, pair in zip(pattern.I_GH, modes):
+            for mode, row in zip(pair, (-ev.G_grads[i], -ev.H_grads[i])):
+                if mode == "free":
+                    free.append(row)
+                elif mode != "zero":
+                    if mode == "strict":
+                        strict.append(len(columns))
+                    columns.append(-row if mode == "nonpos" else row)
+        first = len(columns)
+        return _max_margin(columns + free, -np.asarray(grad_f, dtype=float),
+                           range(first, first + len(free)), strict,
+                           tol.strict_margin_eps)
+
+    k = len(pattern.I_GH)
+    if not feasible([("free", "free")] * k):
+        return "not_stationary"
+    if feasible([("nonneg", "nonneg")] * k):
+        return "strong"
+    m_branches = [("strict", "strict"), ("zero", "free"), ("free", "zero")]
+    if any(feasible(b) for b in itertools.product(m_branches, repeat=k)):
+        return "M"
+    c_branches = [("nonneg", "nonneg"), ("nonpos", "nonpos")]
+    if any(feasible(b) for b in itertools.product(c_branches, repeat=k)):
+        return "C"
+    return "weak"

@@ -136,7 +136,7 @@ def test_criterion_09_kernel_soundness(acceptance):
         query = make_query(dim, nonneg=planted)
         witness = signed_combination_exists(query)
         if witness.exists:
-            verify_combination(query, witness.coefficients, 1e-6)
+            verify_combination(query, witness.coefficients)
             reverified += 1
     acceptance(9, "numerical rank equals the exact rational oracle on 10000 "
                   f"integer matrices ({disagreements} disagreements); "

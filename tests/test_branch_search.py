@@ -1,0 +1,178 @@
+"""The pruned depth-first branch search against the exhaustive oracles.
+
+NNAMCQ, GMFCQ and M/C-stationarity quantify over sign branches or
+partitions of the biactive set.  The package searches them depth first
+with pruning (`cq.first_leaf`); `_oracles` keeps the exhaustive
+one-LP-per-branch enumerators with strict-margin LPs.  Verdicts and the
+strongest class must agree everywhere, and the search must stay cheap
+where the exhaustive one is exponential.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
+                   assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
+                   classify_active, classify_stationarity, gen_bho_case,
+                   kernels, to_evaluation)
+from mpecq.cq import first_leaf
+from mpecq.fixtures import all_fixtures
+from _oracles import gmfcq_oracle, nnamcq_oracle, stationarity_oracle
+from conftest import FUZZ_SEED, PINNED_TOL
+
+TOL = Tolerances()
+
+
+def biactive_point(k, family, rng=None):
+    """Affine point at the origin with k biactive pairs and one active g.
+
+    n = 2k+3; g, G_i and H_i lie on distinct coordinate axes, so the
+    active bundle has full rank and every CQ holds.  `family == "fails"`
+    sets grad H_0 = -grad G_0, which makes every CQ but ACQ fail.
+    grad_f forces gamma_i < 0 and nu_i < 0, so C is the strongest class
+    (strong when k = 1 in `fails`, where gamma_0 = nu_0 is free).  With
+    `rng`, positive row scales and a signed coordinate permutation are
+    drawn; neither changes a verdict.
+    """
+    n = 2 * k + 3
+    base = np.eye(n)
+    g, G, H = base[0:1], base[1:2 * k + 1:2].copy(), base[2:2 * k + 2:2].copy()
+    if family == "fails":
+        H[0] = -G[0]
+    grad_f = -g[0] - G.sum(axis=0) - H.sum(axis=0)
+    if rng is not None:
+        scale = rng.uniform(0.5, 2.0, size=2 * k + 1)
+        g, G, H = g * scale[0], G * scale[1:k + 1, None], H * scale[k + 1:, None]
+        P = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+        g, G, H, grad_f = g @ P, G @ P, H @ P, grad_f @ P
+    ev = PointEvaluation(MpecDimensions(n, 1, 0, k), np.zeros(n), np.zeros(1),
+                         np.zeros(0), np.zeros(k), np.zeros(k), g,
+                         np.zeros((0, n)), G, H)
+    return ev, grad_f
+
+
+def integer_point(seed, k):
+    """Integer gradients in [-2, 2] with k biactive pairs, up to two active
+    g, one h and one pair active on one side only."""
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(2, 7)), int(rng.integers(0, 3)), int(rng.integers(0, 2))
+    sides = [int(rng.integers(0, 2)) for _ in range(int(rng.integers(0, 2)))]
+    l = k + len(sides)
+    G_vals = np.array([0.0] * k + [0.0 if s == 0 else 1.0 for s in sides])
+    H_vals = np.array([0.0] * k + [0.0 if s == 1 else 1.0 for s in sides])
+
+    def grads(rows):
+        return rng.integers(-2, 3, size=(rows, n)).astype(float)
+
+    ev = PointEvaluation(MpecDimensions(n, m, p, l), np.zeros(n), np.zeros(m),
+                         np.zeros(p), G_vals, H_vals, grads(m), grads(p),
+                         grads(l), grads(l))
+    return ev, grads(1)[0]
+
+
+def assert_matches_oracles(ev, grad_f):
+    pattern = classify_active(ev, TOL)
+    nnamcq = check_nnamcq(ev, pattern, TOL)
+    assert nnamcq.status == nnamcq_oracle(ev, pattern, TOL)
+    gmfcq = check_mpec_gmfcq(ev, pattern, TOL)
+    cert = gmfcq.certificate or {}
+    assert (gmfcq.status, cert.get("condition")) == gmfcq_oracle(ev, pattern, TOL)
+    stat = classify_stationarity(ev, pattern, grad_f, TOL)
+    assert stat.strongest == stationarity_oracle(ev, pattern, grad_f, TOL)
+    if nnamcq.status == "fails":
+        assert_branch_labels_hold(nnamcq.certificate, TOL.activity_eps)
+
+
+def assert_branch_labels_hold(cert, eps):
+    """Every NNAMCQ branch label is true of the witness it comes with."""
+    mult = cert["multipliers"]
+    for i, label in cert["branch"].items():
+        gamma, nu = mult["lambda_G"][i], mult["lambda_H"][i]
+        if label == "gamma_zero":
+            assert abs(gamma) <= eps
+        elif label == "nu_zero":
+            assert abs(nu) <= eps
+        else:
+            assert label == "both_strict" and gamma > eps and nu > eps
+
+
+def test_first_leaf_prunes_subtrees_in_order():
+    visited = []
+
+    def admit(partial):
+        visited.append(dict(partial))
+        return partial.get(0) != "a"
+
+    assert first_leaf((0, 1), ("a", "b"), admit) == ({0: "b", 1: "a"}, True)
+    assert visited == [{}, {0: "a"}, {0: "b"}, {0: "b", 1: "a"}]
+    assert first_leaf((0, 1), ("a", "b"), lambda partial: len(partial) < 2) is None
+
+
+@pytest.mark.parametrize("fx", all_fixtures(), ids=lambda fx: fx.name)
+def test_fixtures_match_oracles(fx):
+    assert_matches_oracles(fx.evaluation, fx.grad_f)
+
+
+@pytest.mark.parametrize("family", ["holds", "fails"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_constructed_families_match_oracles(k, family):
+    ev, grad_f = biactive_point(k, family, np.random.default_rng([k, len(family)]))
+    assert_matches_oracles(ev, grad_f)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_integer_points_match_oracles(seed, k):
+    ev, grad_f = integer_point(seed, k)
+    assert_matches_oracles(ev, grad_f)
+
+
+def test_search_cost_stays_polynomial_where_enumeration_explodes(monkeypatch):
+    # k = 10 is 59049 branches for the exhaustive NNAMCQ enumeration
+    k = 10
+    calls = []
+    solve = kernels.simplex_solve
+    monkeypatch.setattr(kernels, "simplex_solve",
+                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    ev, grad_f = biactive_point(k, "holds")
+    pattern = classify_active(ev, TOL)
+
+    def lps(run):
+        calls.clear()
+        result = run()
+        return result, len(calls)
+
+    nnamcq, n_lps = lps(lambda: check_nnamcq(ev, pattern, TOL))
+    assert nnamcq.status == "holds" and n_lps <= 1
+    assert nnamcq.certificate == {"branches_checked": 3 ** k}
+    stat, s_lps = lps(lambda: classify_stationarity(ev, pattern, grad_f, TOL))
+    assert stat.strongest == "C" and s_lps <= 2 * k + 5
+    gmfcq, g_lps = lps(lambda: check_mpec_gmfcq(ev, pattern, TOL))
+    assert gmfcq.status == "holds" and g_lps <= 2 ** k + 2
+    assert gmfcq.certificate == {"partitions_i": 3 ** k - 2 ** k,
+                                 "partitions_ii": 2 ** k}
+
+
+def test_degenerate_node_lp_from_fuzz_corpus(monkeypatch):
+    # forced gh3 case 64 of the acceptance corpus: the GMFCQ node LP is
+    # fully degenerate, and Bland's index tie-break pivots on rounding
+    # noise until phase 1 reports unbounded; the kernel reruns phase 1
+    # at a stricter pivot tolerance
+    forced = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2]
+    case = gen_bho_case(np.random.default_rng(forced.spawn(250)[64]), "gh3", PINNED_TOL)
+    point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
+    ev = to_evaluation(case.instance, point)
+    pattern = classify_active(ev, PINNED_TOL)
+    tols = []
+    loop = kernels._pivot_loop
+
+    def logged(T, basis, z, max_iter, pivot_tol):
+        tols.append(pivot_tol)
+        return loop(T, basis, z, max_iter, pivot_tol)
+
+    monkeypatch.setattr(kernels, "_pivot_loop", logged)
+    verdict = check_mpec_gmfcq(ev, pattern, PINNED_TOL)
+    assert kernels._RETRY_PIVOT_TOL in tols, "no LP needed the retry; pick another repro"
+    assert verdict.status == "holds"
+    assert gmfcq_oracle(ev, pattern, PINNED_TOL) == ("holds", None)

@@ -166,17 +166,26 @@ class TestSignedCombination:
         q = make_query(2, nonneg=[[-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
         assert not signed_combination_exists(q).exists
 
-    def test_strict_branch_requires_margin(self):
-        # gamma(1,0) strictly positive cannot be cancelled by nu >= 0 on (0,1)
-        q = make_query(2, strict=[[1.0, 0.0]], nonneg=[[0.0, 1.0]])
-        assert not signed_combination_exists(q).exists
+    @staticmethod
+    def branch_queries(gamma_row, nu_row, free=()):
+        """The three closed branches that replace a strictly positive pair:
+        both >= 0, gamma = 0 (nu free) and nu = 0 (gamma free)."""
+        free = list(free)
+        return [make_query(2, nonneg=[gamma_row, nu_row], free=free),
+                make_query(2, zero=[gamma_row], free=[nu_row] + free),
+                make_query(2, zero=[nu_row], free=[gamma_row] + free)]
 
-    def test_strict_branch_witness(self):
-        q = make_query(2, strict=[[1.0, 0.0]], nonneg=[[-1.0, 1.0]],
-                       free=[[0.0, -1.0]])
-        w = signed_combination_exists(q)
-        assert w.exists
-        assert w.margin is not None and w.margin > 0
+    def test_strict_branch_reformulation_has_no_witness(self):
+        # gamma(1,0) cannot be cancelled by nu on (0,1) in any branch
+        queries = self.branch_queries([1.0, 0.0], [0.0, 1.0])
+        assert not any(signed_combination_exists(q).exists for q in queries)
+
+    def test_strict_branch_reformulation_witness(self):
+        queries = self.branch_queries([1.0, 0.0], [-1.0, 1.0], free=[[0.0, -1.0]])
+        found = [signed_combination_exists(q) for q in queries]
+        assert [w.exists for w in found] == [True, False, False]
+        # the both >= 0 witness is strictly positive on the pair
+        assert np.all(found[0].coefficients[:2] > 0.1)
 
     def test_zero_class_rows_are_ignored(self):
         q = make_query(2, zero=[[1.0, 0.0], [-1.0, 0.0]],
@@ -199,14 +208,14 @@ class TestSignedCombination:
     def test_verify_rejects_sign_violation(self):
         q = make_query(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [-0.5, -0.5, 0.0], 1e-6)
+            verify_combination(q, [-0.5, -0.5, 0.0])
 
     def test_verify_rejects_nonzero_residual(self):
         q = make_query(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [0.5, 0.5, 0.25], 1e-6)
+            verify_combination(q, [0.5, 0.5, 0.25])
 
     def test_verify_rejects_trivial_combination(self):
         q = make_query(2, free=[[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [0.0, 0.0], 1e-6)
+            verify_combination(q, [0.0, 0.0])
