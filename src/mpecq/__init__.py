@@ -12,8 +12,8 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError, MpecqError,
                      WitnessVerificationError)
 from .kernels import (CombinationWitness, RankResult, SignedCombinationQuery,
-                      is_positive_definite, largest_eigenvalue, make_query,
-                      numerical_rank, signed_combination_exists, simplex_solve,
+                      is_positive_definite, make_query, numerical_rank,
+                      signed_combination_exists, simplex_solve,
                       verify_combination)
 from .model import (ActivePattern, FeasibilityReport, GradientBundle,
                     MpecDimensions, PointEvaluation, Tolerances,
@@ -57,7 +57,7 @@ __all__ = [
     "classify_active", "classify_lambda_psi", "classify_stationarity",
     "digest", "force_family3_biactive", "force_family4_biactive",
     "gamma_matches_generic", "gen_bho_case", "gradient_bundle_rnlp",
-    "gradient_bundle_tnlp", "is_positive_definite", "largest_eigenvalue",
+    "gradient_bundle_tnlp", "is_positive_definite",
     "load_dataset_csv", "lower_level_solve", "make_query",
     "misclassification_oracle", "numerical_rank", "random_affine_evaluation",
     "rescale_training_row", "run_all_checks", "run_fixture_suite", "run_fuzz",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
-from .kernels import is_positive_definite, largest_eigenvalue
+from .kernels import is_positive_definite
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
                     check_feasibility)
 
@@ -346,11 +346,20 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
                       tol: float = 1e-9, budget: int = 100000) -> np.ndarray:
     """Solve the fold's box QP min 0.5 a.K.a - sum(a) s.t. 0 <= a <= C.
 
-    Projected gradient with a fixed step from a power-iteration estimate
-    of the Gram spectral norm; an objective-increase backstop halves the
-    step if the estimate was low.  Convergence is declared on the step-1
-    natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf <= tol,
-    which keeps downstream complementarity residuals at O(C * tol).
+    Gradient projection with minimisation on the current face (Moré and
+    Toraldo 1991).  Each of at most `budget` outer iterations first tests
+    the step-1 natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf
+    <= tol, which keeps downstream complementarity residuals at
+    O(C * tol), then takes one projected-gradient step of length
+    1 / (1.1 trace(K)), halved while the objective would increase.  The
+    step picks the face; `_face_steps` then minimises over it exactly, so
+    a solve ends at the face solution after a few outer iterations
+    instead of approaching it geometrically.
+
+    Raises ConvergenceError when the budget runs out, or at once when an
+    outer iteration leaves alpha bitwise unchanged: the iteration is
+    deterministic, so every later one would repeat it.  That happens when
+    rounding in K a exceeds tol, as for a singular K with C near 1e16.
     """
     if C < 0:
         raise InputError("C must be nonnegative")
@@ -358,24 +367,79 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     m = K.shape[0]
     if C == 0.0:
         return np.zeros(m)
-    L = largest_eigenvalue(K)
-    step = 1.0 / max(1.1 * L, 1e-12)
+    # trace(K) >= lambda_max(K) for a positive semidefinite K
+    step = 1.0 / max(1.1 * float(np.trace(K)), 1e-12)
     alpha = np.zeros(m)
     obj = 0.0
     residual = np.inf
-    for _ in range(budget):
+    for iteration in range(budget):
         grad = K @ alpha - 1.0
         residual = float(np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max())
         if residual <= tol:
             return alpha
         new = np.clip(alpha - step * grad, 0.0, C)
-        new_obj = 0.5 * float(new @ (K @ new)) - float(new.sum())
+        new_obj = _qp_objective(K, new)
         if new_obj > obj + 1e-12 * (1.0 + abs(obj)):
             step *= 0.5
             continue
+        new, new_obj = _face_steps(K, C, new, new_obj, tol)
+        if np.array_equal(new, alpha):
+            raise ConvergenceError(
+                f"lower-level QP stalled above tolerance {tol:.1e} "
+                f"after {iteration + 1} iterations", residual, iteration + 1)
         alpha, obj = new, new_obj
     raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
-                           f"within {budget} iterations", residual)
+                           f"within {budget} iterations", residual, budget)
+
+
+def _qp_objective(K: np.ndarray, alpha: np.ndarray) -> float:
+    return 0.5 * float(alpha @ (K @ alpha)) - float(alpha.sum())
+
+
+def _face_steps(K: np.ndarray, C: float, alpha: np.ndarray, obj: float,
+                tol: float):
+    """Minimise the box QP over the face of alpha; returns (alpha, obj).
+
+    On the free set F = {i : 0 < a_i < C} the least-squares solution d of
+    K_FF d = -g_F is the Newton step when the system is consistent; it is
+    cut at the first bound it hits.  Otherwise K_FF is singular and g_F
+    has a part r = K_FF d + g_F in its null space, so -r is a descent
+    direction of zero curvature, followed all the way to a bound.  Either
+    a full Newton step ends the search or a blocking coordinate is put
+    exactly on its bound, which shrinks F, so m + 1 steps suffice.  A
+    step that would raise the objective is not taken.
+    """
+    for _ in range(alpha.shape[0] + 1):
+        F = np.flatnonzero((alpha > 0.0) & (alpha < C))
+        if F.size == 0:
+            break
+        K_FF = K[np.ix_(F, F)]
+        g_F = K[F] @ alpha - 1.0
+        d = np.linalg.lstsq(K_FF, -g_F, rcond=None)[0]
+        r = K_FF @ d + g_F
+        newton = np.abs(r).max() <= tol
+        if not newton:
+            d = -r
+        a_F = alpha[F]
+        with np.errstate(divide="ignore"):
+            room = np.where(d > 0.0, (C - a_F) / d,
+                            np.where(d < 0.0, -a_F / d, np.inf))
+        block = int(np.argmin(room))
+        t_max = float(room[block])
+        if not np.isfinite(t_max):
+            break
+        full = newton and t_max > 1.0
+        new = alpha.copy()
+        new[F] = np.clip(a_F + (1.0 if full else t_max) * d, 0.0, C)
+        if not full:
+            new[F[block]] = C if d[block] > 0.0 else 0.0
+        new_obj = _qp_objective(K, new)
+        if new_obj > obj:
+            break
+        alpha, obj = new, new_obj
+        if full:
+            break
+    return alpha, obj
 
 
 def solve_all_folds(instance: BhoInstance, C: float, *, tol: float = 1e-9,

@@ -22,15 +22,17 @@ class ClassificationError(MpecqError):
 
 
 class ConvergenceError(MpecqError):
-    """An iterative solve exhausted its budget.
+    """An iterative solve exhausted its budget or stalled before tolerance.
 
-    Carries the last residual so callers can decide whether to retry
-    with a larger budget.
+    Carries the last residual and the iterations run, so callers can tell
+    a budget that was too small (iterations equal to the budget) from a
+    stall that no budget would cure.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(f"{message} (residual={residual:.3e})")
         self.residual = residual
+        self.iterations = iterations
 
 
 class WitnessVerificationError(MpecqError):

@@ -275,36 +275,6 @@ def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:
     return bool(eigs[0] > pd_eps * (1.0 + np.trace(S) / k))
 
 
-def largest_eigenvalue(matrix, iters: int = 500, rtol: float = 1e-13) -> float:
-    """Power-iteration estimate of the largest eigenvalue of a PSD matrix.
-
-    Two deterministic start vectors guard against an unlucky start
-    orthogonal to the top eigenvector.
-    """
-    M = np.asarray(matrix, dtype=float)
-    k = M.shape[0]
-    if k == 0:
-        return 0.0
-    best = 0.0
-    starts = [np.ones(k), 1.0 + 0.01 * (np.arange(k) % 7 + 1.0)]
-    for x in starts:
-        x = x / np.linalg.norm(x)
-        lam_prev = 0.0
-        for _ in range(iters):
-            y = M @ x
-            norm = np.linalg.norm(y)
-            if norm <= 1e-30:
-                break
-            x = y / norm
-            lam = float(x @ (M @ x))
-            if abs(lam - lam_prev) <= rtol * max(1.0, abs(lam)):
-                lam_prev = lam
-                break
-            lam_prev = lam
-        best = max(best, lam_prev)
-    return best
-
-
 @dataclass(frozen=True)
 class SignedCombinationQuery:
     """Rows grouped by the sign class of their combination coefficient.

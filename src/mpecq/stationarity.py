@@ -20,9 +20,10 @@ M's per-pair set equals the union of three closed branches, both
 branches are searched depth first (`cq.first_leaf`) with unassigned
 pairs free: a node whose system is infeasible clears its subtree, and
 the root is the weak system, already solved.  Strong stationarity is a
-single LP and coincides with the classical KKT system of the problem
-viewed as a plain NLP, which `verify_kkt_equivalence` checks by
-building that second system independently.
+single LP, the weak one itself when I_GH is empty, and coincides with
+the classical KKT system of the problem viewed as a plain NLP, which
+`verify_kkt_equivalence` checks by building that second system
+independently.
 """
 
 from __future__ import annotations
@@ -199,8 +200,9 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                                    "biactive signs",))
     classes["weak"] = "holds"
 
-    strong_witness = _solve_system(ev, pattern, grad_f,
-                                   {i: ("nonneg", "nonneg") for i in pattern.I_GH})
+    # with no biactive pair the strong system is the weak one
+    strong_witness = weak_witness if k == 0 else _solve_system(
+        ev, pattern, grad_f, {i: ("nonneg", "nonneg") for i in pattern.I_GH})
     if strong_witness is not None:
         for cls in ("M", "C", "weak"):
             if not witness_satisfies(ev, pattern, grad_f, strong_witness, cls, tol):

@@ -180,3 +180,32 @@ def stationarity_oracle(ev, pattern, grad_f, tol) -> str:
     if any(feasible(b) for b in itertools.product(c_branches, repeat=k)):
         return "C"
     return "weak"
+
+
+# ------------------------------------------------------------------
+# Lower-level box QP by plain projected gradient, the package's solver
+# before it took exact steps on the current face.
+
+
+def projected_gradient_qp(K, C, tol=1e-9, budget=100000):
+    """min 0.5 a.K.a - sum(a) s.t. 0 <= a <= C; returns (alpha, converged).
+
+    Fixed step 1 / (1.1 lambda_max(K)), halved while the objective would
+    increase, until the natural-map residual is at most `tol`.  Returns
+    the last iterate when the budget runs out.
+    """
+    K = np.asarray(K, dtype=float)
+    alpha = np.zeros(K.shape[0])
+    step = 1.0 / max(1.1 * float(np.linalg.eigvalsh(K)[-1]), 1e-12)
+    obj = 0.0
+    for _ in range(budget):
+        grad = K @ alpha - 1.0
+        if np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max() <= tol:
+            return alpha, True
+        new = np.clip(alpha - step * grad, 0.0, C)
+        new_obj = 0.5 * float(new @ (K @ new)) - float(new.sum())
+        if new_obj > obj + 1e-12 * (1.0 + abs(obj)):
+            step *= 0.5
+            continue
+        alpha, obj = new, new_obj
+    return alpha, False

@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpecq import (BhoInstance, BhoPoint, ClassificationError,
-                   ConvergenceError, Dataset, FoldSplit, InputError,
-                   Tolerances, assemble_feasible_point, assemble_gamma,
-                   check_feasibility, check_licq_theorem,
+                   ConvergenceError, Dataset, FoldSplit, InfeasiblePointError,
+                   InputError, Tolerances, assemble_feasible_point,
+                   assemble_gamma, check_feasibility, check_licq_theorem,
                    check_mfcq_r_theorem, check_mpec_licq, check_mpec_mfcq_r,
                    classify_active, classify_lambda_psi, gamma_matches_generic,
                    load_dataset_csv, lower_level_solve,
                    misclassification_oracle, solve_all_folds, split_folds,
                    structured_index_sets, to_evaluation, validation_error)
 from mpecq.fuzz import gen_bho_case
+from _oracles import projected_gradient_qp
 
 TOL = Tolerances()
 
@@ -156,6 +158,15 @@ class TestInstanceAssembly:
         np.testing.assert_array_equal(again.B, inst.B)
 
 
+def classes(inst, C, alpha):
+    """Activity classes of the point assembled from one fold's alpha."""
+    try:
+        point, _ = assemble_feasible_point(inst, C, [alpha], TOL)
+        return classify_lambda_psi(inst, point, TOL)
+    except (ClassificationError, InfeasiblePointError) as exc:
+        return type(exc).__name__
+
+
 class TestLowerLevelSolve:
     def test_zero_penalty_gives_zero(self):
         _, _, inst = make_instance()
@@ -177,9 +188,45 @@ class TestLowerLevelSolve:
 
     def test_budget_exhaustion_raises_with_residual(self):
         _, _, inst = make_instance()
-        with pytest.raises(ConvergenceError) as exc:
+        with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
             lower_level_solve(inst, 0, 1.0, budget=1)
         assert exc.value.residual > 0
+        assert exc.value.iterations == 1
+
+    def test_stall_raises_at_once(self):
+        # rank-1 Gram whose range excludes 1: the solution has alpha_0 = C
+        # and alpha_1 near C / 2, where rounding in K a is about 1 > tol,
+        # as in the ill-conditioned `ahat0` fuzz draws; no budget helps
+        inst = BhoInstance(1, 1, 2, 1, np.array([[1.0]]), np.array([[1.0], [-2.0]]))
+        with pytest.raises(ConvergenceError, match="stalled") as exc:
+            lower_level_solve(inst, 0, 1e16, budget=100000)
+        assert exc.value.iterations <= 100
+        assert exc.value.residual > 1e-9
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 4),
+           st.floats(-2.0, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_projected_gradient(self, seed, m2, p, log_c):
+        # m2 > p draws rank-deficient Grams; face steps end these solves
+        # within 6 iterations on 20000 draws, plain projected gradient
+        # takes thousands
+        rng = np.random.default_rng(seed)
+        inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), rng.normal(size=(m2, p)))
+        C = 10.0 ** log_c
+        K = inst.fold_training_gram(0)
+        alpha = lower_level_solve(inst, 0, C, budget=25)
+        reference, converged = projected_gradient_qp(K, C)
+
+        def objective(a):
+            return 0.5 * float(a @ (K @ a)) - float(a.sum())
+
+        grad = K @ alpha - 1.0
+        assert np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max() <= 1e-9
+        assert alpha.min() >= 0.0 and alpha.max() <= C
+        assert objective(alpha) <= objective(reference) + 1e-9 * (1.0 + abs(objective(alpha)))
+        free = np.flatnonzero((alpha > 0.0) & (alpha < C))
+        if converged and np.linalg.matrix_rank(K[np.ix_(free, free)]) == free.size:
+            assert classes(inst, C, alpha) == classes(inst, C, reference)
 
     @pytest.mark.parametrize("seed,C", [(0, 0.5), (1, 1.0), (2, 10.0), (3, 0.05)])
     def test_kkt_residual_small(self, seed, C):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpecq import (WitnessVerificationError, is_positive_definite,
-                   largest_eigenvalue, make_query, numerical_rank,
-                   signed_combination_exists, simplex_solve,
-                   verify_combination)
+                   make_query, numerical_rank, signed_combination_exists,
+                   simplex_solve, verify_combination)
 from _oracles import rational_rank
 
 
@@ -72,18 +71,6 @@ class TestPositiveDefinite:
         rng = np.random.default_rng(2)
         B = rng.normal(size=(3, 5))
         assert is_positive_definite(B @ B.T)
-
-
-class TestLargestEigenvalue:
-    @given(st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_eigvalsh_on_gram(self, k, seed):
-        rng = np.random.default_rng(seed)
-        B = rng.normal(size=(k, k + 2))
-        K = B @ B.T
-        exact = float(np.linalg.eigvalsh(K)[-1])
-        approx = largest_eigenvalue(K)
-        assert approx == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
 
 class TestSimplex:

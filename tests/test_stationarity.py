@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
-                   classify_active, classify_stationarity,
+                   classify_active, classify_stationarity, kernels,
                    verify_kkt_equivalence, witness_residual, witness_satisfies)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
 
@@ -89,6 +89,39 @@ class TestClassSeparation:
         assert report.strongest == "not_stationary"
         assert set(report.classes.values()) == {"fails"}
         assert report.witness is None
+
+
+class TestLpCount:
+    """Without a biactive pair the strong system is the weak one."""
+
+    @pytest.fixture
+    def lps(self, monkeypatch):
+        calls = []
+        solve = kernels.simplex_solve
+        monkeypatch.setattr(kernels, "simplex_solve",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        return calls
+
+    def test_one_lp_without_biactive_pairs(self, lps):
+        # G = v1 active, H = v2 inactive: gamma free, nu pinned to 0
+        ev = PointEvaluation(MpecDimensions(2, 1, 0, 1), np.zeros(2),
+                             np.zeros(1), np.zeros(0), np.zeros(1),
+                             np.array([1.0]), np.array([[0.0, -1.0]]),
+                             np.zeros((0, 2)), np.array([[1.0, 0.0]]),
+                             np.array([[0.0, 1.0]]))
+        pattern = classify_active(ev, TOL)
+        assert pattern.I_GH == () and pattern.I_G == (0,)
+        gf = np.array([-2.0, 3.0])
+        report = classify_stationarity(ev, pattern, gf, TOL)
+        assert len(lps) == 1
+        assert report.strongest == "strong"
+        assert report.witness["gamma"] == {"0": -2.0}
+        assert report.witness["lambda_g"] == {"0": 3.0}
+
+    def test_strong_lp_runs_with_a_biactive_pair(self, lps):
+        ev, pattern, gf = one_pair_point([1.0, 2.0])
+        assert classify_stationarity(ev, pattern, gf, TOL).strongest == "strong"
+        assert len(lps) >= 2
 
 
 class TestWitnessChecks:
