@@ -29,14 +29,12 @@ from .stationarity import (CLASS_ORDER, StationarityReport,
 from .bho import (BhoInstance, BhoPoint, Dataset, FoldSplit, GammaMatrix,
                   LambdaPsiPattern, TheoremVerdict, assemble_feasible_point,
                   assemble_gamma, check_licq_theorem, check_mfcq_r_theorem,
-                  classify_lambda_psi, force_family3_biactive,
-                  force_family4_biactive, gamma_matches_generic,
+                  classify_lambda_psi, gamma_matches_generic,
                   load_dataset_csv, lower_level_solve,
-                  misclassification_oracle, rescale_training_row,
-                  solve_all_folds, split_folds, structured_index_sets,
-                  to_evaluation, validation_error)
+                  misclassification_oracle, solve_all_folds, split_folds,
+                  structured_index_sets, to_evaluation, validation_error)
 from .fixtures import Fixture, all_fixtures, run_fixture_suite
-from .fuzz import FuzzSummary, gen_bho_case, random_affine_evaluation, run_fuzz
+from .fuzz import FuzzSummary, gen_bho_case, run_fuzz
 
 __version__ = "0.1.0"
 
@@ -55,12 +53,10 @@ __all__ = [
     "check_mfcq_r_theorem", "check_mpec_gmfcq", "check_mpec_licq",
     "check_mpec_mfcq_r", "check_mpec_mfcq_t", "check_nnamcq",
     "classify_active", "classify_lambda_psi", "classify_stationarity",
-    "digest", "force_family3_biactive", "force_family4_biactive",
-    "gamma_matches_generic", "gen_bho_case", "gradient_bundle_rnlp",
-    "gradient_bundle_tnlp", "is_positive_definite",
-    "load_dataset_csv", "lower_level_solve", "make_query",
-    "misclassification_oracle", "numerical_rank", "random_affine_evaluation",
-    "rescale_training_row", "run_all_checks", "run_fixture_suite", "run_fuzz",
+    "digest", "gamma_matches_generic", "gen_bho_case", "gradient_bundle_rnlp",
+    "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
+    "lower_level_solve", "make_query", "misclassification_oracle",
+    "numerical_rank", "run_all_checks", "run_fixture_suite", "run_fuzz",
     "signed_combination_exists", "simplex_solve", "solve_all_folds",
     "split_folds", "structured_index_sets", "to_evaluation",
     "validation_error", "verify_combination", "verify_kkt_equivalence",

@@ -32,8 +32,8 @@ import numpy as np
 
 from .kernels import (LinearProgram, make_query, numerical_rank,
                       signed_combination_exists)
-from .model import (ActivePattern, PointEvaluation, Tolerances,
-                    gradient_bundle_tnlp)
+from .model import (ActivePattern, GradientBundle, PointEvaluation, Tolerances,
+                    gradient_bundle_rnlp, gradient_bundle_tnlp)
 
 CQ_NAMES = ("MPEC_LICQ", "MPEC_MFCQ_TNLP", "MPEC_MFCQ_RNLP", "NNAMCQ",
             "MPEC_GMFCQ", "MPEC_ACQ_AFFINE")
@@ -99,25 +99,27 @@ def check_mpec_licq(ev: PointEvaluation, pattern: ActivePattern,
     return CqVerdict("MPEC_LICQ", "fails", certificate=cert)
 
 
-def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
-                      tol: Tolerances) -> CqVerdict:
-    """Positive linear independence of the tightened-NLP bundle.
-
-    Fails exactly when some nonzero combination with nonnegative weights
-    on the active g rows and free weights on the equality-like rows
-    vanishes.
-    """
-    bundle = gradient_bundle_tnlp(ev, pattern)
-    nonneg = [bundle.rows[i] for i, c in enumerate(bundle.classes) if c == "signed"]
-    free = [bundle.rows[i] for i, c in enumerate(bundle.classes) if c == "free"]
-    labels = ([pv for pv, c in zip(bundle.provenance, bundle.classes) if c == "signed"]
-              + [pv for pv, c in zip(bundle.provenance, bundle.classes) if c == "free"])
-    query = make_query(ev.dims.n, nonneg=nonneg, free=free)
+def _positive_independence(name: str, ev: PointEvaluation, bundle: GradientBundle,
+                           tol: Tolerances) -> CqVerdict:
+    """Fails exactly when some nonzero combination of the bundle rows,
+    nonnegative on the signed rows and free on the others, vanishes."""
+    signed = np.array([c == "signed" for c in bundle.classes], dtype=bool)
+    labels = ([pv for pv, s in zip(bundle.provenance, signed) if s]
+              + [pv for pv, s in zip(bundle.provenance, signed) if not s])
+    query = make_query(ev.dims.n, nonneg=bundle.rows[signed],
+                       free=bundle.rows[~signed])
     witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
     if witness.exists:
-        return CqVerdict("MPEC_MFCQ_TNLP", "fails",
-                         certificate=_witness_cert(witness, labels))
-    return CqVerdict("MPEC_MFCQ_TNLP", "holds")
+        return CqVerdict(name, "fails", certificate=_witness_cert(witness, labels))
+    return CqVerdict(name, "holds")
+
+
+def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
+                      tol: Tolerances) -> CqVerdict:
+    """Positive linear independence of the tightened-NLP bundle, whose
+    only signed rows are the active g rows."""
+    return _positive_independence("MPEC_MFCQ_TNLP", ev,
+                                  gradient_bundle_tnlp(ev, pattern), tol)
 
 
 def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
@@ -127,29 +129,18 @@ def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
     Active inequalities of the relaxed problem are g_i <= 0 and, on the
     biactive set, G_i >= 0 and H_i >= 0.  Positive linear dependence is
     tested on outward rows, which for the lower bounds are the inward
-    normals -grad G_i and -grad H_i.  With no biactive pairs this is
-    identical to the tightened-NLP test.
+    normals -grad G_i and -grad H_i, labelled G_inward and H_inward.
+    With no biactive pairs this is identical to the tightened-NLP test.
     """
-    nonneg, labels = [], []
-    for i in pattern.I_g:
-        nonneg.append(ev.g_grads[i]); labels.append(("g", i))
-    for i in pattern.I_GH:
-        nonneg.append(-ev.G_grads[i]); labels.append(("G_inward", i))
-    for i in pattern.I_GH:
-        nonneg.append(-ev.H_grads[i]); labels.append(("H_inward", i))
-    free = []
-    for i in range(ev.dims.p):
-        free.append(ev.h_grads[i]); labels.append(("h", i))
-    for i in pattern.I_G:
-        free.append(ev.G_grads[i]); labels.append(("G", i))
-    for i in pattern.I_H:
-        free.append(ev.H_grads[i]); labels.append(("H", i))
-    query = make_query(ev.dims.n, nonneg=nonneg, free=free)
-    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
-    if witness.exists:
-        return CqVerdict("MPEC_MFCQ_RNLP", "fails",
-                         certificate=_witness_cert(witness, labels))
-    return CqVerdict("MPEC_MFCQ_RNLP", "holds")
+    bundle = gradient_bundle_rnlp(ev, pattern)
+    inward = np.array([c == "signed" and fam in ("G", "H")
+                       for c, (fam, _) in zip(bundle.classes, bundle.provenance)],
+                      dtype=bool)
+    provenance = tuple((fam + "_inward", i) if flip else (fam, i)
+                       for flip, (fam, i) in zip(inward, bundle.provenance))
+    rows = np.where(inward[:, None], -bundle.rows, bundle.rows)
+    return _positive_independence("MPEC_MFCQ_RNLP", ev,
+                                  GradientBundle(rows, bundle.classes, provenance), tol)
 
 
 def first_leaf(pairs, choices, admit):
@@ -265,25 +256,14 @@ def _direction_margin(n: int, eq_rows, geq_rows, strict_rows) -> float:
     direction makes every strict row positive and 0 otherwise, up to
     rounding.
     """
-    lp = LinearProgram()
-    dv = lp.add_vars(n, free=True)
-    tv = lp.add_var()
-
-    def row_coeffs(row, extra=None):
-        coeffs = {dv[j]: float(row[j]) for j in range(n) if row[j]}
-        if extra:
-            coeffs.update(extra)
-        return coeffs
-
-    for row in eq_rows:
-        lp.add_eq(row_coeffs(row), 0.0)
-    for row in geq_rows:
-        slack = lp.add_var()
-        lp.add_eq(row_coeffs(row, {slack: -1.0}), 0.0)
-    for row in strict_rows:
-        slack = lp.add_var()
-        lp.add_eq(row_coeffs(row, {tv: -1.0, slack: -1.0}), 0.0)
-    feasible, _, margin = lp.solve(maximize=tv, cap=1.0)
+    ne, ng, ns = len(eq_rows), len(geq_rows), len(strict_rows)
+    # columns: d (free), t, then one slack per geq row and per strict row
+    A = np.zeros((ne + ng + ns, n + 1 + ng + ns))
+    A[:, :n] = np.reshape([*eq_rows, *geq_rows, *strict_rows], (-1, n))
+    A[ne + ng:, n] = -1.0
+    A[ne:, n + 1:] = -np.eye(ng + ns)
+    lp = LinearProgram(A, np.zeros(ne + ng + ns), range(n))
+    feasible, _, margin = lp.solve(maximize=n)
     if not feasible:  # cannot happen: d = 0 is feasible
         raise RuntimeError("direction LP unexpectedly infeasible")
     return float(margin)

@@ -141,76 +141,48 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
 
 
 class LinearProgram:
-    """Equality-form LP over named variables, nonnegative by default.
+    """The equality system A x = b with x >= 0 except on the `free` columns.
 
-    Free variables are split into positive and negative parts
-    internally; callers see a single signed value per variable.
+    Each free column is split into a plus part and a minus part, placed
+    side by side; callers see one signed value per column.
     """
 
-    def __init__(self):
-        self._free: list[bool] = []
-        self._rows: list[tuple[dict[int, float], float]] = []
+    # bound on a maximized column, which keeps every LP here bounded
+    CAP = 1.0
 
-    def add_var(self, free: bool = False) -> int:
-        self._free.append(bool(free))
-        return len(self._free) - 1
+    def __init__(self, A, b, free=()):
+        self.A = np.array(A, dtype=float, ndmin=2)
+        self.b = np.array(b, dtype=float).ravel()
+        self.free = np.zeros(self.A.shape[1], dtype=bool)
+        self.free[list(free)] = True
 
-    def add_vars(self, count: int, free: bool = False) -> list[int]:
-        return [self.add_var(free) for _ in range(count)]
-
-    def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
-        self._rows.append((dict(coeffs), float(rhs)))
-
-    def solve(self, maximize: int | None = None, cap: float | None = 1.0):
+    def solve(self, maximize: int | None = None):
         """Return (feasible, values, objective_value).
 
-        With `maximize`, phase 2 maximizes that variable; `cap` bounds
-        it by an extra slack row so the LP stays bounded.  An unbounded
-        maximization (cap=None) returns values=None and objective=inf.
+        With `maximize`, phase 2 maximizes that column, bounded by CAP
+        through a slack in an extra last row and last column.
         """
-        nvars = len(self._free)
-        plus = np.zeros(nvars, dtype=int)
-        minus = np.full(nvars, -1, dtype=int)
-        ncols = 0
-        for k in range(nvars):
-            plus[k] = ncols
-            ncols += 1
-            if self._free[k]:
-                minus[k] = ncols
-                ncols += 1
-        rows = list(self._rows)
-        cap_slack = None
-        if maximize is not None and cap is not None:
-            cap_slack = ncols
-            ncols += 1
-        A = np.zeros((len(rows) + (1 if cap_slack is not None else 0), ncols))
-        b = np.zeros(A.shape[0])
-        for r, (coeffs, rhs) in enumerate(rows):
-            for k, v in coeffs.items():
-                A[r, plus[k]] += v
-                if minus[k] >= 0:
-                    A[r, minus[k]] -= v
-            b[r] = rhs
-        if cap_slack is not None:
-            r = len(rows)
-            A[r, plus[maximize]] = 1.0
-            if minus[maximize] >= 0:
-                A[r, minus[maximize]] = -1.0
-            A[r, cap_slack] = 1.0
-            b[r] = cap
-        c = np.zeros(ncols)
-        if maximize is not None:
-            c[plus[maximize]] = -1.0
-            if minus[maximize] >= 0:
-                c[minus[maximize]] = 1.0
+        counts = 1 + self.free
+        plus = np.cumsum(counts) - counts
+        source = np.repeat(np.arange(counts.size), counts)
+        sign = np.ones(source.size)
+        sign[plus[self.free] + 1] = -1.0
+        m, n = self.A.shape[0], source.size
+        capped = int(maximize is not None)
+        A = np.zeros((m + capped, n + capped))
+        A[:m, :n] = self.A[:, source] * sign
+        b, c = self.b, np.zeros(n + capped)
+        if capped:
+            parts = np.flatnonzero(source == maximize)
+            A[m, parts] = sign[parts]
+            A[m, n] = 1.0
+            b = np.append(b, self.CAP)
+            c[parts] = -sign[parts]
         res = simplex_solve(A, b, c)
         if res.status == "infeasible":
             return False, None, None
-        if res.status == "unbounded":
-            return True, None, float("inf")
         values = res.x[plus]
-        has_minus = minus >= 0
-        values[has_minus] -= res.x[minus[has_minus]]
+        values[self.free] -= res.x[plus[self.free] + 1]
         obj = values[maximize] if maximize is not None else 0.0
         return True, values, float(obj)
 
@@ -377,18 +349,12 @@ def signed_combination_exists(query: SignedCombinationQuery, *,
             return assemble(np.zeros(kn), rr.null_witness)
     if kn == 0:
         return CombinationWitness(False, None, None)
-    lp = LinearProgram()
-    av = lp.add_vars(kn)
-    fv = lp.add_vars(kf, free=True)
-    for col in range(query.dim):
-        coeffs = {av[i]: query.nonneg[i, col] for i in range(kn)
-                  if query.nonneg[i, col]}
-        for j in range(kf):
-            if query.free[j, col]:
-                coeffs[fv[j]] = query.free[j, col]
-        lp.add_eq(coeffs, 0.0)
-    lp.add_eq({av[i]: 1.0 for i in range(kn)}, 1.0)
-    feasible, values, _ = lp.solve(maximize=None)
+    # the rows combine to zero, and the nonneg mass is one
+    A = np.zeros((query.dim + 1, kn + kf))
+    A[:-1] = np.hstack([query.nonneg.T, query.free.T])
+    A[-1, :kn] = 1.0
+    b = np.append(np.zeros(query.dim), 1.0)
+    feasible, values, _ = LinearProgram(A, b, range(kn, kn + kf)).solve()
     if not feasible:
         return CombinationWitness(False, None, None)
     return assemble(values[:kn], values[kn:kn + kf])

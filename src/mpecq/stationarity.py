@@ -59,78 +59,35 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     gh_modes maps each biactive index to (gamma_mode, nu_mode) with
     modes 'free', 'nonneg', 'nonpos', 'zero'.
     """
-    n = ev.dims.n
     grad_f = np.asarray(grad_f, dtype=float)
-    lp = LinearProgram()
-    lam = {i: lp.add_var() for i in pattern.I_g}
-    mu = {j: lp.add_var(free=True) for j in range(ev.dims.p)}
-
-    # each multiplier appears in the equation through sign * var
-    gam: dict[int, tuple[int, float]] = {}
-    nu: dict[int, tuple[int, float]] = {}
-    for i in pattern.I_G:
-        gam[i] = (lp.add_var(free=True), 1.0)
-    for i in pattern.I_H:
-        nu[i] = (lp.add_var(free=True), 1.0)
-
-    def make_mode(mode):
-        if mode == "free":
-            return (lp.add_var(free=True), 1.0)
-        if mode == "nonneg":
-            return (lp.add_var(), 1.0)
-        if mode == "nonpos":
-            return (lp.add_var(), -1.0)
-        if mode == "zero":
-            return None
-        raise ValueError(f"unknown multiplier mode {mode!r}")
-
+    # one column per multiplier after lambda and mu: (family, index, mode)
+    slots = ([("gamma", i, "free") for i in pattern.I_G]
+             + [("nu", i, "free") for i in pattern.I_H])
     for i in pattern.I_GH:
-        gmode, nmode = gh_modes[i]
-        g_entry = make_mode(gmode)
-        n_entry = make_mode(nmode)
-        if g_entry is not None:
-            gam[i] = g_entry
-        if n_entry is not None:
-            nu[i] = n_entry
-
-    for col in range(n):
-        coeffs: dict[int, float] = {}
-
-        def add(var, value):
-            if value:
-                coeffs[var] = coeffs.get(var, 0.0) + value
-
-        for i in pattern.I_g:
-            add(lam[i], float(ev.g_grads[i, col]))
-        for j in range(ev.dims.p):
-            add(mu[j], float(ev.h_grads[j, col]))
-        for i, (var, sign) in gam.items():
-            add(var, -sign * float(ev.G_grads[i, col]))
-        for i, (var, sign) in nu.items():
-            add(var, -sign * float(ev.H_grads[i, col]))
-        lp.add_eq(coeffs, -float(grad_f[col]))
-
-    feasible, values, _ = lp.solve()
+        for family, mode in zip(("gamma", "nu"), gh_modes[i]):
+            if mode not in ("free", "nonneg", "nonpos", "zero"):
+                raise ValueError(f"unknown multiplier mode {mode!r}")
+            if mode != "zero":
+                slots.append((family, i, mode))
+    grads = {"gamma": ev.G_grads, "nu": ev.H_grads}
+    sign = {"free": 1.0, "nonneg": 1.0, "nonpos": -1.0}
+    ng, p = len(pattern.I_g), ev.dims.p
+    A = np.column_stack([ev.g_grads[list(pattern.I_g)].T, ev.h_grads.T,
+                         *(-sign[mode] * grads[family][i] for family, i, mode in slots)])
+    free = [*range(ng, ng + p),
+            *(ng + p + s for s, (_, _, mode) in enumerate(slots) if mode == "free")]
+    feasible, values, _ = LinearProgram(A, -grad_f, free).solve()
     if not feasible:
         return None
 
     multipliers = {
-        "lambda_g": {str(i): float(values[lam[i]]) for i in pattern.I_g},
-        "mu": {str(j): float(values[mu[j]]) for j in range(ev.dims.p)},
-        "gamma": {}, "nu": {},
+        "lambda_g": {str(i): float(v) for i, v in zip(pattern.I_g, values)},
+        "mu": {str(j): float(values[ng + j]) for j in range(p)},
+        "gamma": {str(i): 0.0 for i in sorted(set(pattern.I_G) | set(pattern.I_GH))},
+        "nu": {str(i): 0.0 for i in sorted(set(pattern.I_H) | set(pattern.I_GH))},
     }
-    for i in sorted(set(pattern.I_G) | set(pattern.I_GH)):
-        if i in gam:
-            var, sign = gam[i]
-            multipliers["gamma"][str(i)] = sign * float(values[var])
-        else:
-            multipliers["gamma"][str(i)] = 0.0
-    for i in sorted(set(pattern.I_H) | set(pattern.I_GH)):
-        if i in nu:
-            var, sign = nu[i]
-            multipliers["nu"][str(i)] = sign * float(values[var])
-        else:
-            multipliers["nu"][str(i)] = 0.0
+    for (family, i, mode), value in zip(slots, values[ng + p:]):
+        multipliers[family][str(i)] = sign[mode] * float(value)
     residual = witness_residual(ev, pattern, grad_f, multipliers)
     if residual > WITNESS_RESIDUAL_SLACK:
         raise WitnessVerificationError(
@@ -257,39 +214,19 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     strong_ok = _solve_system(ev, pattern, grad_f,
                               {i: ("nonneg", "nonneg") for i in pattern.I_GH}) is not None
 
-    n = ev.dims.n
-    lp = LinearProgram()
-    lam = {i: lp.add_var() for i in pattern.I_g}
-    mu = {j: lp.add_var(free=True) for j in range(ev.dims.p)}
     active_G = sorted(set(pattern.I_G) | set(pattern.I_GH))
     active_H = sorted(set(pattern.I_H) | set(pattern.I_GH))
-    u = {i: lp.add_var() for i in active_G}
-    w = {i: lp.add_var() for i in active_H}
     # product-constraint gradient H_i grad G_i + G_i grad H_i vanishes on
     # the biactive set, so tau is only introduced where it can act
-    tau = {i: lp.add_var(free=True)
-           for i in sorted(set(pattern.I_G) | set(pattern.I_H))}
-    grad_f = np.asarray(grad_f, dtype=float)
-    for col in range(n):
-        coeffs: dict[int, float] = {}
-
-        def add(var, value):
-            if value:
-                coeffs[var] = coeffs.get(var, 0.0) + value
-
-        for i in pattern.I_g:
-            add(lam[i], float(ev.g_grads[i, col]))
-        for j in range(ev.dims.p):
-            add(mu[j], float(ev.h_grads[j, col]))
-        for i in active_G:
-            add(u[i], -float(ev.G_grads[i, col]))
-        for i in active_H:
-            add(w[i], -float(ev.H_grads[i, col]))
-        for i in tau:
-            prod_grad = (ev.H_vals[i] * ev.G_grads[i, col]
-                         + ev.G_vals[i] * ev.H_grads[i, col])
-            add(tau[i], float(prod_grad))
-        lp.add_eq(coeffs, -float(grad_f[col]))
-    kkt_ok, _, _ = lp.solve()
+    tau = sorted(set(pattern.I_G) | set(pattern.I_H))
+    prod_grads = (ev.H_vals[tau, None] * ev.G_grads[tau]
+                  + ev.G_vals[tau, None] * ev.H_grads[tau])
+    # columns: lambda >= 0, mu free, u >= 0 on active G, w >= 0 on active H, tau free
+    A = np.column_stack([ev.g_grads[list(pattern.I_g)].T, ev.h_grads.T,
+                         -ev.G_grads[active_G].T, -ev.H_grads[active_H].T,
+                         prod_grads.T])
+    ng, ncols = len(pattern.I_g), A.shape[1]
+    free = [*range(ng, ng + ev.dims.p), *range(ncols - len(tau), ncols)]
+    kkt_ok, _, _ = LinearProgram(A, -np.asarray(grad_f, dtype=float), free).solve()
     return {"strong_feasible": bool(strong_ok), "kkt_feasible": bool(kkt_ok),
             "agree": bool(strong_ok) == bool(kkt_ok)}

@@ -75,15 +75,14 @@ def rational_lineq_feasible(rows, rhs) -> bool:
 def _max_margin(columns, rhs, free, strict, eps):
     """Is sum_j x_j columns[j] = rhs solvable with x_j >= 0 off `free`
     and x_j >= t >= eps on `strict`?  (t capped at 1)"""
-    lp = LinearProgram()
-    xs = [lp.add_var(free=(j in free)) for j in range(len(columns))]
-    tv = lp.add_var()
-    for r, value in enumerate(rhs):
-        lp.add_eq({x: float(col[r]) for x, col in zip(xs, columns) if col[r]}, value)
-    for j in strict:
-        slack = lp.add_var()
-        lp.add_eq({xs[j]: 1.0, tv: -1.0, slack: -1.0}, 0.0)
-    feasible, _, margin = lp.solve(maximize=tv, cap=1.0)
+    X = np.column_stack(columns)
+    strict = list(strict)
+    # columns: x, t, one slack per strict x_j with x_j - t - slack = 0
+    A = np.block([[X, np.zeros((X.shape[0], 1 + len(strict)))],
+                  [np.eye(X.shape[1])[strict], -np.ones((len(strict), 1)),
+                   -np.eye(len(strict))]])
+    lp = LinearProgram(A, np.append(rhs, np.zeros(len(strict))), free)
+    feasible, _, margin = lp.solve(maximize=X.shape[1])
     return feasible and (not strict or margin >= eps)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpecq import (WitnessVerificationError, is_positive_definite,
+from mpecq import (WitnessVerificationError, is_positive_definite, kernels,
                    make_query, numerical_rank, signed_combination_exists,
                    simplex_solve, verify_combination)
+from mpecq.kernels import LinearProgram
 from _oracles import rational_rank
 
 
@@ -125,6 +126,49 @@ class TestSimplex:
             assert np.abs(A @ res.x - b).max() < 1e-7
             assert res.x.min() > -1e-9
             assert res.objective <= c @ x0 + 1e-7
+
+
+class TestLinearProgram:
+    def test_free_column_value_is_recombined(self):
+        # x0 free, x1 >= 0: x0 + x1 = -2, x1 = 1
+        feasible, values, obj = LinearProgram([[1.0, 1.0], [0.0, 1.0]],
+                                              [-2.0, 1.0], free=[0]).solve()
+        assert feasible and obj == 0.0
+        assert values.tolist() == [-3.0, 1.0]
+
+    def test_maximize_stops_at_the_cap(self):
+        # x0 - x1 = 0 alone leaves x0 unbounded above
+        feasible, values, margin = LinearProgram([[1.0, -1.0]], [0.0]).solve(maximize=0)
+        assert feasible
+        assert margin == LinearProgram.CAP == 1.0
+        assert values[0] == 1.0
+
+    def test_maximize_pinned_at_zero(self):
+        feasible, _, margin = LinearProgram([[1.0, 1.0]], [0.0]).solve(maximize=0)
+        assert feasible and margin == 0.0
+
+    def test_infeasible(self):
+        assert LinearProgram([[1.0]], [-1.0]).solve() == (False, None, None)
+        assert LinearProgram([[1.0]], [-1.0]).solve(maximize=0) == (False, None, None)
+
+    def test_column_layout(self, monkeypatch):
+        # a free column's plus and minus parts sit side by side, the cap
+        # row and its slack come last; the pivot path depends on this order
+        seen = []
+        solve = kernels.simplex_solve
+        monkeypatch.setattr(kernels, "simplex_solve",
+                            lambda A, b, c: seen.append((A, b, c)) or solve(A, b, c))
+        feasible, values, margin = LinearProgram([[1.0, 2.0, 3.0]], [4.0],
+                                                 free=[1]).solve(maximize=1)
+        assert feasible and margin == 1.0 and values[1] == 1.0
+        (A, b, c), = seen
+        assert (A + 0.0).tolist() == [[1.0, 2.0, -2.0, 3.0, 0.0],
+                                      [0.0, 1.0, -1.0, 0.0, 1.0]]
+        assert b.tolist() == [4.0, 1.0]
+        assert (c + 0.0).tolist() == [0.0, -1.0, 1.0, 0.0, 0.0]
+        LinearProgram([[1.0, 2.0, 3.0]], [4.0], free=[1]).solve()
+        assert (seen[1][0] + 0.0).tolist() == [[1.0, 2.0, -2.0, 3.0]]
+        assert (seen[1][2] + 0.0).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestSignedCombination:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
-                   classify_active, classify_stationarity, kernels,
-                   verify_kkt_equivalence, witness_residual, witness_satisfies)
+from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
+                   Tolerances, assemble_feasible_point, classify_active,
+                   classify_stationarity, kernels, solve_all_folds, split_folds,
+                   to_evaluation, verify_kkt_equivalence, witness_residual,
+                   witness_satisfies)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
 
 TOL = Tolerances()
@@ -181,3 +183,22 @@ class TestKktEquivalence:
         assert out["agree"]
         assert not out["strong_feasible"]
         assert not out["kkt_feasible"]
+
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="the dense simplex loses primal feasibility through "
+                              "drift and reports phase 1 unbounded (ROADMAP item 2)")
+    def test_svc_point_with_strong_stationarity(self):
+        # n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C = 10^-0.5
+        rng = np.random.default_rng([2, 4])
+        X = rng.normal(0.0, 1.0, size=(60, 5))
+        w = rng.normal(0.0, 1.0, size=5)
+        y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
+        ds = Dataset(X, y)
+        inst = BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
+                                                        int(rng.integers(2 ** 31))))
+        C = 10 ** -0.5
+        point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
+        ev = to_evaluation(inst, point)
+        pattern = classify_active(ev, TOL)
+        assert classify_stationarity(ev, pattern, inst.grad_f, TOL).strongest == "strong"
+        assert verify_kkt_equivalence(ev, pattern, inst.grad_f, TOL)["agree"]
