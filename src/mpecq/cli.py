@@ -4,7 +4,9 @@ Subcommands: check, stationarity, fixtures, fuzz, bho build, bho sweep.
 All output is JSON on stdout (pretty-printed, sorted keys) and is
 byte-for-byte deterministic for fixed inputs unless --timing is given.
 Exit codes: 0 success (including an infeasible-point report), 1 a
-verdict or invariant suite failed, 2 malformed input.
+verdict or invariant suite failed or a kernel raised (an `MpecqError`
+or a `RuntimeError` such as the simplex iteration cap), 2 malformed
+input.
 
 Tolerance resolution order: command-line flag, then MPECQ_* environment
 variable, then the built-in default.
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MpecqError as exc:
+    except (MpecqError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

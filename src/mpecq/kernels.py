@@ -11,11 +11,16 @@ have to trust the solver internals.
 The LP engine is a dense two-phase simplex with Bland's rule.  The
 problems are tiny (tens of rows) and the priority is determinism and
 witness extraction, which rules out floating pivoting heuristics and
-external solvers.
+external solvers.  A system with no sign-constrained column and no
+objective is a range question, A x = b with x free, and is decided by
+least squares instead (`range_solve`), with a re-verified Farkas ray
+when it has no solution.  `numerical_rank` keeps the results of its
+last two distinct inputs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,9 @@ _PIVOT_TOL = 1e-10
 _RETRY_PIVOT_TOL = 1e-8
 _ENTER_TOL = 1e-10
 _DRIVE_TOL = 1e-9
+# an equilibrated system A x = b is solvable when the 1-norm of its
+# least residual is at most this times max(1, rows)
+_INFEASIBLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,13 @@ def _pivot_loop(T, basis, z, max_iter, pivot_tol):
     raise RuntimeError("simplex did not terminate within the iteration cap")
 
 
+def _equilibrate(A, b):
+    """Rows scaled to unit inf-norm over [A | b]; returns (A, b, scale)."""
+    scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
+    scale = np.where(scale < 1e-300, 1.0, scale)
+    return A / scale[:, None], b / scale, scale
+
+
 def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
     """Solve min c.x subject to A x = b, x >= 0.
 
@@ -91,10 +106,7 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
             return SimplexResult("optimal", np.zeros(n), 0.0)
         return SimplexResult("unbounded", None, None)
 
-    scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
-    scale = np.where(scale < 1e-300, 1.0, scale)
-    A = A / scale[:, None]
-    b = b / scale
+    A, b, _ = _equilibrate(A, b)
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -110,7 +122,7 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
             break
     else:  # phase 1 is always bounded below by 0
         raise RuntimeError("phase 1 reported " + status)
-    if -z[-1] > 1e-8 * max(1.0, m):
+    if -z[-1] > _INFEASIBLE_TOL * max(1.0, m):
         return SimplexResult("infeasible", None, None)
 
     # Drive artificials out of the basis; rows that cannot pivot on an
@@ -140,11 +152,59 @@ def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
     return SimplexResult("optimal", x, float(c @ x))
 
 
+def verify_farkas_ray(A, b, ray) -> float:
+    """Re-check that `ray` proves A x = b has no solution with x free.
+
+    For every x, b.y = (b - A x).y + x.(A^T y), so a ray y with b.y > 0
+    and A^T y = 0 rules every x out.  Returns the lean
+    ||A^T y||_inf / b.y and raises WitnessVerificationError when b.y is
+    not positive or the lean exceeds WITNESS_RESIDUAL_SLACK.
+    """
+    A = np.array(A, dtype=float, ndmin=2)
+    y = np.asarray(ray, dtype=float)
+    gap = float(np.asarray(b, dtype=float) @ y)
+    if not gap > 0.0:
+        raise WitnessVerificationError(f"Farkas ray gap {gap:.3e} is not positive")
+    lean = float(np.abs(y @ A).max(initial=0.0)) / gap
+    if lean > WITNESS_RESIDUAL_SLACK:
+        raise WitnessVerificationError(f"Farkas ray lean {lean:.3e} too large")
+    return lean
+
+
+def range_solve(A, b):
+    """Decide A x = b with every x free, by least squares.
+
+    Returns (x, None) with a solution x, or (None, ray) with a verified
+    Farkas ray when there is none.
+
+    Rows are equilibrated as in `simplex_solve`, and the system counts as
+    solvable when the equilibrated residual passes the test phase 1
+    applies.  Otherwise the residual is a Farkas ray.  It carries
+    rounding of size eps * |A| |x|, which can outweigh a small residual,
+    so the ray is that residual projected off the range of A once more.
+    """
+    A = np.array(A, dtype=float, ndmin=2)
+    b = np.array(b, dtype=float).ravel()
+    m = A.shape[0]
+    if b.shape[0] != m:
+        raise ValueError("inconsistent system dimensions")
+    As, bs, scale = _equilibrate(A, b)
+    x = np.linalg.lstsq(As, bs, rcond=None)[0]
+    r = bs - As @ x
+    if np.abs(r).sum() <= _INFEASIBLE_TOL * max(1.0, m):
+        return x, None
+    y = r - As @ np.linalg.lstsq(As, r, rcond=None)[0]
+    ray = y / scale
+    verify_farkas_ray(A, b, ray)
+    return None, ray
+
+
 class LinearProgram:
     """The equality system A x = b with x >= 0 except on the `free` columns.
 
     Each free column is split into a plus part and a minus part, placed
-    side by side; callers see one signed value per column.
+    side by side; callers see one signed value per column.  A system
+    with every column free and no objective goes to `range_solve`.
     """
 
     # bound on a maximized column, which keeps every LP here bounded
@@ -162,6 +222,9 @@ class LinearProgram:
         With `maximize`, phase 2 maximizes that column, bounded by CAP
         through a slack in an extra last row and last column.
         """
+        if maximize is None and self.free.all():
+            x, _ = range_solve(self.A, self.b)
+            return (False, None, None) if x is None else (True, x, 0.0)
         counts = 1 + self.free
         plus = np.cumsum(counts) - counts
         source = np.repeat(np.arange(counts.size), counts)
@@ -193,6 +256,12 @@ class RankResult:
     singular_values: np.ndarray
     null_witness: np.ndarray | None  # left-null combination over the rows
 
+    def __post_init__(self):
+        # results are shared between callers (see numerical_rank)
+        for arr in (self.singular_values, self.null_witness):
+            if arr is not None:
+                arr.setflags(write=False)
+
 
 def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     """SVD rank with relative threshold, plus a row-dependence witness.
@@ -200,8 +269,20 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     rank = #{sigma > rank_rel_tol * sigma_max * max(rows, cols)}.  When
     the rows are dependent the witness w satisfies ||w.M||_inf below the
     same threshold, has unit 1-norm, and a positive leading entry.
+
+    The results of the last two distinct (matrix bytes, threshold) inputs
+    are kept and handed out again: the CQ checks at one point factor the
+    same gradient bundle several times.  The SVD is deterministic and the
+    arrays of a RankResult are read-only, so a kept result is bitwise
+    what recomputing would give.
     """
     M = np.array(matrix, dtype=float, ndmin=2)
+    return _svd_rank(M.shape, rank_rel_tol, M.tobytes())
+
+
+@functools.lru_cache(maxsize=2)
+def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
+    M = np.frombuffer(data).reshape(shape)
     k, ncol = M.shape
     if k == 0:
         return RankResult(0, np.zeros(0), None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpecq import (BhoInstance, Dataset, Tolerances, assemble_feasible_point,
-                   solve_all_folds, split_folds)
+                   kernels, solve_all_folds, split_folds)
 from mpecq.cli import main
 from mpecq.fixtures import fixture_e2
 
@@ -149,6 +149,16 @@ class TestExitCodes:
         monkeypatch.setenv("MPECQ_TOL_ACTIVITY", "abc")
         code, _, err = run_cli(capsys, ["check", "--input", path])
         assert code == 2 and "MPECQ_TOL_ACTIVITY" in err
+
+    def test_kernel_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        def crash(A, b, c):
+            raise RuntimeError("phase 1 reported unbounded")
+
+        monkeypatch.setattr(kernels, "simplex_solve", crash)
+        path = write_json(tmp_path, "e2.json", e2_record())
+        code, out, err = run_cli(capsys, ["check", "--input", path])
+        assert code == 1 and out == ""
+        assert err == "error: RuntimeError: phase 1 reported unbounded\n"
 
     def test_nonpositive_tolerance_flag(self, capsys, tmp_path):
         path = write_json(tmp_path, "e2.json", e2_record())

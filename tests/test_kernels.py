@@ -51,6 +51,41 @@ class TestNumericalRank:
         assert numerical_rank(M).rank == rational_rank(M)
 
 
+class TestRankMemo:
+    def test_repeat_returns_what_recomputing_gives(self):
+        M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]])
+        first = numerical_rank(M)
+        again = numerical_rank(M.copy())
+        for other in (np.eye(2), np.eye(3)):  # evict M
+            numerical_rank(other)
+        fresh = numerical_rank(M)
+        assert fresh is not first
+        for res in (again, fresh):
+            assert res.rank == first.rank == 2
+            assert res.singular_values.tobytes() == first.singular_values.tobytes()
+            assert res.null_witness.tobytes() == first.null_witness.tobytes()
+
+    def test_returned_arrays_are_read_only(self):
+        res = numerical_rank(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(ValueError):
+            res.singular_values[0] = 0.0
+        with pytest.raises(ValueError):
+            res.null_witness[0] = 0.0
+
+    def test_mutated_input_is_factored_afresh(self):
+        M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert numerical_rank(M).rank == 2
+        M[1] = [0.0, 0.0, 1.0]
+        res = numerical_rank(M)
+        assert res.rank == 3 and res.null_witness is None
+
+    def test_memo_holds_at_most_two_entries(self):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            numerical_rank(rng.normal(size=(3, 4)))
+            assert kernels._svd_rank.cache_info().currsize <= 2
+
+
 class TestPositiveDefinite:
     def test_identity(self):
         assert is_positive_definite(np.eye(4))
@@ -150,6 +185,54 @@ class TestLinearProgram:
     def test_infeasible(self):
         assert LinearProgram([[1.0]], [-1.0]).solve() == (False, None, None)
         assert LinearProgram([[1.0]], [-1.0]).solve(maximize=0) == (False, None, None)
+
+    KINDS = ("full_rank", "rank_deficient", "inconsistent")
+
+    @classmethod
+    def all_free_system(cls, kind, seed):
+        rng = np.random.default_rng([seed, cls.KINDS.index(kind)])
+        m, n = int(rng.integers(3, 12)), int(rng.integers(2, 12))
+        if kind == "full_rank":
+            A = rng.normal(size=(m, n))
+            return A, A @ rng.normal(size=n)
+        r = int(rng.integers(1, min(m, n)))
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) * 10.0 ** rng.integers(-3, 4)
+        if kind == "rank_deficient":
+            return A, A @ rng.normal(size=n)
+        return A, rng.normal(size=m)  # generic b is outside the range of A
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_all_free_verdict_matches_simplex(self, monkeypatch, kind, seed):
+        A, b = self.all_free_system(kind, seed)
+        split = simplex_solve(np.hstack([A, -A]), b, np.zeros(2 * A.shape[1]))
+        monkeypatch.setattr(kernels, "simplex_solve", None)  # the range route only
+        feasible, x, obj = LinearProgram(A, b, range(A.shape[1])).solve()
+        assert feasible == (split.status == "optimal") == (kind != "inconsistent")
+        if feasible:
+            assert obj == 0.0
+            assert np.abs(A @ x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_farkas_ray_is_verified(self, seed):
+        A, b = self.all_free_system("inconsistent", seed)
+        x, ray = kernels.range_solve(A, b)
+        assert x is None
+        assert kernels.verify_farkas_ray(A, b, ray) <= kernels.WITNESS_RESIDUAL_SLACK
+        for bad in (-ray, ray + 0.1 * A @ np.ones(A.shape[1]) / np.abs(A).max()):
+            with pytest.raises(WitnessVerificationError):
+                kernels.verify_farkas_ray(A, b, bad)
+
+    def test_all_free_empty_systems(self):
+        feasible, x, obj = LinearProgram(np.zeros((0, 3)), [], free=range(3)).solve()
+        assert feasible and x.tolist() == [0.0, 0.0, 0.0] and obj == 0.0
+        feasible, x, obj = LinearProgram(np.zeros((2, 0)), [0.0, 0.0]).solve()
+        assert feasible and x.size == 0 and obj == 0.0
+        A, b = np.zeros((2, 0)), [0.0, -3.0]
+        assert LinearProgram(A, b).solve() == (False, None, None)
+        assert simplex_solve(A, b, []).status == "infeasible"
+        x, ray = kernels.range_solve(A, b)
+        assert x is None and kernels.verify_farkas_ray(A, b, ray) == 0.0
 
     def test_column_layout(self, monkeypatch):
         # a free column's plus and minus parts sit side by side, the cap

@@ -98,10 +98,11 @@ class TestLpCount:
 
     @pytest.fixture
     def lps(self, monkeypatch):
+        # counts multiplier systems, whichever route decides them
         calls = []
-        solve = kernels.simplex_solve
-        monkeypatch.setattr(kernels, "simplex_solve",
-                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+        solve = kernels.LinearProgram.solve
+        monkeypatch.setattr(kernels.LinearProgram, "solve",
+                            lambda self, *args, **kw: calls.append(1) or solve(self, *args, **kw))
         return calls
 
     def test_one_lp_without_biactive_pairs(self, lps):
