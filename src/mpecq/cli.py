@@ -15,6 +15,7 @@ variable, then the built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -277,7 +278,9 @@ def _add_tol_flags(parser):
                         help="append wall-clock timing to the output")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="mpecq",
         description="Constraint-qualification and stationarity checks for "

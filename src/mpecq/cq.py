@@ -14,7 +14,8 @@ NNAMCQ and GMFCQ quantify over 3^k sign branches or partitions of the
 k biactive pairs.  Both are searched depth first by `first_leaf`, which
 also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
 node whose relaxation settles every leaf below it skips its subtree.
-On a full-rank bundle NNAMCQ is one LP and GMFCQ at most 2^k.  GMFCQ
+On a full-rank bundle NNAMCQ is one LP, and GMFCQ none: a GMFCQ node
+whose rows have full row rank is certified by that rank alone.  GMFCQ
 keeps its own primal direction route, so the audited NNAMCQ <=> GMFCQ
 edge compares two independent computations.
 
@@ -26,7 +27,7 @@ established.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,29 +177,34 @@ def _nnamcq_query(ev, pattern, partial):
     "gamma_zero" (gamma pinned, nu free) or "nu_zero" (nu pinned, gamma
     free); unassigned pairs have both multipliers free.  Multiplier
     conventions: coefficient on +grad g is lambda_g, on +grad h is
-    lambda_h, on -grad G is lambda_G, on -grad H is lambda_H.
+    lambda_h, on -grad G is lambda_G, on -grad H is lambda_H.  The free
+    G and H rows enter as +grad G and +grad H, the rows the other checks
+    factor, so their rank test can reuse that factorization; the
+    returned signs map each row's coefficient to its multiplier.
     """
     nonneg, zero, free = [], [], []
     labels_n, labels_z, labels_f = [], [], []
+    signs_f = []
     for i in pattern.I_g:
         nonneg.append(ev.g_grads[i]); labels_n.append(("lambda_g", i))
     for i in pattern.I_GH:
         choice = partial.get(i)
-        for kind, row in (("lambda_G", -ev.G_grads[i]), ("lambda_H", -ev.H_grads[i])):
+        for kind, row in (("lambda_G", ev.G_grads[i]), ("lambda_H", ev.H_grads[i])):
             if choice == "nonneg":
-                nonneg.append(row); labels_n.append((kind, i))
+                nonneg.append(-row); labels_n.append((kind, i))
             elif (choice, kind) in (("gamma_zero", "lambda_G"), ("nu_zero", "lambda_H")):
-                zero.append(row); labels_z.append((kind, i))
+                zero.append(-row); labels_z.append((kind, i))
             else:
-                free.append(row); labels_f.append((kind, i))
+                free.append(row); labels_f.append((kind, i)); signs_f.append(-1.0)
     for j in range(ev.dims.p):
-        free.append(ev.h_grads[j]); labels_f.append(("lambda_h", j))
+        free.append(ev.h_grads[j]); labels_f.append(("lambda_h", j)); signs_f.append(1.0)
     for i in pattern.I_G:
-        free.append(-ev.G_grads[i]); labels_f.append(("lambda_G", i))
+        free.append(ev.G_grads[i]); labels_f.append(("lambda_G", i)); signs_f.append(-1.0)
     for i in pattern.I_H:
-        free.append(-ev.H_grads[i]); labels_f.append(("lambda_H", i))
+        free.append(ev.H_grads[i]); labels_f.append(("lambda_H", i)); signs_f.append(-1.0)
     query = make_query(ev.dims.n, nonneg=nonneg, zero=zero, free=free)
-    return query, labels_n + labels_z + labels_f
+    signs = np.concatenate([np.ones(len(nonneg) + len(zero)), signs_f])
+    return query, labels_n + labels_z + labels_f, signs
 
 
 def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
@@ -220,9 +226,16 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
 
     def admit(partial):
-        query, labels = _nnamcq_query(ev, pattern, partial)
+        query, labels, signs = _nnamcq_query(ev, pattern, partial)
         witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
-        return (witness, labels) if witness.exists else None
+        if not witness.exists:
+            return None
+        coeffs = witness.coefficients * signs
+        if not coeffs[:query.nonneg.shape[0]].any():
+            # a dependence among free rows has no sign of its own; keep
+            # the rank kernel's positive leading entry
+            coeffs *= np.sign(coeffs[np.abs(coeffs) > 1e-12][0])
+        return replace(witness, coefficients=coeffs), labels
 
     found = first_leaf(pattern.I_GH, ("nonneg", "gamma_zero", "nu_zero"), admit)
     if found is None:
@@ -287,8 +300,13 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     unassigned pair keeps grad G.d = 0 and grad H.d = 0, which every
     choice for it admits, so a node whose direction satisfies the
     condition certifies every partition below it and its subtree is
-    skipped.  In (i) a node runs one LP: each assigned R row >= 0 and
-    their sum >= t.  A leaf still not certified is the failing
+    skipped.  A node is certified without an LP when its rows have full
+    row rank: its equality rows, the active g rows and, in (i), the G
+    and H rows of its R pairs.  Every leaf below constrains a subset of
+    those rows, so some direction gives them any signs.  At the root
+    these rows are the tightened-NLP bundle, so MPEC-LICQ settles both
+    searches.  Otherwise a node of (i) runs one LP: each assigned R row
+    >= 0 and their sum >= t.  A leaf still not certified is the failing
     partition; (i) is searched in R, P, Q order, (ii) in P, Q order.
     """
     k = len(pattern.I_GH)
@@ -297,7 +315,8 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
     n = ev.dims.n
     h_rows = [ev.h_grads[j] for j in range(ev.dims.p)]
-    g_neg = [-ev.g_grads[i] for i in pattern.I_g]
+    g_rows = [ev.g_grads[i] for i in pattern.I_g]
+    g_neg = [-row for row in g_rows]
 
     def side(partial, *choices):
         return [i for i in pattern.I_GH if partial.get(i) in choices]
@@ -308,13 +327,22 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
                 + [ev.G_grads[i] for i in sorted((*pattern.I_G, *side(partial, "Q", None)))]
                 + [ev.H_grads[i] for i in sorted((*pattern.I_H, *side(partial, "P", None)))])
 
+    def full_rank(rows):
+        # g rows first: at the root these are the tightened-NLP bundle
+        # rows in bundle order, which the LICQ check has factored
+        return not rows or numerical_rank(np.vstack(rows), tol.rank_rel_tol).rank == len(rows)
+
     def uncertified_i(partial):
         R = side(partial, "R")
-        if not R:  # nothing to certify yet; a leaf without R is exempt
-            return len(partial) < k
+        if not R and len(partial) == k:  # a leaf without R is exempt
+            return False
         cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
-        margin = _direction_margin(n, eq_rows(partial), g_neg + cone,
-                                   [np.sum(cone, axis=0)])
+        eq = eq_rows(partial)
+        if full_rank(g_rows + eq + cone):
+            return False
+        if not R:  # nothing to certify yet
+            return True
+        margin = _direction_margin(n, eq, g_neg + cone, [np.sum(cone, axis=0)])
         return margin < tol.strict_margin_eps
 
     found = first_leaf(pattern.I_GH, ("R", "P", "Q"), uncertified_i)
@@ -327,6 +355,8 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
 
     def uncertified_ii(partial):
         eq = eq_rows(partial)
+        if full_rank(g_rows + eq):
+            return None
         if eq:
             rr = numerical_rank(np.vstack(eq), tol.rank_rel_tol)
             if rr.rank < len(eq):

@@ -255,10 +255,12 @@ class RankResult:
     rank: int
     singular_values: np.ndarray
     null_witness: np.ndarray | None  # left-null combination over the rows
+    # orthonormal basis of the left null space, one column per dependence
+    null_basis: np.ndarray
 
     def __post_init__(self):
         # results are shared between callers (see numerical_rank)
-        for arr in (self.singular_values, self.null_witness):
+        for arr in (self.singular_values, self.null_witness, self.null_basis):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -268,7 +270,10 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
 
     rank = #{sigma > rank_rel_tol * sigma_max * max(rows, cols)}.  When
     the rows are dependent the witness w satisfies ||w.M||_inf below the
-    same threshold, has unit 1-norm, and a positive leading entry.
+    same threshold, has unit 1-norm, and a positive leading entry.  The
+    null basis holds the left singular vectors past the rank: row j of
+    it is zero exactly when row j of M lies outside the span of the
+    other rows.
 
     The results of the last two distinct (matrix bytes, threshold) inputs
     are kept and handed out again: the CQ checks at one point factor the
@@ -285,11 +290,11 @@ def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
     M = np.frombuffer(data).reshape(shape)
     k, ncol = M.shape
     if k == 0:
-        return RankResult(0, np.zeros(0), None)
+        return RankResult(0, np.zeros(0), None, np.zeros((0, 0)))
     if ncol == 0 or not np.any(M):
         w = np.zeros(k)
         w[0] = 1.0
-        return RankResult(0, np.zeros(min(k, ncol)), w)
+        return RankResult(0, np.zeros(min(k, ncol)), w, np.eye(k))
     U, sigma, _ = np.linalg.svd(M, full_matrices=True)
     thresh = rank_rel_tol * sigma[0] * max(k, ncol)
     rank = int(np.sum(sigma > thresh))
@@ -305,7 +310,7 @@ def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
             raise WitnessVerificationError(
                 f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
         witness = w
-    return RankResult(rank, sigma, witness)
+    return RankResult(rank, sigma, witness, U[:, rank:])
 
 
 def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:

@@ -14,14 +14,20 @@ constraints on the biactive multipliers (i in I_GH):
   M       (gamma_i > 0 and nu_i > 0) or gamma_i = 0 or nu_i = 0
   strong  gamma_i >= 0 and nu_i >= 0
 
-M's per-pair set equals the union of three closed branches, both
->= 0, gamma = 0 and nu = 0, and C's the union of both >= 0 and both
-<= 0, so each is one LP per branch with no margin tolerance.  The
-branches are searched depth first (`cq.first_leaf`) with unassigned
-pairs free: a node whose system is infeasible clears its subtree, and
-the root is the weak system, already solved.  Strong stationarity is a
-single LP, the weak one itself when I_GH is empty, and coincides with
-the classical KKT system of the problem viewed as a plain NLP, which
+The weak system is solved first.  A biactive pair whose G and H rows
+lie outside the span of the other tightened-NLP bundle rows has the
+same gamma_i and nu_i in every weak solution; when both are nonzero
+beyond activity_eps their signs settle the pair for every class.
+Under MPEC-LICQ every pair is settled so, and the weak system is the
+only one solved.  For the other pairs, M's per-pair set equals the
+union of three closed branches, both >= 0, gamma = 0 and nu = 0, and
+C's the union of both >= 0 and both <= 0, so each is one LP per branch
+with no margin tolerance.  The branches are searched depth first
+(`cq.first_leaf`) with unassigned pairs free: a node whose system is
+infeasible clears its subtree, and the root is the weak system,
+already solved.  Strong stationarity is a single LP, the weak one
+itself when no pair is left open, and coincides with the classical KKT
+system of the problem viewed as a plain NLP, which
 `verify_kkt_equivalence` checks by building that second system
 independently.
 """
@@ -34,8 +40,9 @@ import numpy as np
 
 from .cq import DEFAULT_BRANCH_CAP, first_leaf
 from .errors import WitnessVerificationError
-from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram
-from .model import ActivePattern, PointEvaluation, Tolerances
+from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram, numerical_rank
+from .model import (ActivePattern, PointEvaluation, Tolerances,
+                    gradient_bundle_tnlp)
 
 CLASS_ORDER = ("strong", "M", "C", "weak")
 
@@ -141,10 +148,37 @@ def witness_satisfies(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     return True
 
 
+def _determined_pairs(ev: PointEvaluation, pattern: ActivePattern,
+                      tol: Tolerances) -> list:
+    """Biactive pairs whose gamma and nu are the same in every weak solution.
+
+    A multiplier is fixed by the weak system when its gradient row lies
+    outside the span of the other tightened-NLP bundle rows, that is,
+    when its row of the bundle's left null basis vanishes.  The basis
+    is orthonormal, so it is measured against the rank kernel's own
+    relative cutoff rank_rel_tol * max(rows, cols).
+    """
+    bundle = gradient_bundle_tnlp(ev, pattern)
+    basis = numerical_rank(bundle.rows, tol.rank_rel_tol).null_basis
+    cutoff = tol.rank_rel_tol * max(bundle.rows.shape)
+    fixed = {pv for pv, row in zip(bundle.provenance, basis)
+             if np.abs(row).max(initial=0.0) <= cutoff}
+    return [i for i in pattern.I_GH if {("G", i), ("H", i)} <= fixed]
+
+
 def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                           tol: Tolerances,
                           cap: int = DEFAULT_BRANCH_CAP) -> StationarityReport:
-    """Decide weak/C/M/strong stationarity and report the strongest class."""
+    """Decide weak/C/M/strong stationarity and report the strongest class.
+
+    A determined pair whose |gamma| and |nu| both exceed activity_eps
+    is decided by the signs of the weak witness: both positive admits
+    every class, both negative rules out strong and M, mixed signs rule
+    out C as well.  Only the other pairs are constrained in the strong
+    system and searched for M and C; the decided ones stay free there,
+    which changes no feasible set.  The returned witness is re-checked
+    against its class and every weaker one.
+    """
     k = len(pattern.I_GH)
     notes: list[str] = []
     classes = {c: "fails" for c in CLASS_ORDER}
@@ -157,16 +191,33 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                                    "biactive signs",))
     classes["weak"] = "holds"
 
-    # with no biactive pair the strong system is the weak one
-    strong_witness = weak_witness if k == 0 else _solve_system(
-        ev, pattern, grad_f, {i: ("nonneg", "nonneg") for i in pattern.I_GH})
-    if strong_witness is not None:
-        for cls in ("M", "C", "weak"):
-            if not witness_satisfies(ev, pattern, grad_f, strong_witness, cls, tol):
-                raise WitnessVerificationError(
-                    f"strong witness does not certify {cls}; monotonicity broken")
-        classes.update({"strong": "holds", "M": "holds", "C": "holds"})
-        return StationarityReport("strong", classes, strong_witness, tuple(notes))
+    def report(cls, witness):
+        for weaker in CLASS_ORDER[CLASS_ORDER.index(cls):]:
+            if not witness_satisfies(ev, pattern, grad_f, witness, weaker, tol):
+                raise WitnessVerificationError(f"{cls} witness does not certify {weaker}")
+            classes[weaker] = "holds"
+        return StationarityReport(cls, classes, witness, tuple(notes))
+
+    eps = tol.activity_eps
+    decided = []  # (gamma, nu) of each pair decided by its signs
+    open_pairs = list(pattern.I_GH)
+    for i in (_determined_pairs(ev, pattern, tol) if k else ()):
+        gamma, nu = weak_witness["gamma"][str(i)], weak_witness["nu"][str(i)]
+        if abs(gamma) > eps and abs(nu) > eps:
+            decided.append((gamma, nu))
+            open_pairs.remove(i)
+    positive = all(gamma > 0 and nu > 0 for gamma, nu in decided)  # strong and M
+    same_sign = all(gamma * nu > 0 for gamma, nu in decided)       # C
+
+    def solve(modes):
+        return _solve_system(ev, pattern, grad_f, {
+            i: modes.get(i, ("free", "free")) for i in pattern.I_GH})
+
+    if positive:
+        strong_witness = weak_witness if not open_pairs else solve(
+            {i: ("nonneg", "nonneg") for i in open_pairs})
+        if strong_witness is not None:
+            return report("strong", strong_witness)
 
     if k > cap:
         classes.update({"M": "undecided", "C": "undecided"})
@@ -179,26 +230,20 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         def admit(partial):
             if not partial:  # the root is the weak system
                 return weak_witness
-            return _solve_system(ev, pattern, grad_f, {
-                i: modes_of.get(partial.get(i), ("free", "free")) for i in pattern.I_GH})
+            return solve({i: modes_of[choice] for i, choice in partial.items()})
 
-        found = first_leaf(pattern.I_GH, tuple(modes_of), admit)
+        found = first_leaf(open_pairs, tuple(modes_of), admit)
         return None if found is None else found[1]
 
-    m_witness = search({"nonneg": ("nonneg", "nonneg"), "gamma_zero": ("zero", "free"),
-                        "nu_zero": ("free", "zero")})
-    if m_witness is not None:
-        if not witness_satisfies(ev, pattern, grad_f, m_witness, "C", tol):
-            # an M witness with a mixed-sign zero pair still certifies C
-            raise WitnessVerificationError("M witness does not certify C")
-        classes.update({"M": "holds", "C": "holds"})
-        return StationarityReport("M", classes, m_witness, tuple(notes))
-
-    c_witness = search({"nonneg": ("nonneg", "nonneg"), "nonpos": ("nonpos", "nonpos")})
-    if c_witness is not None:
-        classes["C"] = "holds"
-        return StationarityReport("C", classes, c_witness, tuple(notes))
-
+    if positive:
+        m_witness = search({"nonneg": ("nonneg", "nonneg"),
+                            "gamma_zero": ("zero", "free"), "nu_zero": ("free", "zero")})
+        if m_witness is not None:
+            return report("M", m_witness)
+    if same_sign:
+        c_witness = search({"nonneg": ("nonneg", "nonneg"), "nonpos": ("nonpos", "nonpos")})
+        if c_witness is not None:
+            return report("C", c_witness)
     return StationarityReport("weak", classes, weak_witness, tuple(notes))
 
 

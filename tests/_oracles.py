@@ -120,30 +120,42 @@ def nnamcq_oracle(ev, pattern, tol) -> str:
 def gmfcq_oracle(ev, pattern, tol) -> tuple:
     """GMFCQ over every partition, one direction LP per cone row in (i).
     Returns (status, failing condition or None)."""
+    failure = gmfcq_oracle_failure(ev, pattern, tol)
+    return ("holds", None) if failure is None else ("fails", failure[0])
+
+
+def gmfcq_oracle_failure(ev, pattern, tol):
+    """First failing (condition, P, Q, R), or None.  Partitions are taken
+    in the package's search order: (i) choosing R, P, Q per pair, then
+    (ii) choosing P, Q."""
     n, k = ev.dims.n, len(pattern.I_GH)
     h_rows = [ev.h_grads[j] for j in range(ev.dims.p)]
     g_neg = [-ev.g_grads[i] for i in pattern.I_g]
-    for assign in itertools.product(range(3), repeat=k):
-        P, Q, R = ([i for i, c in zip(pattern.I_GH, assign) if c == side]
-                   for side in range(3))
+
+    def split(assign, sides):
+        return ([i for i, c in zip(pattern.I_GH, assign) if c == side] for side in sides)
+
+    def eq_rows(P, Q):
+        return (h_rows + [ev.G_grads[i] for i in sorted(pattern.I_G + tuple(Q))]
+                + [ev.H_grads[i] for i in sorted(pattern.I_H + tuple(P))])
+
+    for assign in itertools.product("RPQ", repeat=k):
+        P, Q, R = split(assign, "PQR")
         if not R:
             continue
-        eq = (h_rows + [ev.G_grads[i] for i in pattern.I_G + tuple(Q)]
-              + [ev.H_grads[i] for i in pattern.I_H + tuple(P)])
+        eq = eq_rows(P, Q)
         cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
         if not any(_direction_margin(n, eq, g_neg + cone[:j] + cone[j + 1:], [cone[j]])
                    >= tol.strict_margin_eps for j in range(len(cone))):
-            return "fails", "i"
-    for assign in itertools.product(range(2), repeat=k):
-        P = [i for i, c in zip(pattern.I_GH, assign) if c == 0]
-        Q = [i for i, c in zip(pattern.I_GH, assign) if c == 1]
-        eq = (h_rows + [ev.G_grads[i] for i in pattern.I_G + tuple(Q)]
-              + [ev.H_grads[i] for i in pattern.I_H + tuple(P)])
+            return "i", P, Q, R
+    for assign in itertools.product("PQ", repeat=k):
+        P, Q = split(assign, "PQ")
+        eq = eq_rows(P, Q)
         if eq and numerical_rank(np.vstack(eq), tol.rank_rel_tol).rank < len(eq):
-            return "fails", "ii-independence"
+            return "ii-independence", P, Q, []
         if g_neg and _direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
-            return "fails", "ii-direction"
-    return "holds", None
+            return "ii-direction", P, Q, []
+    return None
 
 
 def stationarity_oracle(ev, pattern, grad_f, tol) -> str:

@@ -16,10 +16,13 @@ from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
                    assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, gen_bho_case,
                    kernels, to_evaluation)
-from mpecq.cq import first_leaf
+from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_margin, first_leaf
 from mpecq.fixtures import all_fixtures
-from _oracles import gmfcq_oracle, nnamcq_oracle, stationarity_oracle
-from conftest import FUZZ_SEED, PINNED_TOL
+from mpecq.fuzz import FORCE_MODES
+from mpecq.stationarity import CLASS_ORDER
+from _oracles import (gmfcq_oracle, gmfcq_oracle_failure, nnamcq_oracle,
+                      rational_rank, stationarity_oracle)
+from conftest import FUZZ_POINTS, FUZZ_SEED, PINNED_TOL
 
 TOL = Tolerances()
 
@@ -155,15 +158,21 @@ def test_search_cost_stays_polynomial_where_enumeration_explodes(monkeypatch):
 
 
 def test_degenerate_node_lp_from_fuzz_corpus(monkeypatch):
-    # forced gh3 case 64 of the acceptance corpus: the GMFCQ node LP is
-    # fully degenerate, and Bland's index tie-break pivots on rounding
-    # noise until phase 1 reports unbounded; the kernel reruns phase 1
-    # at a stricter pivot tolerance
+    # forced gh3 case 64 of the acceptance corpus: the GMFCQ (i) LP of
+    # the node that puts the one biactive pair in R is fully degenerate,
+    # and Bland's index tie-break pivots on rounding noise until phase 1
+    # reports unbounded; the kernel reruns phase 1 at a stricter pivot
+    # tolerance.  The bundle has full rank, so GMFCQ itself certifies
+    # the node by rank and the LP is driven here on the node's rows.
     forced = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2]
     case = gen_bho_case(np.random.default_rng(forced.spawn(250)[64]), "gh3", PINNED_TOL)
     point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
     ev = to_evaluation(case.instance, point)
     pattern = classify_active(ev, PINNED_TOL)
+    assert ev.dims.m == ev.dims.p == 0 and len(pattern.I_GH) == 1
+    i = pattern.I_GH[0]
+    eq = [ev.G_grads[j] for j in pattern.I_G] + [ev.H_grads[j] for j in pattern.I_H]
+    cone = [ev.G_grads[i], ev.H_grads[i]]
     tols = []
     loop = kernels._pivot_loop
 
@@ -172,7 +181,125 @@ def test_degenerate_node_lp_from_fuzz_corpus(monkeypatch):
         return loop(T, basis, z, max_iter, pivot_tol)
 
     monkeypatch.setattr(kernels, "_pivot_loop", logged)
-    verdict = check_mpec_gmfcq(ev, pattern, PINNED_TOL)
+    margin = _direction_margin(ev.dims.n, eq, cone, [np.sum(cone, axis=0)])
     assert kernels._RETRY_PIVOT_TOL in tols, "no LP needed the retry; pick another repro"
-    assert verdict.status == "holds"
+    assert margin >= PINNED_TOL.strict_margin_eps
+    assert check_mpec_gmfcq(ev, pattern, PINNED_TOL).status == "holds"
     assert gmfcq_oracle(ev, pattern, PINNED_TOL) == ("holds", None)
+
+
+def deficient_point(seed, k):
+    """`integer_point` with one biactive G or H row replaced by a copy or
+    negation of another active row, so the tightened-NLP bundle loses
+    rank.  grad_f is an integer combination of the active rows with
+    lambda >= 0, so the weak system is solvable."""
+    ev, _ = integer_point(seed, k)
+    rng = np.random.default_rng([seed, k])
+    record = ev.to_dict()
+    pattern = classify_active(ev, TOL)
+    active = ([("g_grads", i) for i in pattern.I_g] + [("h_grads", j) for j in range(ev.dims.p)]
+              + [("G_grads", i) for i in (*pattern.I_G, *pattern.I_GH)]
+              + [("H_grads", i) for i in (*pattern.I_H, *pattern.I_GH)])
+    target = ("G_grads" if rng.integers(0, 2) else "H_grads", int(rng.integers(0, k)))
+    sources = [row for row in active if row != target]
+    family, index = sources[int(rng.integers(0, len(sources)))]
+    sign = rng.choice([-1.0, 1.0])
+    record[target[0]][target[1]] = [sign * v for v in record[family][index]]
+    ev = PointEvaluation.from_dict(record)
+    grad_f = np.zeros(ev.dims.n)
+    for family, index in active:
+        low = 0 if family == "g_grads" else -2
+        sign = -1.0 if family in ("g_grads", "h_grads") else 1.0
+        grad_f += sign * int(rng.integers(low, 3)) * np.asarray(record[family][index])
+    return ev, grad_f
+
+
+def assert_matches_oracles_in_detail(ev, grad_f, tol=TOL):
+    """Verdicts, GMFCQ's failing partition and every stationarity class
+    equal what the exhaustive oracles give."""
+    pattern = classify_active(ev, tol)
+    assert check_nnamcq(ev, pattern, tol).status == nnamcq_oracle(ev, pattern, tol)
+    gmfcq = check_mpec_gmfcq(ev, pattern, tol)
+    failure = gmfcq_oracle_failure(ev, pattern, tol)
+    if failure is None:
+        assert gmfcq.status == "holds"
+    else:
+        cert = gmfcq.certificate
+        assert gmfcq.status == "fails"
+        assert (cert["condition"], cert["P"], cert["Q"], cert.get("R", [])) == failure
+    stat = classify_stationarity(ev, pattern, grad_f, tol)
+    strongest = stationarity_oracle(ev, pattern, grad_f, tol)
+    assert stat.strongest == strongest
+    held = CLASS_ORDER[CLASS_ORDER.index(strongest):] if strongest in CLASS_ORDER else ()
+    assert stat.classes == {c: "holds" if c in held else "fails" for c in CLASS_ORDER}
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_fails_family_matches_oracles_in_detail(k):
+    ev, grad_f = biactive_point(k, "fails", np.random.default_rng([k, 5]))
+    assert_matches_oracles_in_detail(ev, grad_f)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_rank_deficient_integer_points_match_oracles_in_detail(seed, k):
+    ev, grad_f = deficient_point(seed, k)
+    pattern = classify_active(ev, TOL)
+    bundle = np.vstack([ev.g_grads[list(pattern.I_g)], ev.h_grads,
+                        ev.G_grads[list(pattern.I_G + pattern.I_GH)],
+                        ev.H_grads[list(pattern.I_H + pattern.I_GH)]])
+    assert rational_rank(bundle) < bundle.shape[0]
+    assert_matches_oracles_in_detail(ev, grad_f)
+
+
+@pytest.mark.parametrize("mode", ["gh3", "gh4", "multi"])
+def test_fuzz_corpus_biactive_points_match_oracles(mode):
+    # the forced SVC cases of the acceptance corpus, drawn as run_fuzz does
+    n_forced = max(50, FUZZ_POINTS // 4)
+    quota, extra = divmod(n_forced, len(FORCE_MODES))
+    takes = [quota + (1 if j < extra else 0) for j in range(len(FORCE_MODES))]
+    first = sum(takes[:FORCE_MODES.index(mode)])
+    children = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2].spawn(n_forced)
+    for child in children[first:first + takes[FORCE_MODES.index(mode)]]:
+        case = gen_bho_case(np.random.default_rng(child), mode, PINNED_TOL)
+        point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
+        ev = to_evaluation(case.instance, point)
+        assert classify_active(ev, PINNED_TOL).I_GH
+        assert_matches_oracles_in_detail(ev, case.instance.grad_f, PINNED_TOL)
+
+
+def test_full_rank_bundle_needs_no_branch_lps(monkeypatch):
+    # MPEC-LICQ at k = 10: GMFCQ is certified by the bundle's rank and the
+    # unique multipliers decide every stationarity class
+    k = 10
+    calls = []
+    solve = kernels.LinearProgram.solve
+    monkeypatch.setattr(kernels.LinearProgram, "solve",
+                        lambda self, *args, **kw: calls.append(1) or solve(self, *args, **kw))
+    ev, grad_f = biactive_point(k, "holds")
+    pattern = classify_active(ev, TOL)
+
+    def lps(run):
+        calls.clear()
+        return run(), len(calls)
+
+    gmfcq, g_lps = lps(lambda: check_mpec_gmfcq(ev, pattern, TOL))
+    assert gmfcq.status == "holds" and g_lps == 0
+    assert gmfcq.certificate == {"partitions_i": 3 ** k - 2 ** k,
+                                 "partitions_ii": 2 ** k}
+    stat, s_lps = lps(lambda: classify_stationarity(ev, pattern, grad_f, TOL))
+    assert stat.strongest == "C" and s_lps == 1
+    nnamcq, n_lps = lps(lambda: check_nnamcq(ev, pattern, TOL))
+    assert nnamcq.status == "holds" and n_lps == 1
+
+
+def test_biactive_count_above_the_cap_stays_undecided():
+    k = DEFAULT_BRANCH_CAP + 1
+    ev, grad_f = biactive_point(k, "holds")
+    pattern = classify_active(ev, TOL)
+    assert check_nnamcq(ev, pattern, TOL).status == "undecided"
+    assert check_mpec_gmfcq(ev, pattern, TOL).status == "undecided"
+    stat = classify_stationarity(ev, pattern, grad_f, TOL)
+    assert stat.strongest == "weak"
+    assert stat.classes == {"strong": "fails", "M": "undecided", "C": "undecided",
+                            "weak": "holds"}

@@ -7,7 +7,7 @@ import pytest
 
 from mpecq import (BhoInstance, Dataset, Tolerances, assemble_feasible_point,
                    kernels, solve_all_folds, split_folds)
-from mpecq.cli import main
+from mpecq.cli import build_parser, main
 from mpecq.fixtures import fixture_e2
 
 TOL = Tolerances()
@@ -176,6 +176,27 @@ class TestFixturesCommand:
         payload = json.loads(out1)
         assert payload["ok"] is True
         assert set(payload["fixtures"]) == {"E1", "E2", "E3"}
+
+
+class TestParserReuse:
+    def test_calls_in_sequence_match_a_first_call(self, capsys, tmp_path):
+        # the parser is built once per process; no call may leak into the next
+        path = write_json(tmp_path, "near.json",
+                          dict(near_biactive_record(), grad_f=[-1.0, 1.0]))
+        commands = [["check", "--input", path, "--tol-activity", "1e-6"],
+                    ["check", "--input", path],
+                    ["stationarity", "--input", path, "--tol-activity", "1e-6"],
+                    ["stationarity", "--input", path],
+                    ["fixtures"]]
+        first = []
+        for argv in commands:
+            build_parser.cache_clear()
+            first.append(run_cli(capsys, argv))
+        assert first[0] != first[1] and first[2] != first[3]
+        for _ in range(2):
+            for argv, expected in zip(commands, first):
+                assert run_cli(capsys, argv) == expected
+        assert build_parser.cache_info().hits == 2 * len(commands)
 
 
 class TestBhoCommands:

@@ -50,6 +50,23 @@ class TestNumericalRank:
             M[seed % rows] = M[(seed // 3) % rows]
         assert numerical_rank(M).rank == rational_rank(M)
 
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_null_basis_rows_vanish_exactly_off_every_dependence(self, rows, cols, seed):
+        # row j of the left null basis is zero iff dropping row j lowers the rank
+        rng = np.random.default_rng(seed)
+        M = int_matrix(rng, rows, cols, -2, 2)
+        if rows > 1 and seed % 2 == 0:
+            M[seed % rows] = (-1.0) ** seed * M[(seed // 2) % rows]
+        res = numerical_rank(M)
+        basis = res.null_basis
+        assert basis.shape == (rows, rows - res.rank)
+        assert np.abs(basis.T @ basis - np.eye(rows - res.rank)).max(initial=0.0) < 1e-12
+        cutoff = 1e-12 * max(rows, cols)
+        for j in range(rows):
+            isolated = rational_rank(np.delete(M, j, axis=0)) < res.rank
+            assert (np.abs(basis[j]).max(initial=0.0) <= cutoff) == isolated
+
 
 class TestRankMemo:
     def test_repeat_returns_what_recomputing_gives(self):
@@ -71,6 +88,8 @@ class TestRankMemo:
             res.singular_values[0] = 0.0
         with pytest.raises(ValueError):
             res.null_witness[0] = 0.0
+        with pytest.raises(ValueError):
+            res.null_basis[0, 0] = 0.0
 
     def test_mutated_input_is_factored_afresh(self):
         M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -94,7 +94,8 @@ class TestClassSeparation:
 
 
 class TestLpCount:
-    """Without a biactive pair the strong system is the weak one."""
+    """Without a biactive pair, or with unique multipliers, the weak
+    system is the only one solved."""
 
     @pytest.fixture
     def lps(self, monkeypatch):
@@ -122,9 +123,30 @@ class TestLpCount:
         assert report.witness["lambda_g"] == {"0": 3.0}
 
     def test_strong_lp_runs_with_a_biactive_pair(self, lps):
-        ev, pattern, gf = one_pair_point([1.0, 2.0])
-        assert classify_stationarity(ev, pattern, gf, TOL).strongest == "strong"
+        # grad H = -grad G: only gamma - nu is fixed, so the pair's signs
+        # are not determined and the strong system must be solved
+        ev = PointEvaluation(MpecDimensions(2, 0, 0, 1), np.zeros(2),
+                             np.zeros(0), np.zeros(0), np.zeros(1), np.zeros(1),
+                             np.zeros((0, 2)), np.zeros((0, 2)),
+                             np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
+        pattern = classify_active(ev, TOL)
+        assert pattern.I_GH == (0,)
+        report = classify_stationarity(ev, pattern, np.array([1.0, 0.0]), TOL)
+        assert report.strongest == "strong"
         assert len(lps) >= 2
+
+    @pytest.mark.parametrize("grad_f, strongest", [([1.0, 2.0], "strong"),
+                                                   ([-1.0, 0.0], "M"),
+                                                   ([-1.0, -1.0], "C"),
+                                                   ([-1.0, 1.0], "weak")])
+    def test_unique_multipliers_take_one_system(self, lps, grad_f, strongest):
+        # gamma = grad_f[0] and nu = grad_f[1] in every weak solution; a
+        # pair at zero is not decided by its signs but searched
+        ev, pattern, gf = one_pair_point(grad_f)
+        report = classify_stationarity(ev, pattern, gf, TOL)
+        assert report.strongest == strongest
+        if 0.0 not in grad_f:
+            assert len(lps) == 1
 
 
 class TestWitnessChecks:
