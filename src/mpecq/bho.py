@@ -22,13 +22,14 @@ against the generic rank route.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
-from .kernels import is_positive_definite
+from .kernels import is_positive_definite, numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
                     check_feasibility)
 
@@ -170,6 +171,8 @@ class BhoInstance:
         BBt.setflags(write=False)
         object.__setattr__(self, "_ABt", ABt)
         object.__setattr__(self, "_BBt", BBt)
+        # fold -> _RegularizationPath, built by the first lower-level solve
+        object.__setattr__(self, "_paths", {})
 
     # v = [C; zeta; z; alpha; xi]
     @property
@@ -215,27 +218,30 @@ class BhoInstance:
         return c
 
     def constraint_matrices(self):
-        """(P, a, Q) with G(v) = P v + a and H(v) = Q v."""
+        """(P, a, Q) with G(v) = P v + a and H(v) = Q v; read-only, built once."""
+        return self._constraint_arrays
+
+    @functools.cached_property
+    def _constraint_arrays(self):
         n, nv, nt = self.n, self.n_validation, self.n_training
+        v, t = np.arange(nv), np.arange(nt)
+        alpha = slice(self.off_alpha, self.off_alpha + nt)
         P = np.zeros((n - 1, n))
         a = np.zeros(n - 1)
-        for i in range(nv):
-            P[i, self.off_z + i] = 1.0
-            P[i, self.off_alpha:self.off_alpha + nt] = self.ABt[i]
-        for i in range(nv):
-            r = nv + i
-            P[r, self.off_zeta + i] = -1.0
-            a[r] = 1.0
-        for i in range(nt):
-            r = 2 * nv + i
-            P[r, self.off_alpha:self.off_alpha + nt] = self.BBt[i]
-            P[r, self.off_xi + i] = 1.0
-            a[r] = -1.0
-        for i in range(nt):
-            r = 2 * nv + nt + i
-            P[r, 0] = 1.0
-            P[r, self.off_alpha + i] = -1.0
+        # family 1: z + A B^T alpha; family 2: 1 - zeta
+        P[v, self.off_z + v] = 1.0
+        P[:nv, alpha] = self.ABt
+        P[nv + v, self.off_zeta + v] = -1.0
+        a[nv:2 * nv] = 1.0
+        # family 3: B B^T alpha - 1 + xi; family 4: C - alpha
+        P[2 * nv:2 * nv + nt, alpha] = self.BBt
+        P[2 * nv + t, self.off_xi + t] = 1.0
+        a[2 * nv:2 * nv + nt] = -1.0
+        P[2 * nv + nt:, 0] = 1.0
+        P[2 * nv + nt + t, self.off_alpha + t] = -1.0
         Q = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
+        for arr in (P, a, Q):
+            arr.setflags(write=False)
         return P, a, Q
 
     def pair_index(self, family: int, local: int) -> int:
@@ -346,38 +352,170 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
                       tol: float = 1e-9, budget: int = 100000) -> np.ndarray:
     """Solve the fold's box QP min 0.5 a.K.a - sum(a) s.t. 0 <= a <= C.
 
-    Gradient projection with minimisation on the current face (Moré and
-    Toraldo 1991).  Each of at most `budget` outer iterations first tests
-    the step-1 natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf
-    <= tol, which keeps downstream complementarity residuals at
-    O(C * tol), then takes one projected-gradient step of length
-    1 / (1.1 trace(K)), halved while the objective would increase.  The
-    step picks the face; `_face_steps` then minimises over it exactly, so
-    a solve ends at the face solution after a few outer iterations
-    instead of approaching it geometrically.
+    alpha(C) is read off the fold's exact solution path
+    (`_RegularizationPath`), which the instance keeps and extends only
+    as far as the largest C asked for.  The read is accepted when the
+    step-1 natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf is
+    at most tol, which keeps downstream complementarity residuals at
+    O(C * tol).  When it is not, or the path stopped before C, the solve
+    falls back to `_projected_gradient` and the path's `fallbacks` count
+    goes up.
+
+    `budget` caps iterations: each breakpoint of the path below C counts
+    as one, and so does the final read.  Raises ConvergenceError when the
+    budget runs out, with the residual of the path's alpha at the last
+    breakpoint it allows, or when the fallback stalls or runs out.
+    """
+    if C < 0:
+        raise InputError("C must be nonnegative")
+    K = instance.fold_training_gram(fold)
+    if C == 0.0:
+        return np.zeros(K.shape[0])
+    path = instance._paths.get(fold)
+    if path is None:
+        path = instance._paths[fold] = _RegularizationPath(K)
+    path.extend(C)
+    if C <= path.knots[-1]:
+        # segment j starts at the j-th breakpoint below C
+        j = int(np.searchsorted(path.knots, C)) - 1
+        if j >= budget:
+            residual = (_natural_residual(K, path.alpha(budget - 1, path.knots[budget - 1]), C)
+                        if budget > 0 else np.inf)
+            raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
+                                   f"within {budget} iterations", residual, budget)
+        alpha = path.alpha(j, C)
+        if _natural_residual(K, alpha, C) <= tol:
+            return alpha
+    path.fallbacks += 1
+    return _projected_gradient(K, C, tol, budget)
+
+
+_LOWER, _FREE, _UPPER = 0, 1, 2
+
+
+class _RegularizationPath:
+    """The exact solution path C -> alpha(C) of one fold's box QP.
+
+    Segment j covers knots[j] <= C <= knots[j + 1].  On it the indices
+    in U sit at C, those in L at 0, and the free set F solves
+    K_FF alpha_F = 1 - C K_FU 1, so alpha(C) = a[j] + C b[j] and the
+    gradient K alpha - 1 is affine in C too (Hastie, Rosset, Tibshirani
+    and Zhu 2004, here without the bias equation).  The path starts at
+    C = 0 with every index in U.  A segment ends at the smallest C where
+    a free alpha reaches 0 or C or the gradient of a bound index reaches
+    0, and every index whose event falls on that C changes side.
+
+    Solutions stay basic: an index whose row lies in the span of K_F
+    keeps a constant gradient, so only a tie can make it enter, and a
+    new K_FF that the rank kernel finds singular stops the path.  So
+    does a side assignment seen before, which only rounding can cause.
+    After a stop, knots[-1] is the last C the path covers.  `extend`
+    builds segments until the path covers the C asked for; knots, a and
+    b are read-only and are replaced, never changed, when it grows.
+    """
+
+    def __init__(self, K: np.ndarray):
+        self._K = K
+        self._side = np.full(K.shape[0], _UPPER, dtype=np.int8)
+        self._seen = {self._side.tobytes()}
+        self._knots, self._a, self._b = [0.0], [], []
+        self._events = None  # (indices, new sides) at knots[-1]
+        self.fallbacks = 0
+        self._segment()
+        self._publish()
+
+    def alpha(self, j: int, C: float) -> np.ndarray:
+        return np.clip(self.a[j] + C * self.b[j], 0.0, C)
+
+    def extend(self, C: float) -> None:
+        grown = False
+        while self._knots[-1] < C and self._events is not None:
+            indices, sides = self._events
+            side = self._side.copy()
+            side[indices] = sides
+            F = np.flatnonzero(side == _FREE)
+            if side.tobytes() in self._seen or (
+                    (sides == _FREE).any()
+                    and numerical_rank(self._K[F][:, F]).rank < F.size):
+                self._events = None
+                break
+            self._seen.add(side.tobytes())
+            self._side = side
+            self._segment()
+            grown = True
+        if grown:
+            self._publish()
+
+    def _segment(self) -> None:
+        """Solve the current sides for (a, b) and find where the segment ends."""
+        K, side, start = self._K, self._side, self._knots[-1]
+        free, upper = side == _FREE, side == _UPPER
+        F = np.flatnonzero(free)
+        a = np.zeros(side.size)
+        b = upper.astype(float)
+        if F.size:
+            K_F = K[F]
+            rhs = np.stack([np.ones(F.size), -(K_F @ b)], axis=1)
+            a[F], b[F] = np.linalg.solve(K_F[:, F], rhs).T
+        p, q = K @ a - 1.0, K @ b
+        # each index keeps a slack s0 + C s1 >= 0: alpha on F, minus the
+        # gradient on U, the gradient on L, and on F also C - alpha; a
+        # slack with s1 < 0 runs out at C = -s0 / s1
+        s0 = np.where(free, a, np.where(upper, -p, p))
+        s1 = np.where(free, b, np.where(upper, -q, q))
+        out = np.full((2, side.size), np.inf)
+        np.divide(s0, -s1, out=out[0], where=s1 < 0.0)
+        np.divide(-a, b - 1.0, out=out[1], where=free & (b > 1.0))
+        np.maximum(out, start, out=out)
+        end = float(out.min())
+        self._a.append(a)
+        self._b.append(b)
+        self._knots.append(end)
+        if np.isfinite(end):
+            which, indices = np.nonzero(out == end)
+            to = np.where(which == 1, _UPPER, np.where(free[indices], _LOWER, _FREE))
+            self._events = (indices, to.astype(np.int8))
+        else:
+            self._events = None
+
+    def _publish(self) -> None:
+        self.knots = np.array(self._knots)
+        self.a, self.b = np.array(self._a), np.array(self._b)
+        for arr in (self.knots, self.a, self.b):
+            arr.setflags(write=False)
+
+
+def _natural_residual(K: np.ndarray, alpha: np.ndarray, C: float) -> float:
+    grad = K @ alpha - 1.0
+    return float(np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max())
+
+
+def _projected_gradient(K: np.ndarray, C: float, tol: float, budget: int) -> np.ndarray:
+    """Gradient projection with minimisation on the current face.
+
+    Moré and Toraldo 1991.  Each of at most `budget` outer iterations
+    first tests the natural-map residual at tol, then takes one
+    projected-gradient step of length 1 / (1.1 trace(K)), halved while
+    the objective would increase.  The step picks the face; `_face_steps`
+    then minimises over it exactly, so a solve ends at the face solution
+    after a few outer iterations instead of approaching it geometrically.
 
     Raises ConvergenceError when the budget runs out, or at once when an
     outer iteration leaves alpha bitwise unchanged: the iteration is
     deterministic, so every later one would repeat it.  That happens when
     rounding in K a exceeds tol, as for a singular K with C near 1e16.
     """
-    if C < 0:
-        raise InputError("C must be nonnegative")
-    K = instance.fold_training_gram(fold)
     m = K.shape[0]
-    if C == 0.0:
-        return np.zeros(m)
     # trace(K) >= lambda_max(K) for a positive semidefinite K
     step = 1.0 / max(1.1 * float(np.trace(K)), 1e-12)
     alpha = np.zeros(m)
     obj = 0.0
     residual = np.inf
     for iteration in range(budget):
-        grad = K @ alpha - 1.0
-        residual = float(np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max())
+        residual = _natural_residual(K, alpha, C)
         if residual <= tol:
             return alpha
-        new = np.clip(alpha - step * grad, 0.0, C)
+        new = np.clip(alpha - step * (K @ alpha - 1.0), 0.0, C)
         new_obj = _qp_objective(K, new)
         if new_obj > obj + 1e-12 * (1.0 + abs(obj)):
             step *= 0.5

@@ -305,9 +305,11 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     and H rows of its R pairs.  Every leaf below constrains a subset of
     those rows, so some direction gives them any signs.  At the root
     these rows are the tightened-NLP bundle, so MPEC-LICQ settles both
-    searches.  Otherwise a node of (i) runs one LP: each assigned R row
-    >= 0 and their sum >= t.  A leaf still not certified is the failing
-    partition; (i) is searched in R, P, Q order, (ii) in P, Q order.
+    searches.  An R child in (i) has its parent's rows, whose rank test
+    failed, so it skips the test.  Otherwise a node of (i) runs one LP:
+    each assigned R row >= 0 and their sum >= t.  A leaf still not
+    certified is the failing partition; (i) is searched in R, P, Q
+    order, (ii) in P, Q order.
     """
     k = len(pattern.I_GH)
     if k > cap:
@@ -338,7 +340,9 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
             return False
         cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
         eq = eq_rows(partial)
-        if full_rank(g_rows + eq + cone):
+        # the pair just put in R moved its G and H rows from eq to cone
+        r_child = partial and partial[pattern.I_GH[len(partial) - 1]] == "R"
+        if not r_child and full_rank(g_rows + eq + cone):
             return False
         if not R:  # nothing to certify yet
             return True

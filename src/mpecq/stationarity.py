@@ -126,8 +126,13 @@ def witness_satisfies(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     through repeated LP solves.  A magnitude at or below activity_eps
     counts as zero.
     """
-    if witness_residual(ev, pattern, grad_f, multipliers) > WITNESS_RESIDUAL_SLACK:
-        return False
+    return (witness_residual(ev, pattern, grad_f, multipliers) <= WITNESS_RESIDUAL_SLACK
+            and _signs_satisfy(pattern, multipliers, cls, tol))
+
+
+def _signs_satisfy(pattern: ActivePattern, multipliers: dict, cls: str,
+                   tol: Tolerances) -> bool:
+    """The sign conditions of `witness_satisfies`, without the residual."""
     if any(v < -tol.activity_eps for v in multipliers["lambda_g"].values()):
         return False
     eps = tol.activity_eps
@@ -192,8 +197,10 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     classes["weak"] = "holds"
 
     def report(cls, witness):
+        # the residual is the same for every class: recompute it once
+        residual_ok = witness_residual(ev, pattern, grad_f, witness) <= WITNESS_RESIDUAL_SLACK
         for weaker in CLASS_ORDER[CLASS_ORDER.index(cls):]:
-            if not witness_satisfies(ev, pattern, grad_f, witness, weaker, tol):
+            if not (residual_ok and _signs_satisfy(pattern, witness, weaker, tol)):
                 raise WitnessVerificationError(f"{cls} witness does not certify {weaker}")
             classes[weaker] = "holds"
         return StationarityReport(cls, classes, witness, tuple(notes))

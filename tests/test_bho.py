@@ -13,6 +13,7 @@ from mpecq import (BhoInstance, BhoPoint, ClassificationError,
                    load_dataset_csv, lower_level_solve,
                    misclassification_oracle, solve_all_folds, split_folds,
                    structured_index_sets, to_evaluation, validation_error)
+from mpecq.bho import _projected_gradient
 from mpecq.fuzz import gen_bho_case
 from _oracles import projected_gradient_qp
 
@@ -149,6 +150,11 @@ class TestInstanceAssembly:
         np.testing.assert_array_equal(Q @ v, v[1:])
         np.testing.assert_array_equal(np.asarray(ev.H_vals), v[1:])
         np.testing.assert_allclose(np.asarray(ev.G_grads), P, rtol=0, atol=0)
+        # built once per instance and handed out read-only
+        again = inst.constraint_matrices()
+        for first, second in zip((P, a, Q), again):
+            assert first is second
+            assert not first.flags.writeable
 
     def test_round_trip(self):
         _, _, inst = make_instance()
@@ -238,6 +244,88 @@ class TestLowerLevelSolve:
             residual = np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max()
             assert residual <= 1e-9
             assert alpha.min() >= 0.0 and alpha.max() <= C
+
+
+def natural_residual(K, alpha, C):
+    return np.abs(alpha - np.clip(alpha - (K @ alpha - 1.0), 0.0, C)).max()
+
+
+def qp_objective(K, alpha):
+    return 0.5 * float(alpha @ (K @ alpha)) - float(alpha.sum())
+
+
+class TestRegularizationPath:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 5),
+           st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_path_matches_iteration_and_oracle(self, seed, m2, p, log_c):
+        # m2 > p draws rank-deficient Grams, m2 <= p full-rank ones
+        rng = np.random.default_rng(seed)
+        inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), rng.normal(size=(m2, p)))
+        C = 10.0 ** log_c
+        K = inst.fold_training_gram(0)
+        alpha = lower_level_solve(inst, 0, C)
+        path = inst._paths[0]
+        assert path.fallbacks == 0  # the path, not the iteration, answered
+        iterate = _projected_gradient(K, C, 1e-9, 100000)
+        reference, _ = projected_gradient_qp(K, C)
+        assert natural_residual(K, alpha, C) <= 1e-9
+        assert alpha.min() >= 0.0 and alpha.max() <= C
+        scale = 1e-9 * (1.0 + abs(qp_objective(K, iterate)))
+        assert abs(qp_objective(K, alpha) - qp_objective(K, iterate)) <= scale
+        assert qp_objective(K, alpha) <= qp_objective(K, reference) + scale
+
+    def test_two_sample_breakpoints_by_hand(self):
+        # K = [[4, 2], [2, 5]].  From C = 0 both alphas sit at C with
+        # gradient C (6, 7) - 1, so index 1 frees at C = 1/7.  Then
+        # alpha_1 = (1 - 2C) / 5 and the gradient of index 0 is
+        # 16 C / 5 - 3 / 5, which frees it at C = 3/16 before alpha_1
+        # reaches 0 (at C = 1/2).  From there alpha = K^-1 1 = (3, 2) / 16.
+        inst = BhoInstance(1, 1, 2, 2, np.array([[1.0, 0.0]]),
+                           np.array([[2.0, 0.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(lower_level_solve(inst, 0, 1.0), [3 / 16, 2 / 16],
+                                   rtol=0, atol=1e-15)
+        path = inst._paths[0]
+        np.testing.assert_allclose(path.knots, [0.0, 1 / 7, 3 / 16, np.inf], rtol=1e-15)
+        np.testing.assert_allclose(path.a, [[0, 0], [0, 1 / 5], [3 / 16, 2 / 16]],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(path.b, [[1, 1], [1, -2 / 5], [0, 0]], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lower_level_solve(inst, 0, 0.1), [0.1, 0.1],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lower_level_solve(inst, 0, 0.16), [0.16, 0.136],
+                                   rtol=0, atol=1e-15)
+        assert path.fallbacks == 0
+
+    def test_duplicated_row_stops_path_and_falls_back(self):
+        # rows 0 and 1 coincide: their gradients reach 0 together at
+        # C = 1/2, and freeing both makes K_FF singular
+        inst = BhoInstance(1, 1, 3, 2, np.array([[1.0, 0.0]]),
+                           np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+        K = inst.fold_training_gram(0)
+        np.testing.assert_array_equal(lower_level_solve(inst, 0, 0.4), [0.4, 0.4, 0.25])
+        path = inst._paths[0]
+        assert path.fallbacks == 0
+        alpha = lower_level_solve(inst, 0, 1.0)
+        assert path.knots[-1] == 0.5
+        assert path.fallbacks == 1
+        assert natural_residual(K, alpha, 1.0) <= 1e-9
+        assert qp_objective(K, alpha) == pytest.approx(-0.625, abs=1e-12)
+
+    def test_second_call_reuses_read_only_path(self):
+        _, _, inst = make_instance(seed=2)
+        assert inst._paths == {}  # nothing is built before the first solve
+        solve_all_folds(inst, 10.0)
+        assert sorted(inst._paths) == list(range(inst.T))
+        path = inst._paths[0]
+        arrays = (path.knots, path.a, path.b)
+        for arr in arrays:
+            assert not arr.flags.writeable
+        # a C inside the built range reads the same path, grown by nothing
+        lower_level_solve(inst, 0, 0.5)
+        assert inst._paths[0] is path
+        assert all(x is y for x, y in zip(arrays, (path.knots, path.a, path.b)))
+        with pytest.raises(ValueError):
+            path.a[0, 0] = 1.0
 
 
 class TestAssembly:

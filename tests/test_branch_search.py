@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
                    assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
-                   classify_active, classify_stationarity, gen_bho_case,
+                   classify_active, classify_stationarity, cq, gen_bho_case,
                    kernels, to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_margin, first_leaf
 from mpecq.fixtures import all_fixtures
@@ -238,6 +238,21 @@ def assert_matches_oracles_in_detail(ev, grad_f, tol=TOL):
 def test_fails_family_matches_oracles_in_detail(k):
     ev, grad_f = biactive_point(k, "fails", np.random.default_rng([k, 5]))
     assert_matches_oracles_in_detail(ev, grad_f)
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_gmfcq_r_children_skip_the_rank_test(k, monkeypatch):
+    # an R child has its parent's rows, whose rank test failed; in the
+    # fails family only the root and the P children on the way to the
+    # failing leaf are factored, where every node was before
+    calls = []
+    rank = cq.numerical_rank
+    monkeypatch.setattr(cq, "numerical_rank",
+                        lambda *args, **kw: calls.append(1) or rank(*args, **kw))
+    ev, _ = biactive_point(k, "fails", np.random.default_rng([k, 5]))
+    gmfcq = check_mpec_gmfcq(ev, classify_active(ev, TOL), TOL)
+    assert gmfcq.status == "fails" and gmfcq.certificate["condition"] == "i"
+    assert len(calls) == k
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))

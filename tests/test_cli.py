@@ -1,6 +1,7 @@
 """Command-line interface tests: JSON payloads, env overrides, exit codes."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mpecq.fixtures import fixture_e2
 TOL = Tolerances()
 
 CSV_TEXT = ("1.0,0.5,1\n-0.8,0.3,0\n0.6,-1.2,1\n-0.4,0.9,0\n1.1,1.0,1\n")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, argv):
@@ -229,6 +231,17 @@ class TestBhoCommands:
             if not row["flagged"]:
                 assert row["validation_error"] == row["oracle_error"]
         assert payload["best"] in payload["sweep"]
+
+    def test_sweep_matches_golden_output(self, capsys):
+        # bho_sweep.json was written by the projected-gradient solver that
+        # answered every C before the regularization path did; reading
+        # the alphas off the path must not change a byte of the report
+        code, out, err = run_cli(capsys, [
+            "bho", "sweep", "--csv", str(GOLDEN / "sweep_data.csv"), "--T", "2",
+            "--m1", "3", "--m2", "8", "--seed", "5",
+            "--grid", "0.01,0.03162,0.1,0.3162,1,3.162,10,31.62,100"])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "bho_sweep.json").read_text()
 
     def test_sweep_bad_grid(self, capsys, tmp_path):
         csv = tmp_path / "data.csv"

@@ -212,7 +212,7 @@ class TestKktEquivalence:
                               "drift and reports phase 1 unbounded (ROADMAP item 2)")
     def test_svc_point_with_strong_stationarity(self):
         # n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C = 10^-0.5
-        rng = np.random.default_rng([2, 4])
+        rng = np.random.default_rng([2, 9])
         X = rng.normal(0.0, 1.0, size=(60, 5))
         w = rng.normal(0.0, 1.0, size=5)
         y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
