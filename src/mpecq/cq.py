@@ -316,37 +316,39 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
         return CqVerdict("MPEC_GMFCQ", "undecided",
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
     n = ev.dims.n
-    h_rows = [ev.h_grads[j] for j in range(ev.dims.p)]
-    g_rows = [ev.g_grads[i] for i in pattern.I_g]
-    g_neg = [-row for row in g_rows]
+    g_rows = ev.g_grads[list(pattern.I_g)]
+    g_neg = -g_rows
 
     def side(partial, *choices):
         return [i for i in pattern.I_GH if partial.get(i) in choices]
 
     def eq_rows(partial):
         # grad h; grad G on I_G, Q and unassigned; grad H on I_H, P and unassigned
-        return (h_rows
-                + [ev.G_grads[i] for i in sorted((*pattern.I_G, *side(partial, "Q", None)))]
-                + [ev.H_grads[i] for i in sorted((*pattern.I_H, *side(partial, "P", None)))])
+        return np.concatenate([
+            ev.h_grads,
+            ev.G_grads[sorted((*pattern.I_G, *side(partial, "Q", None)))],
+            ev.H_grads[sorted((*pattern.I_H, *side(partial, "P", None)))]])
 
-    def full_rank(rows):
+    def full_rank(*blocks):
         # g rows first: at the root these are the tightened-NLP bundle
         # rows in bundle order, which the LICQ check has factored
-        return not rows or numerical_rank(np.vstack(rows), tol.rank_rel_tol).rank == len(rows)
+        rows = np.concatenate(blocks)
+        return not len(rows) or numerical_rank(rows, tol.rank_rel_tol).rank == len(rows)
 
     def uncertified_i(partial):
         R = side(partial, "R")
         if not R and len(partial) == k:  # a leaf without R is exempt
             return False
-        cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
+        cone = np.concatenate([ev.G_grads[R], ev.H_grads[R]])
         eq = eq_rows(partial)
         # the pair just put in R moved its G and H rows from eq to cone
         r_child = partial and partial[pattern.I_GH[len(partial) - 1]] == "R"
-        if not r_child and full_rank(g_rows + eq + cone):
+        if not r_child and full_rank(g_rows, eq, cone):
             return False
         if not R:  # nothing to certify yet
             return True
-        margin = _direction_margin(n, eq, g_neg + cone, [np.sum(cone, axis=0)])
+        margin = _direction_margin(n, eq, np.concatenate([g_neg, cone]),
+                                   [np.sum(cone, axis=0)])
         return margin < tol.strict_margin_eps
 
     found = first_leaf(pattern.I_GH, ("R", "P", "Q"), uncertified_i)
@@ -359,10 +361,10 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
 
     def uncertified_ii(partial):
         eq = eq_rows(partial)
-        if full_rank(g_rows + eq):
+        if full_rank(g_rows, eq):
             return None
-        if eq:
-            rr = numerical_rank(np.vstack(eq), tol.rank_rel_tol)
+        if len(eq):
+            rr = numerical_rank(eq, tol.rank_rel_tol)
             if rr.rank < len(eq):
                 return {"condition": "ii-independence",
                         "null_witness": [float(w) for w in rr.null_witness]}

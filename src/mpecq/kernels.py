@@ -12,10 +12,13 @@ The LP engine is a dense two-phase simplex with Bland's rule.  The
 problems are tiny (tens of rows) and the priority is determinism and
 witness extraction, which rules out floating pivoting heuristics and
 external solvers.  A system with no sign-constrained column and no
-objective is a range question, A x = b with x free, and is decided by
-least squares instead (`range_solve`), with a re-verified Farkas ray
-when it has no solution.  `numerical_rank` keeps the results of its
-last two distinct inputs.
+objective is a range question, A x = b with x free (`range_solve`).  It
+is answered first from the SVD of A^T that the rank kernel keeps, and
+only when that solution fails the residual test by equilibrated least
+squares, with a re-verified Farkas ray when there is no solution.
+`numerical_rank` keeps the results of its last two distinct inputs, so
+a multiplier system whose A^T is a gradient bundle already factored
+for a rank test costs no second factorization.
 """
 
 from __future__ import annotations
@@ -172,16 +175,22 @@ def verify_farkas_ray(A, b, ray) -> float:
 
 
 def range_solve(A, b):
-    """Decide A x = b with every x free, by least squares.
+    """Decide A x = b with every x free.
 
     Returns (x, None) with a solution x, or (None, ray) with a verified
     Farkas ray when there is none.
 
     Rows are equilibrated as in `simplex_solve`, and the system counts as
     solvable when the equilibrated residual passes the test phase 1
-    applies.  Otherwise the residual is a Farkas ray.  It carries
-    rounding of size eps * |A| |x|, which can outweigh a small residual,
-    so the ray is that residual projected off the range of A once more.
+    applies.  The first candidate is the least-norm solution read off
+    the SVD of A^T = U S V^T from `numerical_rank`, x = U_r S_r^-1 V_r^T b,
+    which is a memo hit when A^T was just factored for a rank test.  That
+    SVD is of the unequilibrated A, so a candidate that fails the test
+    decides nothing: the system is then solved again by least squares on
+    the equilibrated rows.  If that residual fails too, it is a Farkas
+    ray.  It carries rounding of size eps * |A| |x|, which can outweigh a
+    small residual, so the ray is that residual projected off the range
+    of A once more.
     """
     A = np.array(A, dtype=float, ndmin=2)
     b = np.array(b, dtype=float).ravel()
@@ -189,9 +198,14 @@ def range_solve(A, b):
     if b.shape[0] != m:
         raise ValueError("inconsistent system dimensions")
     As, bs, scale = _equilibrate(A, b)
+    tol = _INFEASIBLE_TOL * max(1.0, m)
+    rr = numerical_rank(A.T)
+    x = rr.left_basis @ ((rr.right_basis @ b) / rr.singular_values[:rr.rank])
+    if np.abs(bs - As @ x).sum() <= tol:
+        return x, None
     x = np.linalg.lstsq(As, bs, rcond=None)[0]
     r = bs - As @ x
-    if np.abs(r).sum() <= _INFEASIBLE_TOL * max(1.0, m):
+    if np.abs(r).sum() <= tol:
         return x, None
     y = r - As @ np.linalg.lstsq(As, r, rcond=None)[0]
     ray = y / scale
@@ -257,10 +271,15 @@ class RankResult:
     null_witness: np.ndarray | None  # left-null combination over the rows
     # orthonormal basis of the left null space, one column per dependence
     null_basis: np.ndarray
+    # M = U S V^T truncated at the rank: U[:, :rank] spans the column
+    # space of M, V^T[:rank] its row space
+    left_basis: np.ndarray | None = None
+    right_basis: np.ndarray | None = None
 
     def __post_init__(self):
         # results are shared between callers (see numerical_rank)
-        for arr in (self.singular_values, self.null_witness, self.null_basis):
+        for arr in (self.singular_values, self.null_witness, self.null_basis,
+                    self.left_basis, self.right_basis):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -290,12 +309,14 @@ def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
     M = np.frombuffer(data).reshape(shape)
     k, ncol = M.shape
     if k == 0:
-        return RankResult(0, np.zeros(0), None, np.zeros((0, 0)))
+        return RankResult(0, np.zeros(0), None, np.zeros((0, 0)),
+                          np.zeros((0, 0)), np.zeros((0, ncol)))
     if ncol == 0 or not np.any(M):
         w = np.zeros(k)
         w[0] = 1.0
-        return RankResult(0, np.zeros(min(k, ncol)), w, np.eye(k))
-    U, sigma, _ = np.linalg.svd(M, full_matrices=True)
+        return RankResult(0, np.zeros(min(k, ncol)), w, np.eye(k),
+                          np.zeros((k, 0)), np.zeros((0, ncol)))
+    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
     thresh = rank_rel_tol * sigma[0] * max(k, ncol)
     rank = int(np.sum(sigma > thresh))
     witness = None
@@ -310,7 +331,7 @@ def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
             raise WitnessVerificationError(
                 f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
         witness = w
-    return RankResult(rank, sigma, witness, U[:, rank:])
+    return RankResult(rank, sigma, witness, U[:, rank:], U[:, :rank], Vt[:rank])
 
 
 def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:

@@ -234,10 +234,14 @@ class GradientBundle:
     provenance: tuple
 
 
-def _stack(rows: list, n: int) -> np.ndarray:
-    if not rows:
-        return np.zeros((0, n))
-    return np.vstack(rows)
+def _bundle(ev: PointEvaluation, blocks) -> GradientBundle:
+    """Stack (family, indices, class) blocks of gradient rows in order."""
+    grads = {"g": ev.g_grads, "h": ev.h_grads, "G": ev.G_grads, "H": ev.H_grads}
+    rows = np.concatenate([grads[family][np.asarray(idx, dtype=np.intp)]
+                           for family, idx, _ in blocks])
+    classes = tuple(cls for _, idx, cls in blocks for _ in idx)
+    prov = tuple((family, i) for family, idx, _ in blocks for i in idx)
+    return GradientBundle(rows, classes, prov)
 
 
 def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern) -> GradientBundle:
@@ -247,16 +251,10 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern) -> Gradien
     so every biactive pair contributes both rows as equalities; only the
     active g rows keep a sign restriction.
     """
-    rows, classes, prov = [], [], []
-    for i in pattern.I_g:
-        rows.append(ev.g_grads[i]); classes.append("signed"); prov.append(("g", i))
-    for i in range(ev.dims.p):
-        rows.append(ev.h_grads[i]); classes.append("free"); prov.append(("h", i))
-    for i in sorted(set(pattern.I_G) | set(pattern.I_GH)):
-        rows.append(ev.G_grads[i]); classes.append("free"); prov.append(("G", i))
-    for i in sorted(set(pattern.I_H) | set(pattern.I_GH)):
-        rows.append(ev.H_grads[i]); classes.append("free"); prov.append(("H", i))
-    return GradientBundle(_stack(rows, ev.dims.n), tuple(classes), tuple(prov))
+    return _bundle(ev, [("g", pattern.I_g, "signed"),
+                        ("h", range(ev.dims.p), "free"),
+                        ("G", sorted(set(pattern.I_G) | set(pattern.I_GH)), "free"),
+                        ("H", sorted(set(pattern.I_H) | set(pattern.I_GH)), "free")])
 
 
 def gradient_bundle_rnlp(ev: PointEvaluation, pattern: ActivePattern) -> GradientBundle:
@@ -267,20 +265,12 @@ def gradient_bundle_rnlp(ev: PointEvaluation, pattern: ActivePattern) -> Gradien
     I_G and H on I_H remain pinned equalities.  With no biactive pairs
     the bundle coincides with the tightened one.
     """
-    rows, classes, prov = [], [], []
-    for i in pattern.I_g:
-        rows.append(ev.g_grads[i]); classes.append("signed"); prov.append(("g", i))
-    for i in pattern.I_GH:
-        rows.append(ev.G_grads[i]); classes.append("signed"); prov.append(("G", i))
-    for i in pattern.I_GH:
-        rows.append(ev.H_grads[i]); classes.append("signed"); prov.append(("H", i))
-    for i in range(ev.dims.p):
-        rows.append(ev.h_grads[i]); classes.append("free"); prov.append(("h", i))
-    for i in pattern.I_G:
-        rows.append(ev.G_grads[i]); classes.append("free"); prov.append(("G", i))
-    for i in pattern.I_H:
-        rows.append(ev.H_grads[i]); classes.append("free"); prov.append(("H", i))
-    return GradientBundle(_stack(rows, ev.dims.n), tuple(classes), tuple(prov))
+    return _bundle(ev, [("g", pattern.I_g, "signed"),
+                        ("G", pattern.I_GH, "signed"),
+                        ("H", pattern.I_GH, "signed"),
+                        ("h", range(ev.dims.p), "free"),
+                        ("G", pattern.I_G, "free"),
+                        ("H", pattern.I_H, "free")])
 
 
 def canonical_json(obj) -> str:

@@ -76,11 +76,18 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                 raise ValueError(f"unknown multiplier mode {mode!r}")
             if mode != "zero":
                 slots.append((family, i, mode))
-    grads = {"gamma": ev.G_grads, "nu": ev.H_grads}
-    sign = {"free": 1.0, "nonneg": 1.0, "nonpos": -1.0}
+    # value = sign * multiplier, column = -sign * gradient.  A free
+    # column is +grad G or +grad H, so that with no active g and no
+    # biactive pair A^T is the tightened-NLP bundle, which the rank tests
+    # have already factored.
+    sign = {"free": -1.0, "nonneg": 1.0, "nonpos": -1.0}
     ng, p = len(pattern.I_g), ev.dims.p
-    A = np.column_stack([ev.g_grads[list(pattern.I_g)].T, ev.h_grads.T,
-                         *(-sign[mode] * grads[family][i] for family, i, mode in slots)])
+    family_rows = np.concatenate([ev.G_grads, ev.H_grads])  # gamma, then nu
+    index = np.array([i + ev.dims.l * (family == "nu") for family, i, _ in slots],
+                     dtype=np.intp)
+    column_sign = np.array([-sign[mode] for _, _, mode in slots])
+    A = np.concatenate([ev.g_grads[list(pattern.I_g)], ev.h_grads,
+                        family_rows[index] * column_sign[:, None]]).T
     free = [*range(ng, ng + p),
             *(ng + p + s for s, (_, _, mode) in enumerate(slots) if mode == "free")]
     feasible, values, _ = LinearProgram(A, -grad_f, free).solve()

@@ -90,6 +90,10 @@ class TestRankMemo:
             res.null_witness[0] = 0.0
         with pytest.raises(ValueError):
             res.null_basis[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            res.left_basis[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            res.right_basis[0, 0] = 0.0
 
     def test_mutated_input_is_factored_afresh(self):
         M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -271,6 +275,59 @@ class TestLinearProgram:
         LinearProgram([[1.0, 2.0, 3.0]], [4.0], free=[1]).solve()
         assert (seen[1][0] + 0.0).tolist() == [[1.0, 2.0, -2.0, 3.0]]
         assert (seen[1][2] + 0.0).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+class TestRangeSolveDifferential:
+    """`range_solve` against the truth of how each system was built.
+
+    A x = b is consistent exactly when b was built in the range of A or
+    A has full row rank.  Rows are scaled by 10^U(-s, s): the first
+    candidate comes from the SVD of the unscaled A^T, which can miss a
+    solution of a badly row-scaled consistent system, and the
+    equilibrated least squares must then decide it.
+    """
+
+    KINDS = ("full_rank", "rank_deficient", "inconsistent")
+    SYSTEMS = 334  # per kind and scale: 4008 in all
+
+    @classmethod
+    def system(cls, kind, s, seed):
+        rng = np.random.default_rng([seed, s, cls.KINDS.index(kind)])
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        if kind == "full_rank":
+            A = rng.normal(size=(m, n))
+            b = rng.normal(size=m) if m <= n else A @ rng.normal(size=n)
+        else:
+            r = int(rng.integers(1, min(m, n)))
+            A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+            # a generic b is outside the range of a rank-deficient A
+            b = A @ rng.normal(size=n) if kind == "rank_deficient" else rng.normal(size=m)
+        rows = 10.0 ** rng.uniform(-s, s, size=m)
+        return rows[:, None] * A, rows * b
+
+    @pytest.mark.parametrize("s", [0, 3, 6, 9])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdict_matches_construction(self, monkeypatch, kind, s):
+        lstsq = np.linalg.lstsq
+        fallbacks = []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: fallbacks.append(1) or lstsq(*a, **kw))
+        rescued = 0  # consistent systems the SVD candidate did not settle
+        for seed in range(self.SYSTEMS):
+            A, b = self.system(kind, s, seed)
+            fallbacks.clear()
+            x, ray = kernels.range_solve(A, b)
+            assert (x is not None) == (kind != "inconsistent"), (kind, s, seed)
+            if x is None:
+                assert kernels.verify_farkas_ray(A, b, ray) <= kernels.WITNESS_RESIDUAL_SLACK
+                continue
+            As, bs, _ = kernels._equilibrate(A, b)
+            assert np.abs(bs - As @ x).sum() <= kernels._INFEASIBLE_TOL * A.shape[0]
+            rescued += bool(fallbacks)
+        if s == 0 or kind == "inconsistent":
+            assert rescued == 0
+        elif s >= 6:
+            assert rescued > 0
 
 
 class TestSignedCombination:

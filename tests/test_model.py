@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mpecq import (ClassificationError, InputError, PointEvaluation,
+from mpecq import (ActivePattern, ClassificationError, InputError, PointEvaluation,
                    Tolerances, canonical_json, check_feasibility,
                    classify_active, digest, gradient_bundle_rnlp,
                    gradient_bundle_tnlp)
@@ -154,6 +154,37 @@ class TestGradientBundles:
         t = gradient_bundle_tnlp(ev, pattern)
         r = gradient_bundle_rnlp(ev, pattern)
         assert np.array_equal(np.sort(t.rows, axis=0), np.sort(r.rows, axis=0))
+
+
+    def test_rows_follow_provenance_in_both_forms(self):
+        rng = np.random.default_rng(5)
+        ev = PointEvaluation.from_dict(record(
+            m=3, l=4, g_vals=[0.0, -1.0, 0.0], G_vals=[0.0, 2.0, 0.0, 0.0],
+            H_vals=[1.0, 0.0, 0.0, 0.0], g_grads=rng.normal(size=(3, 3)).tolist(),
+            G_grads=rng.normal(size=(4, 3)).tolist(),
+            H_grads=rng.normal(size=(4, 3)).tolist()))
+        pattern = classify_active(ev, Tolerances())
+        assert (pattern.I_g, pattern.I_G, pattern.I_H, pattern.I_GH) == ((0, 2), (0,), (1,), (2, 3))
+        grads = {"g": ev.g_grads, "h": ev.h_grads, "G": ev.G_grads, "H": ev.H_grads}
+        t = gradient_bundle_tnlp(ev, pattern)
+        assert t.provenance == (("g", 0), ("g", 2), ("h", 0), ("G", 0), ("G", 2), ("G", 3),
+                                ("H", 1), ("H", 2), ("H", 3))
+        assert t.classes == ("signed",) * 2 + ("free",) * 7
+        r = gradient_bundle_rnlp(ev, pattern)
+        assert r.provenance == (("g", 0), ("g", 2), ("G", 2), ("G", 3), ("H", 2), ("H", 3),
+                                ("h", 0), ("G", 0), ("H", 1))
+        assert r.classes == ("signed",) * 6 + ("free",) * 3
+        for b in (t, r):
+            expected = np.vstack([grads[family][i] for family, i in b.provenance])
+            assert b.rows.tobytes() == expected.tobytes()
+
+    def test_empty_bundle_keeps_its_width(self):
+        ev = PointEvaluation.from_dict(record(m=0, p=0, g_vals=[], h_vals=[],
+                                              g_grads=[], h_grads=[]))
+        empty = ActivePattern((), (), (), ())
+        for build in (gradient_bundle_tnlp, gradient_bundle_rnlp):
+            b = build(ev, empty)
+            assert b.rows.shape == (0, 3) and b.classes == () and b.provenance == ()
 
 
 class TestCanonicalJson:

@@ -5,12 +5,27 @@ import pytest
 
 from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
                    Tolerances, assemble_feasible_point, classify_active,
-                   classify_stationarity, kernels, solve_all_folds, split_folds,
-                   to_evaluation, verify_kkt_equivalence, witness_residual,
-                   witness_satisfies)
+                   classify_stationarity, gradient_bundle_tnlp, kernels,
+                   run_all_checks, solve_all_folds, split_folds, to_evaluation,
+                   verify_kkt_equivalence, witness_residual, witness_satisfies)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
 
 TOL = Tolerances()
+
+
+def svc_point():
+    """An n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C = 10^-0.5."""
+    rng = np.random.default_rng([2, 9])
+    X = rng.normal(0.0, 1.0, size=(60, 5))
+    w = rng.normal(0.0, 1.0, size=5)
+    y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
+    ds = Dataset(X, y)
+    inst = BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
+                                                    int(rng.integers(2 ** 31))))
+    C = 10 ** -0.5
+    point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
+    ev = to_evaluation(inst, point)
+    return ev, classify_active(ev, TOL), inst.grad_f
 
 
 def one_pair_point(grad_f):
@@ -149,6 +164,34 @@ class TestLpCount:
             assert len(lps) == 1
 
 
+class TestOneFactorizationPerSvcPoint:
+    """Without active g and biactive pairs the weak system's A^T is the
+    tightened-NLP bundle, so the CQ checks and the stationarity
+    classifier share one SVD and run no least squares."""
+
+    def test_checks_and_classifier_share_one_svd(self, monkeypatch):
+        ev, pattern, gf = svc_point()
+        assert pattern.I_g == () and pattern.I_GH == ()
+        systems = []
+        range_solve = kernels.range_solve
+        monkeypatch.setattr(kernels, "range_solve",
+                            lambda A, b: systems.append(A) or range_solve(A, b))
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
+        kernels._svd_rank.cache_clear()
+        run_all_checks(ev, pattern, TOL, is_affine=True)
+        report = classify_stationarity(ev, pattern, gf, TOL)
+        assert report.classes["weak"] == "holds"
+        assert kernels._svd_rank.cache_info().misses == 1
+        assert lstsq_calls == []
+        (A,) = systems
+        rows = gradient_bundle_tnlp(ev, pattern).rows
+        assert A.T.shape == rows.shape
+        assert np.ascontiguousarray(A.T).tobytes() == rows.tobytes()
+
+
 class TestWitnessChecks:
     def test_residual_recomputation(self):
         fx = fixture_e1()
@@ -211,17 +254,6 @@ class TestKktEquivalence:
                        reason="the dense simplex loses primal feasibility through "
                               "drift and reports phase 1 unbounded (ROADMAP item 2)")
     def test_svc_point_with_strong_stationarity(self):
-        # n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C = 10^-0.5
-        rng = np.random.default_rng([2, 9])
-        X = rng.normal(0.0, 1.0, size=(60, 5))
-        w = rng.normal(0.0, 1.0, size=5)
-        y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
-        ds = Dataset(X, y)
-        inst = BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
-                                                        int(rng.integers(2 ** 31))))
-        C = 10 ** -0.5
-        point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
-        ev = to_evaluation(inst, point)
-        pattern = classify_active(ev, TOL)
-        assert classify_stationarity(ev, pattern, inst.grad_f, TOL).strongest == "strong"
-        assert verify_kkt_equivalence(ev, pattern, inst.grad_f, TOL)["agree"]
+        ev, pattern, gf = svc_point()
+        assert classify_stationarity(ev, pattern, gf, TOL).strongest == "strong"
+        assert verify_kkt_equivalence(ev, pattern, gf, TOL)["agree"]
