@@ -13,8 +13,7 @@ from .errors import (ClassificationError, ConvergenceError,
                      WitnessVerificationError)
 from .kernels import (CombinationWitness, RankResult, SignedCombinationQuery,
                       is_positive_definite, make_query, numerical_rank,
-                      signed_combination_exists, simplex_solve,
-                      verify_combination)
+                      signed_combination_exists, verify_combination)
 from .model import (ActivePattern, FeasibilityReport, GradientBundle,
                     MpecDimensions, PointEvaluation, Tolerances,
                     canonical_json, check_feasibility, classify_active,
@@ -57,7 +56,7 @@ __all__ = [
     "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
     "lower_level_solve", "make_query", "misclassification_oracle",
     "numerical_rank", "run_all_checks", "run_fixture_suite", "run_fuzz",
-    "signed_combination_exists", "simplex_solve", "solve_all_folds",
+    "signed_combination_exists", "solve_all_folds",
     "split_folds", "structured_index_sets", "to_evaluation",
     "validation_error", "verify_combination", "verify_kkt_equivalence",
     "witness_residual", "witness_satisfies",

@@ -711,7 +711,8 @@ def structured_index_sets(instance: BhoInstance, pattern: LambdaPsiPattern) -> d
     be biactive on unflagged points.
     """
     def globalize(family, locals_):
-        return [instance.pair_index(family, i) for i in locals_]
+        base = instance.pair_index(family, 0)
+        return [base + i for i in locals_]
 
     I_G = (globalize(1, pattern.psi3) + globalize(2, pattern.psi3)
            + globalize(3, pattern.lam3) + globalize(3, pattern.lam_u)

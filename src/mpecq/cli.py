@@ -4,8 +4,9 @@ Subcommands: check, stationarity, fixtures, fuzz, bho build, bho sweep.
 All output is JSON on stdout (pretty-printed, sorted keys) and is
 byte-for-byte deterministic for fixed inputs unless --timing is given.
 Exit codes: 0 success (including an infeasible-point report), 1 a
-verdict or invariant suite failed or a kernel raised (an `MpecqError`
-or a `RuntimeError` such as the simplex iteration cap), 2 malformed
+verdict or invariant suite failed or the package raised (an
+`MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
+generator's `RuntimeError` when it runs out of retries), 2 malformed
 input.
 
 Tolerance resolution order: command-line flag, then MPECQ_* environment
@@ -271,7 +272,7 @@ def _add_tol_flags(parser):
     parser.add_argument("--tol-pd", type=float, default=None,
                         help="positive-definiteness margin (default 1e-10)")
     parser.add_argument("--tol-margin", type=float, default=None,
-                        help="strict-inequality margin (default 1e-6)")
+                        help="accepted for compatibility; no check reads it")
     parser.add_argument("--tol-feas", type=float, default=None,
                         help="feasibility tolerance (default 1e-6)")
     parser.add_argument("--timing", action="store_true",

@@ -16,8 +16,8 @@ also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
 node whose relaxation settles every leaf below it skips its subtree.
 On a full-rank bundle NNAMCQ is one LP, and GMFCQ none: a GMFCQ node
 whose rows have full row rank is certified by that rank alone.  GMFCQ
-keeps its own primal direction route, so the audited NNAMCQ <=> GMFCQ
-edge compares two independent computations.
+poses its own direction systems, so the audited NNAMCQ <=> GMFCQ edge
+compares two different computations.
 
 "undecided" occurs only when the biactive count exceeds the branch
 cap, when the ACQ shortcut does not apply, or (for the model-specific
@@ -261,25 +261,22 @@ def _multipliers_from_witness(witness, labels) -> dict:
     return out
 
 
-def _direction_margin(n: int, eq_rows, geq_rows, strict_rows) -> float:
-    """max t over directions d with eq.d = 0, geq.d >= 0, strict.d >= t.
+def _direction_exists(n: int, eq_rows, geq_rows, strict_rows) -> bool:
+    """Is there a direction d with eq.d = 0, geq.d >= 0 and strict.d > 0?
 
-    Always feasible (d = 0, t = 0); t is capped at 1, and the
-    constraints are a cone in d, so the returned margin is 1 when some
-    direction makes every strict row positive and 0 otherwise, up to
-    rounding.
+    By Motzkin's alternative there is none exactly when eq^T y_E +
+    geq^T y_G + strict^T y_S = 0 has a solution with y_G, y_S >= 0 and
+    1.y_S = 1.  The kernel returns such a y or a verified Farkas ray
+    (-d, t) of that system: eq.d = 0, geq.d >= 0 and strict.d >= t > 0,
+    within the kernel's slack, so either answer carries its certificate.
     """
-    ne, ng, ns = len(eq_rows), len(geq_rows), len(strict_rows)
-    # columns: d (free), t, then one slack per geq row and per strict row
-    A = np.zeros((ne + ng + ns, n + 1 + ng + ns))
-    A[:, :n] = np.reshape([*eq_rows, *geq_rows, *strict_rows], (-1, n))
-    A[ne + ng:, n] = -1.0
-    A[ne:, n + 1:] = -np.eye(ng + ns)
-    lp = LinearProgram(A, np.zeros(ne + ng + ns), range(n))
-    feasible, _, margin = lp.solve(maximize=n)
-    if not feasible:  # cannot happen: d = 0 is feasible
-        raise RuntimeError("direction LP unexpectedly infeasible")
-    return float(margin)
+    rows = np.reshape([*eq_rows, *geq_rows, *strict_rows], (-1, n))
+    A = np.zeros((n + 1, len(rows)))
+    A[:n] = rows.T
+    A[n, len(rows) - len(strict_rows):] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    return LinearProgram(A, b, range(len(eq_rows))).solve()[0] is None
 
 
 def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
@@ -306,10 +303,10 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     those rows, so some direction gives them any signs.  At the root
     these rows are the tightened-NLP bundle, so MPEC-LICQ settles both
     searches.  An R child in (i) has its parent's rows, whose rank test
-    failed, so it skips the test.  Otherwise a node of (i) runs one LP:
-    each assigned R row >= 0 and their sum >= t.  A leaf still not
-    certified is the failing partition; (i) is searched in R, P, Q
-    order, (ii) in P, Q order.
+    failed, so it skips the test.  Otherwise a node of (i) asks for one
+    direction (`_direction_exists`): each assigned R row >= 0 and their
+    sum > 0.  A leaf still not certified is the failing partition; (i)
+    is searched in R, P, Q order, (ii) in P, Q order.
     """
     k = len(pattern.I_GH)
     if k > cap:
@@ -347,9 +344,8 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
             return False
         if not R:  # nothing to certify yet
             return True
-        margin = _direction_margin(n, eq, np.concatenate([g_neg, cone]),
-                                   [np.sum(cone, axis=0)])
-        return margin < tol.strict_margin_eps
+        return not _direction_exists(n, eq, np.concatenate([g_neg, cone]),
+                                     [np.sum(cone, axis=0)])
 
     found = first_leaf(pattern.I_GH, ("R", "P", "Q"), uncertified_i)
     if found is not None:
@@ -368,7 +364,7 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
             if rr.rank < len(eq):
                 return {"condition": "ii-independence",
                         "null_witness": [float(w) for w in rr.null_witness]}
-        if pattern.I_g and _direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
+        if pattern.I_g and not _direction_exists(n, eq, [], g_neg):
             return {"condition": "ii-direction",
                     "detail": "no null-space direction strictly decreases all active g"}
         return None

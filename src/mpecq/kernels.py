@@ -1,24 +1,21 @@
-"""Deterministic numeric kernels: rank, definiteness, and small dense LPs.
+"""Deterministic numeric kernels: rank, definiteness and linear feasibility.
 
 Every qualification and stationarity test in this package reduces to a
 question about a finite collection of gradient rows: is the collection
-linearly independent, does a sign-constrained null combination exist, is
-a direction with prescribed strict margins available.  The kernels here
-answer those questions with explicit certificates, and every certificate
-is re-verified arithmetically before it is returned, so callers never
-have to trust the solver internals.
+linearly independent, does a sign-constrained null combination exist,
+is a multiplier system solvable, is a direction with prescribed strict
+signs available.  The kernels here answer those questions with explicit
+certificates, and every certificate is re-verified arithmetically before
+it is returned, so callers never have to trust the solver internals.
 
-The LP engine is a dense two-phase simplex with Bland's rule.  The
-problems are tiny (tens of rows) and the priority is determinism and
-witness extraction, which rules out floating pivoting heuristics and
-external solvers.  A system with no sign-constrained column and no
-objective is a range question, A x = b with x free (`range_solve`).  It
-is answered first from the SVD of A^T that the rank kernel keeps, and
-only when that solution fails the residual test by equilibrated least
-squares, with a re-verified Farkas ray when there is no solution.
+Each of the last three is one feasibility system, A x = b with x >= 0
+except on the free columns (`LinearProgram`); a direction question is
+posed through its alternative.  It is decided by Lawson-Hanson NNLS on
+equilibrated rows, which returns either a solution that passes the
+residual test or a Farkas ray that passes `verify_farkas_ray`.
 `numerical_rank` keeps the results of its last two distinct inputs, so
-a multiplier system whose A^T is a gradient bundle already factored
-for a rank test costs no second factorization.
+a multiplier system whose A^T is a gradient bundle already factored for
+a rank test costs no second factorization.
 """
 
 from __future__ import annotations
@@ -28,58 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WitnessVerificationError
+from .errors import ConvergenceError, WitnessVerificationError
 
 # Residual slack allowed when re-verifying any returned witness.
 WITNESS_RESIDUAL_SLACK = 1e-6
 
-_PIVOT_TOL = 1e-10
-# Phase 1 cannot be unbounded in exact arithmetic.  When it reports so,
-# Bland's index tie-break on a degenerate ratio test has pivoted on a
-# rounding-noise entry, and phase 1 is rerun once treating entries up
-# to this size as zero.
-_RETRY_PIVOT_TOL = 1e-8
-_ENTER_TOL = 1e-10
-_DRIVE_TOL = 1e-9
 # an equilibrated system A x = b is solvable when the 1-norm of its
 # least residual is at most this times max(1, rows)
 _INFEASIBLE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    objective: float | None
-
-
-def _pivot(T: np.ndarray, z: np.ndarray | None, i: int, j: int) -> None:
-    T[i] = T[i] / T[i, j]
-    col = T[:, j].copy()
-    col[i] = 0.0
-    T -= np.outer(col, T[i])
-    if z is not None:
-        z -= z[j] * T[i]
-
-
-def _pivot_loop(T, basis, z, max_iter, pivot_tol):
-    ncols = T.shape[1] - 1
-    for _ in range(max_iter):
-        cand = np.nonzero(z[:ncols] < -_ENTER_TOL)[0]
-        if cand.size == 0:
-            return "optimal"
-        j = int(cand[0])  # Bland: smallest eligible index
-        col = T[:, j]
-        pos = np.nonzero(col > pivot_tol)[0]
-        if pos.size == 0:
-            return "unbounded"
-        ratios = T[pos, -1] / col[pos]
-        rmin = ratios.min()
-        ties = pos[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
-        i = int(ties[np.argmin(basis[ties])])
-        _pivot(T, z, i, j)
-        basis[i] = j
-    raise RuntimeError("simplex did not terminate within the iteration cap")
+# a column enters the passive set only when its dual entry exceeds this
+# times max(rows, cols); smaller entries are rounding noise
+_DUAL_TOL = 1e-14
 
 
 def _equilibrate(A, b):
@@ -89,179 +45,116 @@ def _equilibrate(A, b):
     return A / scale[:, None], b / scale, scale
 
 
-def simplex_solve(A, b, c, *, max_iter: int = 100000) -> SimplexResult:
-    """Solve min c.x subject to A x = b, x >= 0.
+def verify_farkas_ray(A, b, ray, free) -> float:
+    """Re-check that `ray` proves A x = b has no solution with x >= 0
+    except on the `free` columns.
 
-    Dense tableau, phase 1 with artificial variables, Bland's rule in
-    both phases (guarantees termination on degenerate tableaus).  Rows
-    are equilibrated to unit inf-norm first; that rescaling does not
-    change the feasible set.  A phase 1 that reports unbounded is rerun
-    once at the stricter pivot tolerance `_RETRY_PIVOT_TOL`.
-    """
-    A = np.array(A, dtype=float, ndmin=2)
-    b = np.array(b, dtype=float).ravel()
-    c = np.array(c, dtype=float).ravel()
-    m, n = A.shape
-    if b.shape[0] != m or c.shape[0] != n:
-        raise ValueError("inconsistent LP dimensions")
-    if m == 0:
-        if np.all(c >= -_ENTER_TOL):
-            return SimplexResult("optimal", np.zeros(n), 0.0)
-        return SimplexResult("unbounded", None, None)
-
-    A, b, _ = _equilibrate(A, b)
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    for pivot_tol in (_PIVOT_TOL, _RETRY_PIVOT_TOL):
-        T = np.hstack([A, np.eye(m), b[:, None]])
-        basis = np.arange(n, n + m)
-        z = np.zeros(n + m + 1)
-        z[:n] = -T[:, :n].sum(axis=0)
-        z[-1] = -b.sum()
-        status = _pivot_loop(T, basis, z, max_iter, pivot_tol)
-        if status == "optimal":
-            break
-    else:  # phase 1 is always bounded below by 0
-        raise RuntimeError("phase 1 reported " + status)
-    if -z[-1] > _INFEASIBLE_TOL * max(1.0, m):
-        return SimplexResult("infeasible", None, None)
-
-    # Drive artificials out of the basis; rows that cannot pivot on an
-    # original column are redundant equalities and are dropped.
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            row = np.abs(T[i, :n])
-            cand = np.nonzero(row > _DRIVE_TOL)[0]
-            if cand.size:
-                _pivot(T, None, i, int(cand[0]))
-                basis[i] = int(cand[0])
-            else:
-                drop.append(i)
-    keep = [i for i in range(m) if i not in drop]
-    T = np.hstack([T[keep][:, :n], T[keep][:, -1:]])
-    basis = basis[keep]
-
-    z = np.concatenate([c, [0.0]])
-    for i, bi in enumerate(basis):
-        z -= c[bi] * T[i]
-    status = _pivot_loop(T, basis, z, max_iter, pivot_tol)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None)
-    x = np.zeros(n)
-    x[basis] = np.maximum(T[:, -1], 0.0)
-    return SimplexResult("optimal", x, float(c @ x))
-
-
-def verify_farkas_ray(A, b, ray) -> float:
-    """Re-check that `ray` proves A x = b has no solution with x free.
-
-    For every x, b.y = (b - A x).y + x.(A^T y), so a ray y with b.y > 0
-    and A^T y = 0 rules every x out.  Returns the lean
-    ||A^T y||_inf / b.y and raises WitnessVerificationError when b.y is
-    not positive or the lean exceeds WITNESS_RESIDUAL_SLACK.
+    For every x, b.y = (b - A x).y + x.(A^T y), so a ray y with b.y > 0,
+    A_F^T y = 0 on the free columns and A_N^T y <= 0 on the others rules
+    every such x out.  Returns the lean, the largest of |A_F^T y| and
+    A_N^T y (and 0) over b.y, and raises WitnessVerificationError when
+    b.y is not positive or the lean exceeds WITNESS_RESIDUAL_SLACK.
     """
     A = np.array(A, dtype=float, ndmin=2)
     y = np.asarray(ray, dtype=float)
     gap = float(np.asarray(b, dtype=float) @ y)
     if not gap > 0.0:
         raise WitnessVerificationError(f"Farkas ray gap {gap:.3e} is not positive")
-    lean = float(np.abs(y @ A).max(initial=0.0)) / gap
+    lean = y @ A
+    lean[free] = np.abs(lean[free])
+    lean = float(lean.max(initial=0.0)) / gap
     if lean > WITNESS_RESIDUAL_SLACK:
         raise WitnessVerificationError(f"Farkas ray lean {lean:.3e} too large")
     return lean
 
 
-def range_solve(A, b):
-    """Decide A x = b with every x free.
-
-    Returns (x, None) with a solution x, or (None, ray) with a verified
-    Farkas ray when there is none.
-
-    Rows are equilibrated as in `simplex_solve`, and the system counts as
-    solvable when the equilibrated residual passes the test phase 1
-    applies.  The first candidate is the least-norm solution read off
-    the SVD of A^T = U S V^T from `numerical_rank`, x = U_r S_r^-1 V_r^T b,
-    which is a memo hit when A^T was just factored for a rank test.  That
-    SVD is of the unequilibrated A, so a candidate that fails the test
-    decides nothing: the system is then solved again by least squares on
-    the equilibrated rows.  If that residual fails too, it is a Farkas
-    ray.  It carries rounding of size eps * |A| |x|, which can outweigh a
-    small residual, so the ray is that residual projected off the range
-    of A once more.
-    """
-    A = np.array(A, dtype=float, ndmin=2)
-    b = np.array(b, dtype=float).ravel()
-    m = A.shape[0]
-    if b.shape[0] != m:
-        raise ValueError("inconsistent system dimensions")
-    As, bs, scale = _equilibrate(A, b)
-    tol = _INFEASIBLE_TOL * max(1.0, m)
-    rr = numerical_rank(A.T)
-    x = rr.left_basis @ ((rr.right_basis @ b) / rr.singular_values[:rr.rank])
-    if np.abs(bs - As @ x).sum() <= tol:
-        return x, None
-    x = np.linalg.lstsq(As, bs, rcond=None)[0]
-    r = bs - As @ x
-    if np.abs(r).sum() <= tol:
-        return x, None
-    y = r - As @ np.linalg.lstsq(As, r, rcond=None)[0]
-    ray = y / scale
-    verify_farkas_ray(A, b, ray)
-    return None, ray
+def _lstsq(A, b, columns):
+    """Least-squares solution over `columns`, zero on the others."""
+    x = np.zeros(A.shape[1])
+    x[columns] = np.linalg.lstsq(A[:, columns], b, rcond=None)[0]
+    return x
 
 
 class LinearProgram:
-    """The equality system A x = b with x >= 0 except on the `free` columns.
-
-    Each free column is split into a plus part and a minus part, placed
-    side by side; callers see one signed value per column.  A system
-    with every column free and no objective goes to `range_solve`.
-    """
-
-    # bound on a maximized column, which keeps every LP here bounded
-    CAP = 1.0
+    """The system A x = b with x >= 0 except on the `free` columns."""
 
     def __init__(self, A, b, free=()):
         self.A = np.array(A, dtype=float, ndmin=2)
         self.b = np.array(b, dtype=float).ravel()
+        if self.b.shape[0] != self.A.shape[0]:
+            raise ValueError("inconsistent system dimensions")
         self.free = np.zeros(self.A.shape[1], dtype=bool)
         self.free[list(free)] = True
 
-    def solve(self, maximize: int | None = None):
-        """Return (feasible, values, objective_value).
+    def solve(self):
+        """Return (x, None) with a solution x, or (None, ray) with a
+        verified Farkas ray (`verify_farkas_ray`) when there is none.
 
-        With `maximize`, phase 2 maximizes that column, bounded by CAP
-        through a slack in an extra last row and last column.
+        Rows are equilibrated to unit inf-norm over [A | b], which
+        changes neither the solutions nor the rays up to row scaling.
+        A system with every column free first tries the least-norm
+        solution read off the SVD of A^T that `numerical_rank` keeps,
+        x = U_r S_r^-1 V_r^T b, a memo hit when A^T was just factored
+        for a rank test.  Every system then runs Lawson & Hanson's NNLS
+        (Solving Least Squares Problems, 1974, ch. 23) on the
+        equilibrated rows, starting from the passive set of free
+        columns, which never leave it; with every column free that is
+        one least-squares solve.  A candidate x counts as a solution
+        when its equilibrated residual has 1-norm at most
+        _INFEASIBLE_TOL * max(1, rows).  At the NNLS optimum the
+        residual r has A_P^T r = 0 on the passive columns, A_Z^T r <= 0
+        on the others and b.r = |r|^2 > 0, so it is a Farkas ray.  It
+        carries rounding of size eps * |A| |x|, which can outweigh a
+        small residual, so it is projected off the range of the passive
+        columns once more before it is re-checked.  Raises
+        ConvergenceError after 3 * cols + 10 outer iterations.
         """
-        if maximize is None and self.free.all():
-            x, _ = range_solve(self.A, self.b)
-            return (False, None, None) if x is None else (True, x, 0.0)
-        counts = 1 + self.free
-        plus = np.cumsum(counts) - counts
-        source = np.repeat(np.arange(counts.size), counts)
-        sign = np.ones(source.size)
-        sign[plus[self.free] + 1] = -1.0
-        m, n = self.A.shape[0], source.size
-        capped = int(maximize is not None)
-        A = np.zeros((m + capped, n + capped))
-        A[:m, :n] = self.A[:, source] * sign
-        b, c = self.b, np.zeros(n + capped)
-        if capped:
-            parts = np.flatnonzero(source == maximize)
-            A[m, parts] = sign[parts]
-            A[m, n] = 1.0
-            b = np.append(b, self.CAP)
-            c[parts] = -sign[parts]
-        res = simplex_solve(A, b, c)
-        if res.status == "infeasible":
-            return False, None, None
-        values = res.x[plus]
-        values[self.free] -= res.x[plus[self.free] + 1]
-        obj = values[maximize] if maximize is not None else 0.0
-        return True, values, float(obj)
+        A, b, free = self.A, self.b, self.free
+        m, n = A.shape
+        As, bs, scale = _equilibrate(A, b)
+        tol = _INFEASIBLE_TOL * max(1.0, m)
+        if free.all():
+            rr = numerical_rank(A.T)
+            x = rr.left_basis @ ((rr.right_basis @ b) / rr.singular_values[:rr.rank])
+            if np.abs(bs - As @ x).sum() <= tol:
+                return x, None
+        passive = free.copy()
+        x = _lstsq(As, bs, passive)
+        dual_tol = _DUAL_TOL * max(m, n)
+        for _ in range(3 * n + 10):
+            r = bs - As @ x
+            if np.abs(r).sum() <= tol:
+                return x, None
+            if passive.all():
+                break
+            dual = np.where(passive, -np.inf, r @ As)
+            j = int(np.argmax(dual))
+            if dual[j] <= dual_tol:
+                break
+            passive[j] = True
+            z = _lstsq(As, bs, passive)
+            if z[j] <= 0.0:  # the dual entry was rounding noise
+                passive[j] = False
+                break
+            while True:
+                blocked = np.flatnonzero(passive & ~free & (z <= 0.0))
+                if not blocked.size:
+                    break
+                # step from x toward z until the first constrained value hits 0
+                steps = x[blocked] / (x[blocked] - z[blocked])
+                x += steps.min() * (z - x)
+                x[blocked[np.argmin(steps)]] = 0.0
+                passive &= free | (x > 0.0)
+                x[~passive] = 0.0
+                z = _lstsq(As, bs, passive)
+            x = z
+        else:
+            raise ConvergenceError("NNLS did not reach its optimum",
+                                   float(np.abs(r).sum()), 3 * n + 10)
+        y = r - As @ _lstsq(As, r, passive)
+        ray = y / scale
+        verify_farkas_ray(A, b, ray, free)
+        return None, ray
 
 
 @dataclass(frozen=True)
@@ -437,9 +330,8 @@ def signed_combination_exists(query: SignedCombinationQuery, *,
     before being handed back; zero-class rows always get coefficient 0.
 
     Decision procedure: a dependence among the free rows alone settles
-    the question via the rank kernel (the only route that cannot be
-    polluted by the split-variable artifact); otherwise any witness
-    carries nonneg mass, and an LP normalized to unit nonneg mass
+    the question via the rank kernel; otherwise any witness carries
+    nonneg mass, and the feasibility system with unit nonneg mass
     decides.
     """
     kn, kz, kf = query.nonneg.shape[0], query.zero.shape[0], query.free.shape[0]
@@ -461,7 +353,7 @@ def signed_combination_exists(query: SignedCombinationQuery, *,
     A[:-1] = np.hstack([query.nonneg.T, query.free.T])
     A[-1, :kn] = 1.0
     b = np.append(np.zeros(query.dim), 1.0)
-    feasible, values, _ = LinearProgram(A, b, range(kn, kn + kf)).solve()
-    if not feasible:
+    values, _ = LinearProgram(A, b, range(kn, kn + kf)).solve()
+    if values is None:
         return CombinationWitness(False, None, None)
     return assemble(values[:kn], values[kn:kn + kf])

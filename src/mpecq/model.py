@@ -29,7 +29,9 @@ class Tolerances:
     activity_eps    absolute activity threshold |value| <= eps
     rank_rel_tol    relative SVD cutoff for numerical rank
     pd_eps          relative eigenvalue floor for definiteness
-    strict_margin_eps  acceptance margin for strict direction inequalities (GMFCQ)
+    strict_margin_eps  accepted and validated so that existing settings keep
+                    working, but read by no check: GMFCQ decides its
+                    strict direction inequalities exactly
     feas_eps        feasibility residual tolerance
     """
 

@@ -90,8 +90,8 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                         family_rows[index] * column_sign[:, None]]).T
     free = [*range(ng, ng + p),
             *(ng + p + s for s, (_, _, mode) in enumerate(slots) if mode == "free")]
-    feasible, values, _ = LinearProgram(A, -grad_f, free).solve()
-    if not feasible:
+    values, _ = LinearProgram(A, -grad_f, free).solve()
+    if values is None:
         return None
 
     multipliers = {
@@ -286,6 +286,6 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                          prod_grads.T])
     ng, ncols = len(pattern.I_g), A.shape[1]
     free = [*range(ng, ng + ev.dims.p), *range(ncols - len(tau), ncols)]
-    kkt_ok, _, _ = LinearProgram(A, -np.asarray(grad_f, dtype=float), free).solve()
-    return {"strong_feasible": bool(strong_ok), "kkt_feasible": bool(kkt_ok),
-            "agree": bool(strong_ok) == bool(kkt_ok)}
+    kkt_ok = LinearProgram(A, -np.asarray(grad_f, dtype=float), free).solve()[0] is not None
+    return {"strong_feasible": strong_ok, "kkt_feasible": kkt_ok,
+            "agree": strong_ok == kkt_ok}

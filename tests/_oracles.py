@@ -2,20 +2,20 @@
 
 Everything here is deliberately implemented with different mathematics
 than the package (exact rational arithmetic instead of SVD, exhaustive
-enumeration with strict-margin LPs instead of a pruned search over
-closed branches), so that agreement between the two routes is
-meaningful evidence.
+enumeration with strict-margin LPs solved by HiGHS instead of a pruned
+search over closed branches decided by NNLS), so that agreement between
+the two routes is meaningful evidence.  scipy is a test-time dependency
+only; the package never imports it.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from mpecq import (make_query, numerical_rank,
                    signed_combination_exists)
-from mpecq.cq import _direction_margin
-from mpecq.kernels import LinearProgram
 
 
 def rational_rank(matrix) -> int:
@@ -72,18 +72,48 @@ def rational_lineq_feasible(rows, rhs) -> bool:
 # definitions so the two routes can be compared verdict for verdict.
 
 
+def _highs_max_t(A_eq, b_eq, A_ub, free):
+    """max t over (x, t) with A_eq (x, t) = b_eq, A_ub (x, t) <= 0,
+    x_j >= 0 off `free` and 0 <= t <= 1; None when infeasible."""
+    nx = A_eq.shape[1] - 1
+    c = np.zeros(nx + 1)
+    c[-1] = -1.0
+    bounds = [(None, None) if j in free else (0.0, None) for j in range(nx)]
+    res = linprog(c, A_ub=A_ub if len(A_ub) else None,
+                  b_ub=np.zeros(len(A_ub)) if len(A_ub) else None,
+                  A_eq=A_eq if len(A_eq) else None, b_eq=b_eq if len(A_eq) else None,
+                  bounds=bounds + [(0.0, 1.0)], method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return -res.fun
+
+
 def _max_margin(columns, rhs, free, strict, eps):
     """Is sum_j x_j columns[j] = rhs solvable with x_j >= 0 off `free`
     and x_j >= t >= eps on `strict`?  (t capped at 1)"""
     X = np.column_stack(columns)
     strict = list(strict)
-    # columns: x, t, one slack per strict x_j with x_j - t - slack = 0
-    A = np.block([[X, np.zeros((X.shape[0], 1 + len(strict)))],
-                  [np.eye(X.shape[1])[strict], -np.ones((len(strict), 1)),
-                   -np.eye(len(strict))]])
-    lp = LinearProgram(A, np.append(rhs, np.zeros(len(strict))), free)
-    feasible, _, margin = lp.solve(maximize=X.shape[1])
-    return feasible and (not strict or margin >= eps)
+    A_eq = np.hstack([X, np.zeros((X.shape[0], 1))])
+    # t - x_j <= 0 on every strict column
+    A_ub = np.hstack([-np.eye(X.shape[1])[strict], np.ones((len(strict), 1))])
+    margin = _highs_max_t(A_eq, np.asarray(rhs, dtype=float), A_ub, set(free))
+    return margin is not None and (not strict or margin >= eps)
+
+
+def direction_margin(n, eq_rows, geq_rows, strict_rows):
+    """max t over directions d with eq.d = 0, geq.d >= 0, strict.d >= t,
+    t capped at 1: 1 when some direction makes every strict row
+    positive and 0 otherwise, up to rounding."""
+    def block(rows):
+        return np.reshape(np.asarray(rows, dtype=float), (-1, n))
+
+    eq, geq, strict = block(eq_rows), block(geq_rows), block(strict_rows)
+    A_eq = np.hstack([eq, np.zeros((len(eq), 1))])
+    A_ub = np.vstack([np.hstack([-geq, np.zeros((len(geq), 1))]),
+                      np.hstack([-strict, np.ones((len(strict), 1))])])
+    return _highs_max_t(A_eq, np.zeros(len(eq)), A_ub, set(range(n)))
 
 
 def nnamcq_oracle(ev, pattern, tol) -> str:
@@ -145,7 +175,7 @@ def gmfcq_oracle_failure(ev, pattern, tol):
             continue
         eq = eq_rows(P, Q)
         cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
-        if not any(_direction_margin(n, eq, g_neg + cone[:j] + cone[j + 1:], [cone[j]])
+        if not any(direction_margin(n, eq, g_neg + cone[:j] + cone[j + 1:], [cone[j]])
                    >= tol.strict_margin_eps for j in range(len(cone))):
             return "i", P, Q, R
     for assign in itertools.product("PQ", repeat=k):
@@ -153,7 +183,7 @@ def gmfcq_oracle_failure(ev, pattern, tol):
         eq = eq_rows(P, Q)
         if eq and numerical_rank(np.vstack(eq), tol.rank_rel_tol).rank < len(eq):
             return "ii-independence", P, Q, []
-        if g_neg and _direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
+        if g_neg and direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
             return "ii-direction", P, Q, []
     return None
 

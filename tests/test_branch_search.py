@@ -16,12 +16,12 @@ from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
                    assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, cq, gen_bho_case,
                    kernels, to_evaluation)
-from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_margin, first_leaf
+from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
 from mpecq.fixtures import all_fixtures
 from mpecq.fuzz import FORCE_MODES
 from mpecq.stationarity import CLASS_ORDER
-from _oracles import (gmfcq_oracle, gmfcq_oracle_failure, nnamcq_oracle,
-                      rational_rank, stationarity_oracle)
+from _oracles import (direction_margin, gmfcq_oracle, gmfcq_oracle_failure,
+                      nnamcq_oracle, rational_rank, stationarity_oracle)
 from conftest import FUZZ_POINTS, FUZZ_SEED, PINNED_TOL
 
 TOL = Tolerances()
@@ -135,9 +135,9 @@ def test_search_cost_stays_polynomial_where_enumeration_explodes(monkeypatch):
     # k = 10 is 59049 branches for the exhaustive NNAMCQ enumeration
     k = 10
     calls = []
-    solve = kernels.simplex_solve
-    monkeypatch.setattr(kernels, "simplex_solve",
-                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    solve = kernels.LinearProgram.solve
+    monkeypatch.setattr(kernels.LinearProgram, "solve",
+                        lambda self: calls.append(1) or solve(self))
     ev, grad_f = biactive_point(k, "holds")
     pattern = classify_active(ev, TOL)
 
@@ -157,13 +157,13 @@ def test_search_cost_stays_polynomial_where_enumeration_explodes(monkeypatch):
                                  "partitions_ii": 2 ** k}
 
 
-def test_degenerate_node_lp_from_fuzz_corpus(monkeypatch):
-    # forced gh3 case 64 of the acceptance corpus: the GMFCQ (i) LP of
-    # the node that puts the one biactive pair in R is fully degenerate,
-    # and Bland's index tie-break pivots on rounding noise until phase 1
-    # reports unbounded; the kernel reruns phase 1 at a stricter pivot
-    # tolerance.  The bundle has full rank, so GMFCQ itself certifies
-    # the node by rank and the LP is driven here on the node's rows.
+def test_degenerate_node_lp_from_fuzz_corpus():
+    # forced gh3 case 64 of the acceptance corpus: the GMFCQ (i) direction
+    # system of the node that puts the one biactive pair in R is fully
+    # degenerate, and the dense simplex that once decided it pivoted on
+    # rounding noise there.  The bundle has full rank, so GMFCQ itself
+    # certifies the node by rank and the system is posed here on the
+    # node's rows.
     forced = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2]
     case = gen_bho_case(np.random.default_rng(forced.spawn(250)[64]), "gh3", PINNED_TOL)
     point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
@@ -173,17 +173,9 @@ def test_degenerate_node_lp_from_fuzz_corpus(monkeypatch):
     i = pattern.I_GH[0]
     eq = [ev.G_grads[j] for j in pattern.I_G] + [ev.H_grads[j] for j in pattern.I_H]
     cone = [ev.G_grads[i], ev.H_grads[i]]
-    tols = []
-    loop = kernels._pivot_loop
-
-    def logged(T, basis, z, max_iter, pivot_tol):
-        tols.append(pivot_tol)
-        return loop(T, basis, z, max_iter, pivot_tol)
-
-    monkeypatch.setattr(kernels, "_pivot_loop", logged)
-    margin = _direction_margin(ev.dims.n, eq, cone, [np.sum(cone, axis=0)])
-    assert kernels._RETRY_PIVOT_TOL in tols, "no LP needed the retry; pick another repro"
-    assert margin >= PINNED_TOL.strict_margin_eps
+    strict = [np.sum(cone, axis=0)]
+    assert _direction_exists(ev.dims.n, eq, cone, strict)
+    assert direction_margin(ev.dims.n, eq, cone, strict) >= PINNED_TOL.strict_margin_eps
     assert check_mpec_gmfcq(ev, pattern, PINNED_TOL).status == "holds"
     assert gmfcq_oracle(ev, pattern, PINNED_TOL) == ("holds", None)
 

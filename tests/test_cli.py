@@ -1,11 +1,15 @@
 """Command-line interface tests: JSON payloads, env overrides, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mpecq
 from mpecq import (BhoInstance, Dataset, Tolerances, assemble_feasible_point,
                    kernels, solve_all_folds, split_folds)
 from mpecq.cli import build_parser, main
@@ -153,14 +157,14 @@ class TestExitCodes:
         assert code == 2 and "MPECQ_TOL_ACTIVITY" in err
 
     def test_kernel_runtime_error_exits_one(self, capsys, tmp_path, monkeypatch):
-        def crash(A, b, c):
-            raise RuntimeError("phase 1 reported unbounded")
+        def crash(self):
+            raise RuntimeError("kernel failure")
 
-        monkeypatch.setattr(kernels, "simplex_solve", crash)
+        monkeypatch.setattr(kernels.LinearProgram, "solve", crash)
         path = write_json(tmp_path, "e2.json", e2_record())
         code, out, err = run_cli(capsys, ["check", "--input", path])
         assert code == 1 and out == ""
-        assert err == "error: RuntimeError: phase 1 reported unbounded\n"
+        assert err == "error: RuntimeError: kernel failure\n"
 
     def test_nonpositive_tolerance_flag(self, capsys, tmp_path):
         path = write_json(tmp_path, "e2.json", e2_record())
@@ -260,3 +264,16 @@ class TestFuzzCommand:
         assert payload["violations"] == []
         assert payload["counts"]["affine_points"] == 2
         assert payload["counts"]["bho_forced_points"] == 50
+
+
+class TestDependencies:
+    def test_package_and_cli_import_no_scipy(self):
+        # scipy is a test-time oracle only; the package must run on numpy alone
+        src = str(pathlib.Path(mpecq.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, mpecq, mpecq.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out == "[]\n"

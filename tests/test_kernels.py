@@ -1,12 +1,16 @@
-"""Kernel-layer tests: rank, definiteness, simplex, sign-constrained combos."""
+"""Kernel-layer tests: rank, definiteness, feasibility, sign-constrained combos."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.optimize import linprog
+from scipy.sparse import block_diag
+
 from mpecq import (WitnessVerificationError, is_positive_definite, kernels,
                    make_query, numerical_rank, signed_combination_exists,
-                   simplex_solve, verify_combination)
+                   verify_combination)
+from mpecq.cq import _direction_exists
 from mpecq.kernels import LinearProgram
 from _oracles import rational_rank
 
@@ -132,42 +136,41 @@ class TestPositiveDefinite:
         assert is_positive_definite(B @ B.T)
 
 
-class TestSimplex:
-    def test_known_optimum(self):
-        # min -x1 - 2 x2 s.t. x1 + x2 + s = 4, x2 + t = 3
-        A = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-        b = np.array([4.0, 3.0])
-        c = np.array([-1.0, -2.0, 0.0, 0.0])
-        res = simplex_solve(A, b, c)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-7.0, abs=1e-9)
-        assert res.x[:2] == pytest.approx([1.0, 3.0], abs=1e-9)
+def highs_ds_feasible(A, b):
+    """The verdict of HiGHS's dual simplex on A x = b with x >= 0."""
+    res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0.0, None),
+                  method="highs-ds")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def equilibrated_residual_passes(A, b, x):
+    As, bs, _ = kernels._equilibrate(A, b)
+    return np.abs(bs - As @ x).sum() <= kernels._INFEASIBLE_TOL * max(1, A.shape[0])
+
+
+class TestLinearProgram:
+    def test_free_column_value_is_recombined(self):
+        # x0 free, x1 >= 0: x0 + x1 = -2, x1 = 1
+        x, ray = LinearProgram([[1.0, 1.0], [0.0, 1.0]], [-2.0, 1.0], free=[0]).solve()
+        assert ray is None
+        assert x == pytest.approx([-3.0, 1.0], abs=1e-12)
 
     def test_infeasible(self):
-        # x1 = -1 with x1 >= 0
-        res = simplex_solve([[1.0]], [-1.0], [0.0])
-        assert res.status == "infeasible"
-
-    def test_unbounded(self):
-        # min -x1 s.t. x1 - x2 = 0: ray (t, t)
-        res = simplex_solve([[1.0, -1.0]], [0.0], [-1.0, 0.0])
-        assert res.status == "unbounded"
+        # x0 = -1 with x0 >= 0; the ray y = -1 has b.y = 1 and A^T y = -1 <= 0
+        x, ray = LinearProgram([[1.0]], [-1.0]).solve()
+        assert x is None and ray.tolist() == [-1.0]
+        assert kernels.verify_farkas_ray([[1.0]], [-1.0], ray, []) == 0.0
 
     def test_degenerate_terminates(self):
-        A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        b = np.array([0.0, 0.0])
-        c = np.array([-1.0, 0.0, 0.0])
-        res = simplex_solve(A, b, c)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
+        # b = 0 on a pointed cone: only x = 0 solves it
+        x, ray = LinearProgram([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [0.0, 0.0]).solve()
+        assert ray is None and x.tolist() == [0.0, 0.0, 0.0]
 
     def test_redundant_rows_handled(self):
-        A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b = np.array([2.0, 4.0])
-        c = np.array([1.0, 0.0])
-        res = simplex_solve(A, b, c)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(0.0, abs=1e-9)
+        x, ray = LinearProgram([[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0]).solve()
+        assert ray is None and x.min() >= 0.0
+        assert np.abs(np.array([[1.0, 1.0], [2.0, 2.0]]) @ x - [2.0, 4.0]).max() < 1e-12
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -175,39 +178,11 @@ class TestSimplex:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
         A = int_matrix(rng, m, n, -3, 3)
-        x0 = rng.uniform(0.0, 2.0, size=n)  # guarantees feasibility
-        b = A @ x0
-        c = int_matrix(rng, 1, n, -2, 2).ravel()
-        res = simplex_solve(A, b, c)
-        assert res.status in ("optimal", "unbounded")
-        if res.status == "optimal":
-            assert np.abs(A @ res.x - b).max() < 1e-7
-            assert res.x.min() > -1e-9
-            assert res.objective <= c @ x0 + 1e-7
-
-
-class TestLinearProgram:
-    def test_free_column_value_is_recombined(self):
-        # x0 free, x1 >= 0: x0 + x1 = -2, x1 = 1
-        feasible, values, obj = LinearProgram([[1.0, 1.0], [0.0, 1.0]],
-                                              [-2.0, 1.0], free=[0]).solve()
-        assert feasible and obj == 0.0
-        assert values.tolist() == [-3.0, 1.0]
-
-    def test_maximize_stops_at_the_cap(self):
-        # x0 - x1 = 0 alone leaves x0 unbounded above
-        feasible, values, margin = LinearProgram([[1.0, -1.0]], [0.0]).solve(maximize=0)
-        assert feasible
-        assert margin == LinearProgram.CAP == 1.0
-        assert values[0] == 1.0
-
-    def test_maximize_pinned_at_zero(self):
-        feasible, _, margin = LinearProgram([[1.0, 1.0]], [0.0]).solve(maximize=0)
-        assert feasible and margin == 0.0
-
-    def test_infeasible(self):
-        assert LinearProgram([[1.0]], [-1.0]).solve() == (False, None, None)
-        assert LinearProgram([[1.0]], [-1.0]).solve(maximize=0) == (False, None, None)
+        b = A @ rng.uniform(0.0, 2.0, size=n)  # guarantees feasibility
+        x, ray = LinearProgram(A, b).solve()
+        assert ray is None
+        assert np.abs(A @ x - b).max() < 1e-7
+        assert x.min() >= 0.0
 
     KINDS = ("full_rank", "rank_deficient", "inconsistent")
 
@@ -226,59 +201,39 @@ class TestLinearProgram:
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("kind", KINDS)
-    def test_all_free_verdict_matches_simplex(self, monkeypatch, kind, seed):
+    def test_all_free_verdict_matches_simplex(self, kind, seed):
+        # the reference is HiGHS's dual simplex on the split form x = u - v
         A, b = self.all_free_system(kind, seed)
-        split = simplex_solve(np.hstack([A, -A]), b, np.zeros(2 * A.shape[1]))
-        monkeypatch.setattr(kernels, "simplex_solve", None)  # the range route only
-        feasible, x, obj = LinearProgram(A, b, range(A.shape[1])).solve()
-        assert feasible == (split.status == "optimal") == (kind != "inconsistent")
-        if feasible:
-            assert obj == 0.0
+        split = highs_ds_feasible(np.hstack([A, -A]), b)
+        x, ray = LinearProgram(A, b, range(A.shape[1])).solve()
+        assert (x is not None) == split == (kind != "inconsistent")
+        if x is not None:
             assert np.abs(A @ x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_farkas_ray_is_verified(self, seed):
         A, b = self.all_free_system("inconsistent", seed)
-        x, ray = kernels.range_solve(A, b)
+        free = range(A.shape[1])
+        x, ray = LinearProgram(A, b, free).solve()
         assert x is None
-        assert kernels.verify_farkas_ray(A, b, ray) <= kernels.WITNESS_RESIDUAL_SLACK
+        assert kernels.verify_farkas_ray(A, b, ray, free) <= kernels.WITNESS_RESIDUAL_SLACK
         for bad in (-ray, ray + 0.1 * A @ np.ones(A.shape[1]) / np.abs(A).max()):
             with pytest.raises(WitnessVerificationError):
-                kernels.verify_farkas_ray(A, b, bad)
+                kernels.verify_farkas_ray(A, b, bad, free)
 
     def test_all_free_empty_systems(self):
-        feasible, x, obj = LinearProgram(np.zeros((0, 3)), [], free=range(3)).solve()
-        assert feasible and x.tolist() == [0.0, 0.0, 0.0] and obj == 0.0
-        feasible, x, obj = LinearProgram(np.zeros((2, 0)), [0.0, 0.0]).solve()
-        assert feasible and x.size == 0 and obj == 0.0
+        x, ray = LinearProgram(np.zeros((0, 3)), [], free=range(3)).solve()
+        assert ray is None and x.tolist() == [0.0, 0.0, 0.0]
+        x, ray = LinearProgram(np.zeros((2, 0)), [0.0, 0.0]).solve()
+        assert ray is None and x.size == 0
         A, b = np.zeros((2, 0)), [0.0, -3.0]
-        assert LinearProgram(A, b).solve() == (False, None, None)
-        assert simplex_solve(A, b, []).status == "infeasible"
-        x, ray = kernels.range_solve(A, b)
-        assert x is None and kernels.verify_farkas_ray(A, b, ray) == 0.0
-
-    def test_column_layout(self, monkeypatch):
-        # a free column's plus and minus parts sit side by side, the cap
-        # row and its slack come last; the pivot path depends on this order
-        seen = []
-        solve = kernels.simplex_solve
-        monkeypatch.setattr(kernels, "simplex_solve",
-                            lambda A, b, c: seen.append((A, b, c)) or solve(A, b, c))
-        feasible, values, margin = LinearProgram([[1.0, 2.0, 3.0]], [4.0],
-                                                 free=[1]).solve(maximize=1)
-        assert feasible and margin == 1.0 and values[1] == 1.0
-        (A, b, c), = seen
-        assert (A + 0.0).tolist() == [[1.0, 2.0, -2.0, 3.0, 0.0],
-                                      [0.0, 1.0, -1.0, 0.0, 1.0]]
-        assert b.tolist() == [4.0, 1.0]
-        assert (c + 0.0).tolist() == [0.0, -1.0, 1.0, 0.0, 0.0]
-        LinearProgram([[1.0, 2.0, 3.0]], [4.0], free=[1]).solve()
-        assert (seen[1][0] + 0.0).tolist() == [[1.0, 2.0, -2.0, 3.0]]
-        assert (seen[1][2] + 0.0).tolist() == [0.0, 0.0, 0.0, 0.0]
+        x, ray = LinearProgram(A, b).solve()
+        assert x is None and kernels.verify_farkas_ray(A, b, ray, []) == 0.0
 
 
 class TestRangeSolveDifferential:
-    """`range_solve` against the truth of how each system was built.
+    """All-free systems, the range question, against the truth of how
+    each system was built.
 
     A x = b is consistent exactly when b was built in the range of A or
     A has full row rank.  Rows are scaled by 10^U(-s, s): the first
@@ -315,19 +270,140 @@ class TestRangeSolveDifferential:
         rescued = 0  # consistent systems the SVD candidate did not settle
         for seed in range(self.SYSTEMS):
             A, b = self.system(kind, s, seed)
+            free = range(A.shape[1])
             fallbacks.clear()
-            x, ray = kernels.range_solve(A, b)
+            x, ray = LinearProgram(A, b, free).solve()
             assert (x is not None) == (kind != "inconsistent"), (kind, s, seed)
             if x is None:
-                assert kernels.verify_farkas_ray(A, b, ray) <= kernels.WITNESS_RESIDUAL_SLACK
+                assert kernels.verify_farkas_ray(A, b, ray, free) <= kernels.WITNESS_RESIDUAL_SLACK
                 continue
-            As, bs, _ = kernels._equilibrate(A, b)
-            assert np.abs(bs - As @ x).sum() <= kernels._INFEASIBLE_TOL * A.shape[0]
+            assert equilibrated_residual_passes(A, b, x)
             rescued += bool(fallbacks)
         if s == 0 or kind == "inconsistent":
             assert rescued == 0
         elif s >= 6:
             assert rescued > 0
+
+
+def highs_max_taus(blocks):
+    """HiGHS's max of sum_k t_k over independent blocks, one linprog call.
+
+    Block k is (A_eq, A_ub, free) over columns (x_k, t_k): A_eq (x, t) =
+    0, A_ub (x, t) <= 0, x_j >= 0 off `free` and 0 <= t_k <= 1.  No two
+    blocks share a row or a column, so the maximum of the sum maximizes
+    every t_k.  Returns the t_k.
+    """
+    bounds, last = [], []
+    for A_eq, _, free in blocks:
+        n = A_eq.shape[1] - 1
+        bounds += [(None, None) if j in free else (0.0, None) for j in range(n)]
+        bounds.append((0.0, 1.0))
+        last.append(len(bounds) - 1)
+    A_eq = block_diag([blk[0] for blk in blocks], format="csr")
+    A_ub = block_diag([blk[1] for blk in blocks], format="csr")
+    c = np.zeros(len(bounds))
+    c[last] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]), A_eq=A_eq,
+                  b_eq=np.zeros(A_eq.shape[0]), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.x[last]
+
+
+class TestKernelAgainstHighs:
+    """`LinearProgram.solve` and `cq._direction_exists` against HiGHS on
+    systems with mixed free and sign-constrained columns.
+
+    Half the right-hand sides are built as A x0 with x0 >= 0 off the
+    free columns and some entries of x0 at 0, so the feasible systems
+    include degenerate ones; the others are drawn at random.  Rows are
+    then scaled by 10^U(-s, s).  Row scaling changes no verdict, so
+    HiGHS decides the unscaled system and the kernels the scaled one.
+
+    HiGHS decides each system as the LP max t over A x = t b, x >= 0 off
+    the free columns, 0 <= t <= 1, whose optimum is 1 when A x = b is
+    feasible and 0 otherwise, and each direction question, by Farkas'
+    lemma some d with A_F^T d = 0, A_N^T d >= 0 and -b.d > 0 exactly
+    when A x = b is infeasible, as the max-margin LP max t over -b.d >= t
+    with t <= 1.  The systems of a test are independent blocks of one
+    LP, so one HiGHS call decides them all.
+    """
+
+    KINDS = ("random", "rank_deficient", "integer")
+    SYSTEMS = 1112  # per kind and scale: 10008 in all
+
+    @classmethod
+    def system(cls, kind, s, seed):
+        rng = np.random.default_rng([seed, s, cls.KINDS.index(kind), 7])
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        free = np.flatnonzero(rng.random(n) < 0.3)
+        if kind == "random":
+            A = rng.normal(size=(m, n))
+        elif kind == "rank_deficient":
+            r = int(rng.integers(1, max(2, min(m, n))))
+            A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            A = int_matrix(rng, m, n, -3, 3)
+        if rng.random() < 0.5:
+            x0 = int_matrix(rng, 1, n, -2, 2)[0] if kind == "integer" else rng.normal(size=n)
+            x0 = np.where(np.isin(np.arange(n), free), x0, np.abs(x0))
+            x0[rng.random(n) < 0.3] = 0.0
+            b = A @ x0
+        else:
+            b = int_matrix(rng, 1, m, -3, 3)[0] if kind == "integer" else rng.normal(size=m)
+        rows = 10.0 ** rng.uniform(-s, s, size=m)
+        return A, b, free, rows
+
+    @pytest.mark.parametrize("s", [0, 3, 6])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdicts_and_certificates(self, kind, s):
+        systems = [self.system(kind, s, seed) for seed in range(self.SYSTEMS)]
+        primal, dual = [], []
+        for A, b, free, _ in systems:
+            m, n = A.shape
+            primal.append((np.hstack([A, -b[:, None]]), np.zeros((0, n + 1)), set(free)))
+            signed = np.delete(np.arange(n), free)
+            dual.append((np.hstack([A[:, free].T, np.zeros((len(free), 1))]),
+                         np.vstack([np.hstack([-A[:, signed].T, np.zeros((len(signed), 1))]),
+                                    np.append(b, 1.0)]),
+                         set(range(m))))
+        feasible_t, margin_t = highs_max_taus(primal), highs_max_taus(dual)
+        # the reference is unambiguous: every optimum is 0 or 1
+        for t in (feasible_t, margin_t):
+            assert np.minimum(t, 1.0 - t).max() < 1e-6
+        assert np.array_equal(feasible_t > 0.5, margin_t < 0.5)
+        for seed, ((A, b, free, rows), feasible) in enumerate(zip(systems, feasible_t > 0.5)):
+            As, bs = rows[:, None] * A, rows * b
+            x, ray = LinearProgram(As, bs, free).solve()
+            assert (x is not None) == feasible, (kind, s, seed)
+            if x is None:
+                assert kernels.verify_farkas_ray(As, bs, ray, free) <= kernels.WITNESS_RESIDUAL_SLACK
+            else:
+                assert equilibrated_residual_passes(As, bs, x)
+                assert np.delete(x, free).min(initial=0.0) >= 0.0
+            signed = np.delete(np.arange(A.shape[1]), free)
+            assert _direction_exists(A.shape[0], As[:, free].T, As[:, signed].T,
+                                     [-bs]) == (not feasible), (kind, s, seed)
+        assert self.SYSTEMS // 5 < np.count_nonzero(feasible_t > 0.5) < self.SYSTEMS * 4 // 5
+
+    def test_ray_leaning_on_a_signed_column_is_rejected(self):
+        A = np.array([[1.0, 1.0], [1.0, -1.0]])
+        b = np.array([-1.0, -1.0])  # x0 = -1, x1 = 0 is the only solution
+        x, ray = LinearProgram(A, b).solve()
+        assert x is None
+        assert kernels.verify_farkas_ray(A, b, ray, []) <= kernels.WITNESS_RESIDUAL_SLACK
+        gap = float(b @ ray)
+        for j in range(2):
+            for lean in (1e-3, -1e-3):
+                # column j bent so that A_j^T y = lean * b.y
+                bent = A.copy()
+                bent[:, j] += (lean * gap - A[:, j] @ ray) * ray / (ray @ ray)
+                with pytest.raises(WitnessVerificationError):
+                    kernels.verify_farkas_ray(bent, b, ray, [j])
+                if lean > 0:
+                    with pytest.raises(WitnessVerificationError):
+                        kernels.verify_farkas_ray(bent, b, ray, [])
+                else:
+                    assert kernels.verify_farkas_ray(bent, b, ray, []) <= 1e-12
 
 
 class TestSignedCombination:

@@ -13,16 +13,20 @@ from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
 TOL = Tolerances()
 
 
-def svc_point():
-    """An n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C = 10^-0.5."""
-    rng = np.random.default_rng([2, 9])
+# the benchmark's grid of C
+C_GRID = tuple(float(c) for c in np.logspace(-2.0, 2.0, 9))
+
+
+def svc_point(index, C):
+    """An n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C, on
+    dataset `index` of the benchmark's generator."""
+    rng = np.random.default_rng([2, index])
     X = rng.normal(0.0, 1.0, size=(60, 5))
     w = rng.normal(0.0, 1.0, size=5)
     y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
     ds = Dataset(X, y)
     inst = BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
                                                     int(rng.integers(2 ** 31))))
-    C = 10 ** -0.5
     point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
     ev = to_evaluation(inst, point)
     return ev, classify_active(ev, TOL), inst.grad_f
@@ -170,12 +174,12 @@ class TestOneFactorizationPerSvcPoint:
     classifier share one SVD and run no least squares."""
 
     def test_checks_and_classifier_share_one_svd(self, monkeypatch):
-        ev, pattern, gf = svc_point()
+        ev, pattern, gf = svc_point(9, C_GRID[3])
         assert pattern.I_g == () and pattern.I_GH == ()
         systems = []
-        range_solve = kernels.range_solve
-        monkeypatch.setattr(kernels, "range_solve",
-                            lambda A, b: systems.append(A) or range_solve(A, b))
+        solve = kernels.LinearProgram.solve
+        monkeypatch.setattr(kernels.LinearProgram, "solve",
+                            lambda self: systems.append(self.A) or solve(self))
         lstsq_calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
@@ -250,10 +254,12 @@ class TestKktEquivalence:
         assert not out["strong_feasible"]
         assert not out["kkt_feasible"]
 
-    @pytest.mark.xfail(raises=RuntimeError, strict=True,
-                       reason="the dense simplex loses primal feasibility through "
-                              "drift and reports phase 1 unbounded (ROADMAP item 2)")
-    def test_svc_point_with_strong_stationarity(self):
-        ev, pattern, gf = svc_point()
-        assert classify_stationarity(ev, pattern, gf, TOL).strongest == "strong"
-        assert verify_kkt_equivalence(ev, pattern, gf, TOL)["agree"]
+    @pytest.mark.parametrize("C", C_GRID)
+    @pytest.mark.parametrize("index", [1, 4, 7])
+    def test_svc_point_with_strong_stationarity(self, index, C):
+        ev, pattern, gf = svc_point(index, C)
+        out = verify_kkt_equivalence(ev, pattern, gf, TOL)
+        assert out["agree"]
+        assert out["strong_feasible"] == out["kkt_feasible"]
+        strongest = classify_stationarity(ev, pattern, gf, TOL).strongest
+        assert out["strong_feasible"] == (strongest == "strong")
