@@ -157,6 +157,11 @@ class TestLinearProgram:
         assert x == pytest.approx([-3.0, 1.0], abs=1e-12)
 
     def test_infeasible(self):
+        # x0 = -1 with x0 >= 0
+        x, ray = LinearProgram([[1.0]], [-1.0]).solve()
+        assert x is None and ray is not None
+
+    def test_infeasible_has_farkas_ray(self):
         # x0 = -1 with x0 >= 0; the ray y = -1 has b.y = 1 and A^T y = -1 <= 0
         x, ray = LinearProgram([[1.0]], [-1.0]).solve()
         assert x is None and ray.tolist() == [-1.0]
