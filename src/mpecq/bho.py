@@ -357,15 +357,17 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     as far as the largest C asked for.  The read is accepted when the
     step-1 natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf is
     at most tol, which keeps downstream complementarity residuals at
-    O(C * tol).  When it is not, or the path stopped before C, the solve
-    falls back to `_projected_gradient` and the path's `fallbacks` count
-    goes up.
+    O(C * tol).  There is no second solver: a read above tol, which
+    rounding in K a causes for C near 1e16, raises ConvergenceError with
+    that residual, and so does a path that stopped before C.
 
-    `budget` caps iterations: each breakpoint of the path below C counts
-    as one, and so does the final read.  Raises ConvergenceError when the
-    budget runs out, with the residual of the path's alpha at the last
-    breakpoint it allows, or when the fallback stalls or runs out.
+    `budget` caps breakpoints: each breakpoint of the path below C counts
+    as one, and so does the final read.  When the budget runs out the
+    ConvergenceError carries the residual of the path's alpha at the
+    last breakpoint it allows.
     """
+    if not np.isfinite(C):
+        raise InputError(f"C must be finite, got {C}")
     if C < 0:
         raise InputError("C must be nonnegative")
     K = instance.fold_training_gram(fold)
@@ -375,22 +377,31 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     if path is None:
         path = instance._paths[fold] = _RegularizationPath(K)
     path.extend(C)
-    if C <= path.knots[-1]:
-        # segment j starts at the j-th breakpoint below C
-        j = int(np.searchsorted(path.knots, C)) - 1
-        if j >= budget:
-            residual = (_natural_residual(K, path.alpha(budget - 1, path.knots[budget - 1]), C)
-                        if budget > 0 else np.inf)
-            raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
-                                   f"within {budget} iterations", residual, budget)
-        alpha = path.alpha(j, C)
-        if _natural_residual(K, alpha, C) <= tol:
-            return alpha
-    path.fallbacks += 1
-    return _projected_gradient(K, C, tol, budget)
+    knots = path.knots
+    if C > knots[-1]:
+        last = len(path.a) - 1
+        raise ConvergenceError(f"lower-level path stopped at C={knots[-1]:.6g} "
+                               f"before C={C:.6g}: a side assignment repeated",
+                               _natural_residual(K, path.alpha(last, C), C), last + 1)
+    # segment j starts at the j-th breakpoint below C
+    j = int(np.searchsorted(knots, C)) - 1
+    if j >= budget:
+        residual = (_natural_residual(K, path.alpha(budget - 1, knots[budget - 1]), C)
+                    if budget > 0 else np.inf)
+        raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
+                               f"within {budget} iterations", residual, budget)
+    alpha = path.alpha(j, C)
+    residual = _natural_residual(K, alpha, C)
+    if residual > tol:
+        raise ConvergenceError(f"lower-level path read at C={C:.6g} misses "
+                               f"tolerance {tol:.1e}", residual, j + 1)
+    return alpha
 
 
 _LOWER, _FREE, _UPPER = 0, 1, 2
+# a bound index's slope (K b)_r at most this times m max|K| max(1, max|b|)
+# is rounding of an exact 0
+_SLOPE_TOL = 1e-13
 
 
 class _RegularizationPath:
@@ -405,22 +416,26 @@ class _RegularizationPath:
     a free alpha reaches 0 or C or the gradient of a bound index reaches
     0, and every index whose event falls on that C changes side.
 
-    Solutions stay basic: an index whose row lies in the span of K_F
-    keeps a constant gradient, so only a tie can make it enter, and a
-    new K_FF that the rank kernel finds singular stops the path.  So
-    does a side assignment seen before, which only rounding can cause.
-    After a stop, knots[-1] is the last C the path covers.  `extend`
-    builds segments until the path covers the C asked for; knots, a and
-    b are read-only and are replaced, never changed, when it grows.
+    Solutions stay basic (K_FF nonsingular).  A bound index whose row
+    lies in the span of the free rows has a constant gradient; its slope
+    (K b)_r is 0 up to rounding and is set to exactly 0, so it raises no
+    event.  Rows tied at one breakpoint can make the new K_FF singular:
+    then the entering indices are admitted one at a time, in index
+    order, while K_FF stays nonsingular, and the others stay on their
+    bound with rows in the span of the free rows and gradients at 0.
+    A side assignment seen before, which only rounding can cause, stops
+    the path; knots[-1] is then the last C it covers.  `extend` builds
+    segments until the path covers the C asked for; knots, a and b are
+    read-only and are replaced, never changed, when it grows.
     """
 
     def __init__(self, K: np.ndarray):
         self._K = K
+        self._rounding = _SLOPE_TOL * K.shape[0] * float(np.abs(K).max())
         self._side = np.full(K.shape[0], _UPPER, dtype=np.int8)
         self._seen = {self._side.tobytes()}
         self._knots, self._a, self._b = [0.0], [], []
         self._events = None  # (indices, new sides) at knots[-1]
-        self.fallbacks = 0
         self._segment()
         self._publish()
 
@@ -432,11 +447,13 @@ class _RegularizationPath:
         while self._knots[-1] < C and self._events is not None:
             indices, sides = self._events
             side = self._side.copy()
-            side[indices] = sides
-            F = np.flatnonzero(side == _FREE)
-            if side.tobytes() in self._seen or (
-                    (sides == _FREE).any()
-                    and numerical_rank(self._K[F][:, F]).rank < F.size):
+            leaving = sides != _FREE
+            side[indices[leaving]] = sides[leaving]
+            for i in np.sort(indices[~leaving]):
+                side[i] = _FREE
+                if not self._basic(side):
+                    side[i] = self._side[i]
+            if side.tobytes() in self._seen:
                 self._events = None
                 break
             self._seen.add(side.tobytes())
@@ -445,6 +462,10 @@ class _RegularizationPath:
             grown = True
         if grown:
             self._publish()
+
+    def _basic(self, side: np.ndarray) -> bool:
+        F = np.flatnonzero(side == _FREE)
+        return numerical_rank(self._K[F][:, F]).rank == F.size
 
     def _segment(self) -> None:
         """Solve the current sides for (a, b) and find where the segment ends."""
@@ -458,6 +479,7 @@ class _RegularizationPath:
             rhs = np.stack([np.ones(F.size), -(K_F @ b)], axis=1)
             a[F], b[F] = np.linalg.solve(K_F[:, F], rhs).T
         p, q = K @ a - 1.0, K @ b
+        q[~free & (np.abs(q) <= self._rounding * max(1.0, np.abs(b).max()))] = 0.0
         # each index keeps a slack s0 + C s1 >= 0: alpha on F, minus the
         # gradient on U, the gradient on L, and on F also C - alpha; a
         # slack with s1 < 0 runs out at C = -s0 / s1
@@ -488,96 +510,6 @@ class _RegularizationPath:
 def _natural_residual(K: np.ndarray, alpha: np.ndarray, C: float) -> float:
     grad = K @ alpha - 1.0
     return float(np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max())
-
-
-def _projected_gradient(K: np.ndarray, C: float, tol: float, budget: int) -> np.ndarray:
-    """Gradient projection with minimisation on the current face.
-
-    Moré and Toraldo 1991.  Each of at most `budget` outer iterations
-    first tests the natural-map residual at tol, then takes one
-    projected-gradient step of length 1 / (1.1 trace(K)), halved while
-    the objective would increase.  The step picks the face; `_face_steps`
-    then minimises over it exactly, so a solve ends at the face solution
-    after a few outer iterations instead of approaching it geometrically.
-
-    Raises ConvergenceError when the budget runs out, or at once when an
-    outer iteration leaves alpha bitwise unchanged: the iteration is
-    deterministic, so every later one would repeat it.  That happens when
-    rounding in K a exceeds tol, as for a singular K with C near 1e16.
-    """
-    m = K.shape[0]
-    # trace(K) >= lambda_max(K) for a positive semidefinite K
-    step = 1.0 / max(1.1 * float(np.trace(K)), 1e-12)
-    alpha = np.zeros(m)
-    obj = 0.0
-    residual = np.inf
-    for iteration in range(budget):
-        residual = _natural_residual(K, alpha, C)
-        if residual <= tol:
-            return alpha
-        new = np.clip(alpha - step * (K @ alpha - 1.0), 0.0, C)
-        new_obj = _qp_objective(K, new)
-        if new_obj > obj + 1e-12 * (1.0 + abs(obj)):
-            step *= 0.5
-            continue
-        new, new_obj = _face_steps(K, C, new, new_obj, tol)
-        if np.array_equal(new, alpha):
-            raise ConvergenceError(
-                f"lower-level QP stalled above tolerance {tol:.1e} "
-                f"after {iteration + 1} iterations", residual, iteration + 1)
-        alpha, obj = new, new_obj
-    raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
-                           f"within {budget} iterations", residual, budget)
-
-
-def _qp_objective(K: np.ndarray, alpha: np.ndarray) -> float:
-    return 0.5 * float(alpha @ (K @ alpha)) - float(alpha.sum())
-
-
-def _face_steps(K: np.ndarray, C: float, alpha: np.ndarray, obj: float,
-                tol: float):
-    """Minimise the box QP over the face of alpha; returns (alpha, obj).
-
-    On the free set F = {i : 0 < a_i < C} the least-squares solution d of
-    K_FF d = -g_F is the Newton step when the system is consistent; it is
-    cut at the first bound it hits.  Otherwise K_FF is singular and g_F
-    has a part r = K_FF d + g_F in its null space, so -r is a descent
-    direction of zero curvature, followed all the way to a bound.  Either
-    a full Newton step ends the search or a blocking coordinate is put
-    exactly on its bound, which shrinks F, so m + 1 steps suffice.  A
-    step that would raise the objective is not taken.
-    """
-    for _ in range(alpha.shape[0] + 1):
-        F = np.flatnonzero((alpha > 0.0) & (alpha < C))
-        if F.size == 0:
-            break
-        K_FF = K[np.ix_(F, F)]
-        g_F = K[F] @ alpha - 1.0
-        d = np.linalg.lstsq(K_FF, -g_F, rcond=None)[0]
-        r = K_FF @ d + g_F
-        newton = np.abs(r).max() <= tol
-        if not newton:
-            d = -r
-        a_F = alpha[F]
-        with np.errstate(divide="ignore"):
-            room = np.where(d > 0.0, (C - a_F) / d,
-                            np.where(d < 0.0, -a_F / d, np.inf))
-        block = int(np.argmin(room))
-        t_max = float(room[block])
-        if not np.isfinite(t_max):
-            break
-        full = newton and t_max > 1.0
-        new = alpha.copy()
-        new[F] = np.clip(a_F + (1.0 if full else t_max) * d, 0.0, C)
-        if not full:
-            new[F[block]] = C if d[block] > 0.0 else 0.0
-        new_obj = _qp_objective(K, new)
-        if new_obj > obj:
-            break
-        alpha, obj = new, new_obj
-        if full:
-            break
-    return alpha, obj
 
 
 def solve_all_folds(instance: BhoInstance, C: float, *, tol: float = 1e-9,

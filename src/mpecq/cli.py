@@ -38,7 +38,6 @@ _TOL_SOURCES = (
     ("activity_eps", "tol_activity", "MPECQ_TOL_ACTIVITY"),
     ("rank_rel_tol", "tol_rank", "MPECQ_TOL_RANK"),
     ("pd_eps", "tol_pd", "MPECQ_TOL_PD"),
-    ("strict_margin_eps", "tol_margin", "MPECQ_TOL_MARGIN"),
     ("feas_eps", "tol_feas", "MPECQ_TOL_FEAS"),
 )
 
@@ -241,6 +240,8 @@ def cmd_bho_sweep(args) -> int:
         raise InputError(f"--grid: expected comma-separated numbers, got {args.grid!r}")
     if not grid:
         raise InputError("--grid is empty")
+    if not all(np.isfinite(grid)):
+        raise InputError(f"--grid: C values must be finite, got {args.grid!r}")
     rows = []
     failed = False
     for C in grid:
@@ -271,8 +272,6 @@ def _add_tol_flags(parser):
                         help="relative rank tolerance (default 1e-12)")
     parser.add_argument("--tol-pd", type=float, default=None,
                         help="positive-definiteness margin (default 1e-10)")
-    parser.add_argument("--tol-margin", type=float, default=None,
-                        help="accepted for compatibility; no check reads it")
     parser.add_argument("--tol-feas", type=float, default=None,
                         help="feasibility tolerance (default 1e-6)")
     parser.add_argument("--timing", action="store_true",

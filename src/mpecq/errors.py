@@ -22,11 +22,15 @@ class ClassificationError(MpecqError):
 
 
 class ConvergenceError(MpecqError):
-    """An iterative solve exhausted its budget or stalled before tolerance.
+    """A solve exhausted its budget or ended above its tolerance.
 
-    Carries the last residual and the iterations run, so callers can tell
-    a budget that was too small (iterations equal to the budget) from a
-    stall that no budget would cure.
+    The feasibility kernel raises it at its outer-iteration cap; the
+    lower-level path raises it when its breakpoint budget runs out, when
+    its read at C misses the residual tolerance, or when it stopped
+    before C.  Carries the last residual and the iterations run (for the
+    path, breakpoints below C plus the read), so callers can tell a
+    budget that was too small (iterations equal to the budget) from a
+    failure that no budget would cure.
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

@@ -21,7 +21,7 @@ a rank test costs no second factorization.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,7 +258,6 @@ class SignedCombinationQuery:
     nonneg: np.ndarray
     zero: np.ndarray
     free: np.ndarray
-    labels: tuple = field(default=(), compare=False)
 
     @property
     def dim(self) -> int:
@@ -268,8 +267,7 @@ class SignedCombinationQuery:
         return self.nonneg.shape[1]
 
 
-def make_query(dim: int, nonneg=None, zero=None, free=None,
-               labels=()) -> SignedCombinationQuery:
+def make_query(dim: int, nonneg=None, zero=None, free=None) -> SignedCombinationQuery:
     def block(rows):
         if rows is None or len(rows) == 0:
             return np.zeros((0, dim))
@@ -278,8 +276,7 @@ def make_query(dim: int, nonneg=None, zero=None, free=None,
             raise ValueError("row dimension mismatch in query")
         return out
 
-    return SignedCombinationQuery(block(nonneg), block(zero), block(free),
-                                  tuple(labels))
+    return SignedCombinationQuery(block(nonneg), block(zero), block(free))
 
 
 @dataclass(frozen=True)

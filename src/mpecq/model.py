@@ -29,16 +29,12 @@ class Tolerances:
     activity_eps    absolute activity threshold |value| <= eps
     rank_rel_tol    relative SVD cutoff for numerical rank
     pd_eps          relative eigenvalue floor for definiteness
-    strict_margin_eps  accepted and validated so that existing settings keep
-                    working, but read by no check: GMFCQ decides its
-                    strict direction inequalities exactly
     feas_eps        feasibility residual tolerance
     """
 
     activity_eps: float = 1e-8
     rank_rel_tol: float = 1e-12
     pd_eps: float = 1e-10
-    strict_margin_eps: float = 1e-6
     feas_eps: float = 1e-6
 
     def __post_init__(self):

@@ -17,6 +17,9 @@ from scipy.optimize import linprog
 from mpecq import (make_query, numerical_rank,
                    signed_combination_exists)
 
+# smallest margin the strict-margin LPs count as strict
+STRICT_MARGIN = 1e-6
+
 
 def rational_rank(matrix) -> int:
     """Exact rank of an integer (or rational) matrix.
@@ -141,7 +144,7 @@ def nnamcq_oracle(ev, pattern, tol) -> str:
             first = len(nonneg)
             exists = _max_margin(columns, [0.0] * ev.dims.n + [1.0], (),
                                  range(first, first + len(strict)),
-                                 tol.strict_margin_eps)
+                                 STRICT_MARGIN)
         if exists:
             return "fails"
     return "holds"
@@ -176,14 +179,14 @@ def gmfcq_oracle_failure(ev, pattern, tol):
         eq = eq_rows(P, Q)
         cone = [ev.G_grads[i] for i in R] + [ev.H_grads[i] for i in R]
         if not any(direction_margin(n, eq, g_neg + cone[:j] + cone[j + 1:], [cone[j]])
-                   >= tol.strict_margin_eps for j in range(len(cone))):
+                   >= STRICT_MARGIN for j in range(len(cone))):
             return "i", P, Q, R
     for assign in itertools.product("PQ", repeat=k):
         P, Q = split(assign, "PQ")
         eq = eq_rows(P, Q)
         if eq and numerical_rank(np.vstack(eq), tol.rank_rel_tol).rank < len(eq):
             return "ii-independence", P, Q, []
-        if g_neg and direction_margin(n, eq, [], g_neg) < tol.strict_margin_eps:
+        if g_neg and direction_margin(n, eq, [], g_neg) < STRICT_MARGIN:
             return "ii-direction", P, Q, []
     return None
 
@@ -207,7 +210,7 @@ def stationarity_oracle(ev, pattern, grad_f, tol) -> str:
         first = len(columns)
         return _max_margin(columns + free, -np.asarray(grad_f, dtype=float),
                            range(first, first + len(free)), strict,
-                           tol.strict_margin_eps)
+                           STRICT_MARGIN)
 
     k = len(pattern.I_GH)
     if not feasible([("free", "free")] * k):

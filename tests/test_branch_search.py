@@ -20,8 +20,9 @@ from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
 from mpecq.fixtures import all_fixtures
 from mpecq.fuzz import FORCE_MODES
 from mpecq.stationarity import CLASS_ORDER
-from _oracles import (direction_margin, gmfcq_oracle, gmfcq_oracle_failure,
-                      nnamcq_oracle, rational_rank, stationarity_oracle)
+from _oracles import (STRICT_MARGIN, direction_margin, gmfcq_oracle,
+                      gmfcq_oracle_failure, nnamcq_oracle, rational_rank,
+                      stationarity_oracle)
 from conftest import FUZZ_POINTS, FUZZ_SEED, PINNED_TOL
 
 TOL = Tolerances()
@@ -175,7 +176,7 @@ def test_degenerate_node_lp_from_fuzz_corpus():
     cone = [ev.G_grads[i], ev.H_grads[i]]
     strict = [np.sum(cone, axis=0)]
     assert _direction_exists(ev.dims.n, eq, cone, strict)
-    assert direction_margin(ev.dims.n, eq, cone, strict) >= PINNED_TOL.strict_margin_eps
+    assert direction_margin(ev.dims.n, eq, cone, strict) >= STRICT_MARGIN
     assert check_mpec_gmfcq(ev, pattern, PINNED_TOL).status == "holds"
     assert gmfcq_oracle(ev, pattern, PINNED_TOL) == ("holds", None)
 

@@ -172,6 +172,13 @@ class TestExitCodes:
                                       "--tol-activity", "-1"])
         assert code == 2
 
+    def test_removed_margin_flag_is_unknown(self, capsys, tmp_path):
+        path = write_json(tmp_path, "e2.json", e2_record())
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", path, "--tol-margin", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol-margin" in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_passes_and_is_deterministic(self, capsys):
@@ -238,8 +245,8 @@ class TestBhoCommands:
 
     def test_sweep_matches_golden_output(self, capsys):
         # bho_sweep.json was written by the projected-gradient solver that
-        # answered every C before the regularization path did; reading
-        # the alphas off the path must not change a byte of the report
+        # answered every C before the regularization path replaced it; the
+        # path, which now answers every solve alone, matches it byte for byte
         code, out, err = run_cli(capsys, [
             "bho", "sweep", "--csv", str(GOLDEN / "sweep_data.csv"), "--T", "2",
             "--m1", "3", "--m2", "8", "--seed", "5",
@@ -254,6 +261,19 @@ class TestBhoCommands:
             "bho", "sweep", "--csv", str(csv), "--T", "1", "--m1", "1",
             "--m2", "2", "--grid", "0.5,oops"])
         assert code == 2 and "--grid" in err
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0.5,-inf"])
+    def test_sweep_rejects_non_finite_grid_before_solving(self, capsys, tmp_path,
+                                                          monkeypatch, grid):
+        csv = tmp_path / "data.csv"
+        csv.write_text(CSV_TEXT)
+        monkeypatch.setattr("mpecq.bho.solve_all_folds",
+                            lambda *a, **kw: pytest.fail("solved a grid C"))
+        code, out, err = run_cli(capsys, [
+            "bho", "sweep", "--csv", str(csv), "--T", "1", "--m1", "1",
+            "--m2", "2", "--grid", grid])
+        assert (code, out) == (2, "")
+        assert "--grid" in err and "finite" in err
 
 
 class TestFuzzCommand:

@@ -60,12 +60,10 @@ class TestTolerances:
         assert tol.activity_eps == 1e-8
         assert tol.rank_rel_tol == 1e-12
         assert tol.pd_eps == 1e-10
-        assert tol.strict_margin_eps == 1e-6
         assert tol.feas_eps == 1e-6
 
     @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol",
-                                       "pd_eps", "strict_margin_eps",
-                                       "feas_eps"])
+                                       "pd_eps", "feas_eps"])
     def test_nonpositive_rejected(self, field):
         with pytest.raises(InputError):
             Tolerances(**{field: 0.0})
