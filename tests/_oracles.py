@@ -253,3 +253,74 @@ def projected_gradient_qp(K, C, tol=1e-9, budget=100000):
             continue
         alpha, obj = new, new_obj
     return alpha, False
+
+
+def face_projected_gradient_qp(K, C, tol=1e-9, budget=100000):
+    """The same box QP by gradient projection with exact face steps.
+
+    Moré and Toraldo 1991, the package's solver before it read alpha(C)
+    off the regularization path.  Each outer iteration takes one
+    projected-gradient step of length 1 / (1.1 trace(K)), halved while
+    the objective would increase, then minimises over the face it lands
+    on: the least-squares Newton step on the free set F when K_FF d = -g_F
+    is consistent, else the zero-curvature direction -r of its residual,
+    each cut at the first bound.  Returns alpha at natural-map residual
+    at most `tol`; raises RuntimeError when the budget runs out or an
+    outer iteration leaves alpha unchanged.
+    """
+    K = np.asarray(K, dtype=float)
+    m = K.shape[0]
+
+    def objective(a):
+        return 0.5 * float(a @ (K @ a)) - float(a.sum())
+
+    def face_steps(alpha, obj):
+        for _ in range(m + 1):
+            F = np.flatnonzero((alpha > 0.0) & (alpha < C))
+            if F.size == 0:
+                break
+            K_FF = K[np.ix_(F, F)]
+            g_F = K[F] @ alpha - 1.0
+            d = np.linalg.lstsq(K_FF, -g_F, rcond=None)[0]
+            r = K_FF @ d + g_F
+            newton = np.abs(r).max() <= tol
+            if not newton:
+                d = -r
+            a_F = alpha[F]
+            with np.errstate(divide="ignore"):
+                room = np.where(d > 0.0, (C - a_F) / d,
+                                np.where(d < 0.0, -a_F / d, np.inf))
+            block = int(np.argmin(room))
+            t_max = float(room[block])
+            if not np.isfinite(t_max):
+                break
+            full = newton and t_max > 1.0
+            new = alpha.copy()
+            new[F] = np.clip(a_F + (1.0 if full else t_max) * d, 0.0, C)
+            if not full:
+                new[F[block]] = C if d[block] > 0.0 else 0.0
+            new_obj = objective(new)
+            if new_obj > obj:
+                break
+            alpha, obj = new, new_obj
+            if full:
+                break
+        return alpha, obj
+
+    step = 1.0 / max(1.1 * float(np.trace(K)), 1e-12)
+    alpha = np.zeros(m)
+    obj = 0.0
+    for _ in range(budget):
+        grad = K @ alpha - 1.0
+        if np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max() <= tol:
+            return alpha
+        new = np.clip(alpha - step * grad, 0.0, C)
+        new_obj = objective(new)
+        if new_obj > obj + 1e-12 * (1.0 + abs(obj)):
+            step *= 0.5
+            continue
+        new, new_obj = face_steps(new, new_obj)
+        if np.array_equal(new, alpha):
+            raise RuntimeError("face-step projected gradient stalled above tol")
+        alpha, obj = new, new_obj
+    raise RuntimeError(f"face-step projected gradient used its budget of {budget}")

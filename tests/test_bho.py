@@ -14,7 +14,7 @@ from mpecq import (BhoInstance, BhoPoint, ClassificationError,
                    misclassification_oracle, solve_all_folds, split_folds,
                    structured_index_sets, to_evaluation, validation_error)
 from mpecq.fuzz import gen_bho_case
-from _oracles import projected_gradient_qp
+from _oracles import face_projected_gradient_qp, projected_gradient_qp
 
 TOL = Tolerances()
 
@@ -216,6 +216,31 @@ class TestLowerLevelSolve:
         assert exc.value.iterations == 2  # one breakpoint below C, one read
         assert exc.value.residual > 1e-9
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6), st.integers(1, 4),
+           st.floats(-2.0, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_projected_gradient(self, seed, m2, p, log_c):
+        # m2 > p draws rank-deficient Grams; 25 breakpoints are more than
+        # a path over at most 6 samples takes, plain projected gradient
+        # takes thousands of iterations
+        rng = np.random.default_rng(seed)
+        inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), rng.normal(size=(m2, p)))
+        C = 10.0 ** log_c
+        K = inst.fold_training_gram(0)
+        alpha = lower_level_solve(inst, 0, C, budget=25)
+        reference, converged = projected_gradient_qp(K, C)
+
+        def objective(a):
+            return 0.5 * float(a @ (K @ a)) - float(a.sum())
+
+        grad = K @ alpha - 1.0
+        assert np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max() <= 1e-9
+        assert alpha.min() >= 0.0 and alpha.max() <= C
+        assert objective(alpha) <= objective(reference) + 1e-9 * (1.0 + abs(objective(alpha)))
+        free = np.flatnonzero((alpha > 0.0) & (alpha < C))
+        if converged and np.linalg.matrix_rank(K[np.ix_(free, free)]) == free.size:
+            assert classes(inst, C, alpha) == classes(inst, C, reference)
+
     @pytest.mark.parametrize("seed,C", [(0, 0.5), (1, 1.0), (2, 10.0), (3, 0.05)])
     def test_kkt_residual_small(self, seed, C):
         _, _, inst = make_instance(seed=seed)
@@ -267,6 +292,26 @@ FOLDS = {"gaussian": gaussian_fold, "duplicated": duplicated_rows_fold,
 
 
 class TestRegularizationPath:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 5),
+           st.floats(-2.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_path_matches_iteration_and_oracle(self, seed, m2, p, log_c):
+        # m2 > p draws rank-deficient Grams, m2 <= p full-rank ones; the
+        # iteration is gradient projection with exact face steps
+        rng = np.random.default_rng(seed)
+        inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), rng.normal(size=(m2, p)))
+        C = 10.0 ** log_c
+        K = inst.fold_training_gram(0)
+        alpha = lower_level_solve(inst, 0, C)
+        assert C <= inst._paths[0].knots[-1]  # the path answered
+        iterate = face_projected_gradient_qp(K, C, 1e-9, 100000)
+        reference, _ = projected_gradient_qp(K, C)
+        assert natural_residual(K, alpha, C) <= 1e-9
+        assert alpha.min() >= 0.0 and alpha.max() <= C
+        scale = 1e-9 * (1.0 + abs(qp_objective(K, iterate)))
+        assert abs(qp_objective(K, alpha) - qp_objective(K, iterate)) <= scale
+        assert qp_objective(K, alpha) <= qp_objective(K, reference) + scale
+
     @given(st.sampled_from(sorted(FOLDS)), st.integers(0, 2 ** 31 - 1),
            st.floats(-2.0, 2.0))
     @settings(max_examples=120, deadline=None)
