@@ -17,7 +17,7 @@ from .kernels import (CombinationWitness, RankResult, SignedCombinationQuery,
 from .model import (ActivePattern, FeasibilityReport, GradientBundle,
                     MpecDimensions, PointEvaluation, Tolerances,
                     canonical_json, check_feasibility, classify_active,
-                    digest, gradient_bundle_rnlp, gradient_bundle_tnlp)
+                    digest, gradient_bundle_tnlp)
 from .cq import (CQ_NAMES, CqReport, CqVerdict, DEFAULT_BRANCH_CAP,
                  IMPLICATION_EDGES, audit_implications, check_acq_affine,
                  check_mpec_gmfcq, check_mpec_licq, check_mpec_mfcq_r,
@@ -52,7 +52,7 @@ __all__ = [
     "check_mfcq_r_theorem", "check_mpec_gmfcq", "check_mpec_licq",
     "check_mpec_mfcq_r", "check_mpec_mfcq_t", "check_nnamcq",
     "classify_active", "classify_lambda_psi", "classify_stationarity",
-    "digest", "gamma_matches_generic", "gen_bho_case", "gradient_bundle_rnlp",
+    "digest", "gamma_matches_generic", "gen_bho_case",
     "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
     "lower_level_solve", "make_query", "misclassification_oracle",
     "numerical_rank", "run_all_checks", "run_fixture_suite", "run_fuzz",

@@ -362,9 +362,10 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     that residual, and so does a path that stopped before C.
 
     `budget` caps breakpoints: each breakpoint of the path below C counts
-    as one, and so does the final read.  When the budget runs out the
-    ConvergenceError carries the residual of the path's alpha at the
-    last breakpoint it allows.
+    as one, and so does the final read, so the path is built to at most
+    `budget` segments.  When the budget runs out the ConvergenceError
+    carries the residual of the path's alpha at the last breakpoint it
+    allows.
     """
     if not np.isfinite(C):
         raise InputError(f"C must be finite, got {C}")
@@ -376,13 +377,8 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     path = instance._paths.get(fold)
     if path is None:
         path = instance._paths[fold] = _RegularizationPath(K)
-    path.extend(C)
+    path.extend(C, budget)
     knots = path.knots
-    if C > knots[-1]:
-        last = len(path.a) - 1
-        raise ConvergenceError(f"lower-level path stopped at C={knots[-1]:.6g} "
-                               f"before C={C:.6g}: a side assignment repeated",
-                               _natural_residual(K, path.alpha(last, C), C), last + 1)
     # segment j starts at the j-th breakpoint below C
     j = int(np.searchsorted(knots, C)) - 1
     if j >= budget:
@@ -390,6 +386,11 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
                     if budget > 0 else np.inf)
         raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
                                f"within {budget} iterations", residual, budget)
+    if C > knots[-1]:
+        last = len(path.a) - 1
+        raise ConvergenceError(f"lower-level path stopped at C={knots[-1]:.6g} "
+                               f"before C={C:.6g}: a side assignment repeated",
+                               _natural_residual(K, path.alpha(last, C), C), last + 1)
     alpha = path.alpha(j, C)
     residual = _natural_residual(K, alpha, C)
     if residual > tol:
@@ -425,8 +426,9 @@ class _RegularizationPath:
     bound with rows in the span of the free rows and gradients at 0.
     A side assignment seen before, which only rounding can cause, stops
     the path; knots[-1] is then the last C it covers.  `extend` builds
-    segments until the path covers the C asked for; knots, a and b are
-    read-only and are replaced, never changed, when it grows.
+    segments until the path covers the C asked for or has `segments`
+    of them; knots, a and b are read-only and are replaced, never
+    changed, when it grows.
     """
 
     def __init__(self, K: np.ndarray):
@@ -442,9 +444,10 @@ class _RegularizationPath:
     def alpha(self, j: int, C: float) -> np.ndarray:
         return np.clip(self.a[j] + C * self.b[j], 0.0, C)
 
-    def extend(self, C: float) -> None:
+    def extend(self, C: float, segments: int) -> None:
         grown = False
-        while self._knots[-1] < C and self._events is not None:
+        while (self._knots[-1] < C and len(self._a) < segments
+               and self._events is not None):
             indices, sides = self._events
             side = self._side.copy()
             leaving = sides != _FREE

@@ -7,7 +7,7 @@ Exit codes: 0 success (including an infeasible-point report), 1 a
 verdict or invariant suite failed or the package raised (an
 `MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
 generator's `RuntimeError` when it runs out of retries), 2 malformed
-input.
+input, such as a negative count, cap, budget or seed.
 
 Tolerance resolution order: command-line flag, then MPECQ_* environment
 variable, then the built-in default.
@@ -64,16 +64,24 @@ def _resolve_tolerances(args) -> Tolerances:
         raise InputError(str(exc))
 
 
-def _resolve_int(flag_value, env_name: str, default: int) -> int:
+def _count(value: int, name: str) -> int:
+    if value < 0:
+        raise InputError(f"{name}: expected a nonnegative integer, got {value}")
+    return value
+
+
+def _resolve_int(flag_value, flag: str, env_name: str, default: int) -> int:
+    """A nonnegative integer option: flag, then environment, then default."""
     if flag_value is not None:
-        return int(flag_value)
+        return _count(flag_value, flag)
     raw = _env_value(env_name)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(f"{env_name}: expected an integer, got {raw!r}")
-    return default
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise InputError(f"{env_name}: expected an integer, got {raw!r}")
+    return _count(value, env_name)
 
 
 def _jsonable(obj):
@@ -135,7 +143,7 @@ def _dispatch_input(data: dict):
 def cmd_check(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
-    cap = _resolve_int(args.cap, "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
+    cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
     data = _load_json(args.input)
     ev, _, extras = _dispatch_input(data)
     feas = check_feasibility(ev, tol)
@@ -167,7 +175,7 @@ def cmd_check(args) -> int:
 def cmd_stationarity(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
-    cap = _resolve_int(args.cap, "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
+    cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
     data = _load_json(args.input)
     ev, grad_f, _ = _dispatch_input(data)
     if grad_f is None:
@@ -196,16 +204,16 @@ def cmd_fixtures(args) -> int:
 def cmd_fuzz(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
-    cap = _resolve_int(args.cap, "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
-    seed = _resolve_int(args.seed, "MPECQ_SEED", 0)
-    summary = run_fuzz(args.points, seed, tol, cap=cap)
+    cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
+    seed = _resolve_int(args.seed, "--seed", "MPECQ_SEED", 0)
+    summary = run_fuzz(_count(args.points, "--points"), seed, tol, cap=cap)
     _emit(summary.to_dict(), started)
     return 0 if summary.ok() else 1
 
 
 def _build_instance(args):
     dataset = bho.load_dataset_csv(args.csv)
-    seed = _resolve_int(args.seed, "MPECQ_SEED", 0)
+    seed = _resolve_int(args.seed, "--seed", "MPECQ_SEED", 0)
     split = bho.split_folds(dataset, args.T, args.m1, args.m2, seed)
     instance = bho.BhoInstance.from_dataset(dataset, split)
     return dataset, split, instance
@@ -242,12 +250,13 @@ def cmd_bho_sweep(args) -> int:
         raise InputError("--grid is empty")
     if not all(np.isfinite(grid)):
         raise InputError(f"--grid: C values must be finite, got {args.grid!r}")
+    budget = _count(args.budget, "--budget")
     rows = []
     failed = False
     for C in grid:
         entry = {"C": C}
         try:
-            alphas = bho.solve_all_folds(instance, C, budget=args.budget)
+            alphas = bho.solve_all_folds(instance, C, budget=budget)
             point, flags = bho.assemble_feasible_point(instance, C, alphas, tol)
             lp = bho.classify_lambda_psi(instance, point, tol)
             entry["validation_error"] = bho.validation_error(instance, point)

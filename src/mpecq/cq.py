@@ -34,7 +34,7 @@ import numpy as np
 from .kernels import (LinearProgram, make_query, numerical_rank,
                       signed_combination_exists)
 from .model import (ActivePattern, GradientBundle, PointEvaluation, Tolerances,
-                    gradient_bundle_rnlp, gradient_bundle_tnlp)
+                    gradient_bundle_tnlp)
 
 CQ_NAMES = ("MPEC_LICQ", "MPEC_MFCQ_TNLP", "MPEC_MFCQ_RNLP", "NNAMCQ",
             "MPEC_GMFCQ", "MPEC_ACQ_AFFINE")
@@ -49,6 +49,11 @@ IMPLICATION_EDGES = (
     ("NNAMCQ", "MPEC_GMFCQ"),
     ("MPEC_GMFCQ", "MPEC_MFCQ_RNLP"),
 )
+
+# the three closed branches of an M-type biactive pair, as the (gamma, nu)
+# modes of `gradient_bundle_tnlp`: both >= 0, gamma = 0, nu = 0
+M_BRANCHES = {"nonneg": ("nonneg", "nonneg"), "gamma_zero": ("zero", "free"),
+              "nu_zero": ("free", "zero")}
 
 
 @dataclass(frozen=True)
@@ -100,27 +105,39 @@ def check_mpec_licq(ev: PointEvaluation, pattern: ActivePattern,
     return CqVerdict("MPEC_LICQ", "fails", certificate=cert)
 
 
-def _positive_independence(name: str, ev: PointEvaluation, bundle: GradientBundle,
-                           tol: Tolerances) -> CqVerdict:
-    """Fails exactly when some nonzero combination of the bundle rows,
-    nonnegative on the signed rows and free on the others, vanishes."""
+def _null_combination(bundle: GradientBundle, tol: Tolerances):
+    """Search a nonzero combination of the bundle rows that vanishes,
+    nonnegative on the signed rows and free on the others.
+
+    Returns the kernel's witness and the bundle row each of its
+    coefficients weighs: the signed rows first, then the free ones, each
+    in bundle order.
+    """
     signed = np.array([c == "signed" for c in bundle.classes], dtype=bool)
-    labels = ([pv for pv, s in zip(bundle.provenance, signed) if s]
-              + [pv for pv, s in zip(bundle.provenance, signed) if not s])
-    query = make_query(ev.dims.n, nonneg=bundle.rows[signed],
+    query = make_query(bundle.rows.shape[1], nonneg=bundle.rows[signed],
                        free=bundle.rows[~signed])
     witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
-    if witness.exists:
-        return CqVerdict(name, "fails", certificate=_witness_cert(witness, labels))
-    return CqVerdict(name, "holds")
+    return witness, np.argsort(~signed, kind="stable")
+
+
+def _positive_independence(name: str, bundle: GradientBundle,
+                           tol: Tolerances) -> CqVerdict:
+    """Fails exactly when `_null_combination` finds a combination.  A
+    -grad G or -grad H row is labelled G_inward or H_inward."""
+    witness, order = _null_combination(bundle, tol)
+    if not witness.exists:
+        return CqVerdict(name, "holds")
+    provenance = [bundle.provenance[r] for r in order]
+    labels = [(fam + "_inward", i) if fam in ("G", "H") and sign > 0 else (fam, i)
+              for (fam, i), sign in zip(provenance, bundle.signs[order])]
+    return CqVerdict(name, "fails", certificate=_witness_cert(witness, labels))
 
 
 def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
                       tol: Tolerances) -> CqVerdict:
     """Positive linear independence of the tightened-NLP bundle, whose
     only signed rows are the active g rows."""
-    return _positive_independence("MPEC_MFCQ_TNLP", ev,
-                                  gradient_bundle_tnlp(ev, pattern), tol)
+    return _positive_independence("MPEC_MFCQ_TNLP", gradient_bundle_tnlp(ev, pattern), tol)
 
 
 def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
@@ -130,18 +147,12 @@ def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
     Active inequalities of the relaxed problem are g_i <= 0 and, on the
     biactive set, G_i >= 0 and H_i >= 0.  Positive linear dependence is
     tested on outward rows, which for the lower bounds are the inward
-    normals -grad G_i and -grad H_i, labelled G_inward and H_inward.
-    With no biactive pairs this is identical to the tightened-NLP test.
+    normals -grad G_i and -grad H_i: every biactive pair in mode
+    'nonneg'.  With no biactive pairs this is the tightened-NLP test.
     """
-    bundle = gradient_bundle_rnlp(ev, pattern)
-    inward = np.array([c == "signed" and fam in ("G", "H")
-                       for c, (fam, _) in zip(bundle.classes, bundle.provenance)],
-                      dtype=bool)
-    provenance = tuple((fam + "_inward", i) if flip else (fam, i)
-                       for flip, (fam, i) in zip(inward, bundle.provenance))
-    rows = np.where(inward[:, None], -bundle.rows, bundle.rows)
-    return _positive_independence("MPEC_MFCQ_RNLP", ev,
-                                  GradientBundle(rows, bundle.classes, provenance), tol)
+    bundle = gradient_bundle_tnlp(ev, pattern,
+                                  dict.fromkeys(pattern.I_GH, ("nonneg", "nonneg")))
+    return _positive_independence("MPEC_MFCQ_RNLP", bundle, tol)
 
 
 def first_leaf(pairs, choices, admit):
@@ -170,43 +181,6 @@ def first_leaf(pairs, choices, admit):
     return visit({})
 
 
-def _nnamcq_query(ev, pattern, partial):
-    """Sign-class query for a node of the NNAMCQ branch search.
-
-    partial maps biactive indices to "nonneg" (both multipliers >= 0),
-    "gamma_zero" (gamma pinned, nu free) or "nu_zero" (nu pinned, gamma
-    free); unassigned pairs have both multipliers free.  Multiplier
-    conventions: coefficient on +grad g is lambda_g, on +grad h is
-    lambda_h, on -grad G is lambda_G, on -grad H is lambda_H.  The free
-    G and H rows enter as +grad G and +grad H, the rows the other checks
-    factor, so their rank test can reuse that factorization; the
-    returned signs map each row's coefficient to its multiplier.
-    """
-    nonneg, zero, free = [], [], []
-    labels_n, labels_z, labels_f = [], [], []
-    signs_f = []
-    for i in pattern.I_g:
-        nonneg.append(ev.g_grads[i]); labels_n.append(("lambda_g", i))
-    for i in pattern.I_GH:
-        choice = partial.get(i)
-        for kind, row in (("lambda_G", ev.G_grads[i]), ("lambda_H", ev.H_grads[i])):
-            if choice == "nonneg":
-                nonneg.append(-row); labels_n.append((kind, i))
-            elif (choice, kind) in (("gamma_zero", "lambda_G"), ("nu_zero", "lambda_H")):
-                zero.append(-row); labels_z.append((kind, i))
-            else:
-                free.append(row); labels_f.append((kind, i)); signs_f.append(-1.0)
-    for j in range(ev.dims.p):
-        free.append(ev.h_grads[j]); labels_f.append(("lambda_h", j)); signs_f.append(1.0)
-    for i in pattern.I_G:
-        free.append(ev.G_grads[i]); labels_f.append(("lambda_G", i)); signs_f.append(-1.0)
-    for i in pattern.I_H:
-        free.append(ev.H_grads[i]); labels_f.append(("lambda_H", i)); signs_f.append(-1.0)
-    query = make_query(ev.dims.n, nonneg=nonneg, zero=zero, free=free)
-    signs = np.concatenate([np.ones(len(nonneg) + len(zero)), signs_f])
-    return query, labels_n + labels_z + labels_f, signs
-
-
 def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
                  cap: int = DEFAULT_BRANCH_CAP) -> CqVerdict:
     """No nonzero abnormal multiplier condition.
@@ -218,7 +192,12 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     multiplier vector.  The branches are searched depth first with the
     unassigned pairs free; a node whose relaxation admits no nonzero
     multiplier clears its whole subtree, and the root is the MFCQ-TNLP
-    query.  The failing branch is reported as read off the witness.
+    query.  Each node's rows are `gradient_bundle_tnlp` with the pairs'
+    `M_BRANCHES` modes, a pinned multiplier's row dropped.  The labels
+    lambda_g, lambda_h, lambda_G and lambda_H name the multipliers of
+    grad g, grad h, -grad G and -grad H; a pinned multiplier appears in
+    `multipliers` only, as 0.0.  The failing branch is reported as read
+    off the witness.
     """
     k = len(pattern.I_GH)
     if k > cap:
@@ -226,24 +205,30 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
 
     def admit(partial):
-        query, labels, signs = _nnamcq_query(ev, pattern, partial)
-        witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
+        bundle = gradient_bundle_tnlp(ev, pattern,
+                                      {i: M_BRANCHES[c] for i, c in partial.items()})
+        witness, order = _null_combination(bundle, tol)
         if not witness.exists:
             return None
-        coeffs = witness.coefficients * signs
-        if not coeffs[:query.nonneg.shape[0]].any():
+        coeffs = witness.coefficients * bundle.signs[order]
+        if not coeffs[:bundle.classes.count("signed")].any():
             # a dependence among free rows has no sign of its own; keep
             # the rank kernel's positive leading entry
             coeffs *= np.sign(coeffs[np.abs(coeffs) > 1e-12][0])
+        labels = [("lambda_" + fam, i) for fam, i in (bundle.provenance[r] for r in order)]
         return replace(witness, coefficients=coeffs), labels
 
-    found = first_leaf(pattern.I_GH, ("nonneg", "gamma_zero", "nu_zero"), admit)
+    found = first_leaf(pattern.I_GH, tuple(M_BRANCHES), admit)
     if found is None:
         return CqVerdict("NNAMCQ", "holds",
                          certificate={"branches_checked": 3 ** k})
     witness, labels = found[1]
     cert = _witness_cert(witness, labels)
     multipliers = _multipliers_from_witness(witness, labels)
+    for i, choice in found[0].items():
+        for kind, mode in zip(("lambda_G", "lambda_H"), M_BRANCHES[choice]):
+            if mode == "zero":
+                multipliers.setdefault(kind, {})[str(i)] = 0.0
     eps = tol.activity_eps
     cert["branch"] = {
         str(i): ("gamma_zero" if abs(multipliers["lambda_G"][str(i)]) <= eps

@@ -249,25 +249,21 @@ def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:
 
 @dataclass(frozen=True)
 class SignedCombinationQuery:
-    """Rows grouped by the sign class of their combination coefficient.
+    """Rows grouped by the sign class of their combination coefficient,
+    both blocks `dim` wide.
 
-    nonneg: coefficient >= 0; zero: fixed at zero (kept for provenance
-    only); free: unconstrained.
+    nonneg: coefficient >= 0; free: unconstrained.
     """
 
     nonneg: np.ndarray
-    zero: np.ndarray
     free: np.ndarray
 
     @property
     def dim(self) -> int:
-        for block in (self.nonneg, self.zero, self.free):
-            if block.shape[0]:
-                return block.shape[1]
         return self.nonneg.shape[1]
 
 
-def make_query(dim: int, nonneg=None, zero=None, free=None) -> SignedCombinationQuery:
+def make_query(dim: int, nonneg=None, free=None) -> SignedCombinationQuery:
     def block(rows):
         if rows is None or len(rows) == 0:
             return np.zeros((0, dim))
@@ -276,13 +272,13 @@ def make_query(dim: int, nonneg=None, zero=None, free=None) -> SignedCombination
             raise ValueError("row dimension mismatch in query")
         return out
 
-    return SignedCombinationQuery(block(nonneg), block(zero), block(free))
+    return SignedCombinationQuery(block(nonneg), block(free))
 
 
 @dataclass(frozen=True)
 class CombinationWitness:
     exists: bool
-    # aligned with query rows in block order nonneg, zero, free
+    # aligned with query rows in block order nonneg, free
     coefficients: np.ndarray | None
     residual: float | None
 
@@ -294,16 +290,13 @@ def verify_combination(query: SignedCombinationQuery, coefficients) -> float:
     sign classes, are essentially zero, or fail to annihilate the rows.
     """
     coeffs = np.asarray(coefficients, dtype=float)
-    kn, kz, kf = query.nonneg.shape[0], query.zero.shape[0], query.free.shape[0]
-    if coeffs.shape[0] != kn + kz + kf:
+    kn, kf = query.nonneg.shape[0], query.free.shape[0]
+    if coeffs.shape[0] != kn + kf:
         raise WitnessVerificationError("witness length does not match query")
     a = coeffs[:kn]
-    zc = coeffs[kn:kn + kz]
-    f = coeffs[kn + kz:]
+    f = coeffs[kn:]
     if np.any(a < -1e-9):
         raise WitnessVerificationError("nonneg coefficient is negative")
-    if np.any(np.abs(zc) > 1e-12):
-        raise WitnessVerificationError("zero-class coefficient is nonzero")
     total = np.abs(coeffs).sum()
     if total < 0.5:
         raise WitnessVerificationError("witness is essentially zero")
@@ -324,17 +317,17 @@ def signed_combination_exists(query: SignedCombinationQuery, *,
 
     Existence is invariant under positive rescaling of any row.  The
     returned coefficients are normalized to unit 1-norm and re-verified
-    before being handed back; zero-class rows always get coefficient 0.
+    before being handed back.
 
     Decision procedure: a dependence among the free rows alone settles
     the question via the rank kernel; otherwise any witness carries
     nonneg mass, and the feasibility system with unit nonneg mass
     decides.
     """
-    kn, kz, kf = query.nonneg.shape[0], query.zero.shape[0], query.free.shape[0]
+    kn, kf = query.nonneg.shape[0], query.free.shape[0]
 
     def assemble(a, f):
-        coeffs = np.concatenate([a, np.zeros(kz), f])
+        coeffs = np.concatenate([a, f])
         coeffs = coeffs / np.abs(coeffs).sum()
         residual = verify_combination(query, coeffs)
         return CombinationWitness(True, coeffs, residual)

@@ -222,53 +222,77 @@ def classify_active(ev: PointEvaluation, tol: Tolerances) -> ActivePattern:
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Stacked gradient rows with class and provenance labels.
+    """Stacked gradient rows with class, provenance and sign labels.
 
-    classes[i] is 'signed' or 'free'; provenance[i] is (family, index).
+    classes[i] is 'signed' or 'free'; provenance[i] is (family, index);
+    a coefficient c on row i is the multiplier signs[i] * c of that
+    constraint (see `gradient_bundle_tnlp`).
     """
 
     rows: np.ndarray
     classes: tuple
     provenance: tuple
+    signs: np.ndarray
 
 
-def _bundle(ev: PointEvaluation, blocks) -> GradientBundle:
-    """Stack (family, indices, class) blocks of gradient rows in order."""
-    grads = {"g": ev.g_grads, "h": ev.h_grads, "G": ev.G_grads, "H": ev.H_grads}
-    rows = np.concatenate([grads[family][np.asarray(idx, dtype=np.intp)]
-                           for family, idx, _ in blocks])
-    classes = tuple(cls for _, idx, cls in blocks for _ in idx)
-    prov = tuple((family, i) for family, idx, _ in blocks for i in idx)
-    return GradientBundle(rows, classes, prov)
+# biactive multiplier mode -> (sign, class) of its row, which is -sign * gradient
+_MODES = {"free": (-1.0, "free"), "nonneg": (1.0, "signed"), "nonpos": (-1.0, "signed")}
 
 
-def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern) -> GradientBundle:
-    """Active-constraint gradients of the tightened NLP.
+def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
+                         modes: dict | None = None) -> GradientBundle:
+    """Active-constraint gradients of the tightened NLP, and the rows of
+    the multiplier systems of the CQ and stationarity checks.
 
-    The tightened problem pins G and H to zero wherever they are active,
-    so every biactive pair contributes both rows as equalities; only the
-    active g rows keep a sign restriction.
+    Rows come in bundle order: grad g on I_g (signed), grad h, grad G on
+    I_G and I_GH, grad H on I_H and I_GH (free).  The tightened problem
+    pins G and H to zero wherever they are active, so with no `modes`
+    every biactive pair contributes both rows as equalities.  In the
+    multiplier equation
+
+        sum lambda grad g + sum mu grad h - sum gamma grad G - sum nu grad H
+
+    a coefficient c on row i stands for the multiplier signs[i] * c:
+    +1 on the g and h rows, -1 on a row +grad G or +grad H, and +1 on
+    a row -grad G or -grad H.
+
+    `modes` maps a biactive index to the modes of its (gamma, nu):
+    'free' keeps +grad as a free row (the default), 'nonneg' enters
+    -grad as a signed row, 'nonpos' +grad as a signed row, and 'zero'
+    drops the row.  Every pair 'nonneg' gives the relaxed NLP, whose
+    signed G and H rows are the inward normals of G >= 0 and H >= 0.
     """
-    return _bundle(ev, [("g", pattern.I_g, "signed"),
-                        ("h", range(ev.dims.p), "free"),
-                        ("G", sorted(set(pattern.I_G) | set(pattern.I_GH)), "free"),
-                        ("H", sorted(set(pattern.I_H) | set(pattern.I_GH)), "free")])
-
-
-def gradient_bundle_rnlp(ev: PointEvaluation, pattern: ActivePattern) -> GradientBundle:
-    """Active-constraint gradients of the relaxed NLP.
-
-    The relaxed problem keeps G_i >= 0, H_i >= 0 as inequalities on the
-    biactive set, so those rows join the sign-restricted class; G on
-    I_G and H on I_H remain pinned equalities.  With no biactive pairs
-    the bundle coincides with the tightened one.
-    """
-    return _bundle(ev, [("g", pattern.I_g, "signed"),
-                        ("G", pattern.I_GH, "signed"),
-                        ("H", pattern.I_GH, "signed"),
-                        ("h", range(ev.dims.p), "free"),
-                        ("G", pattern.I_G, "free"),
-                        ("H", pattern.I_H, "free")])
+    G_idx = sorted(set(pattern.I_G) | set(pattern.I_GH))
+    H_idx = sorted(set(pattern.I_H) | set(pattern.I_GH))
+    rows = np.concatenate([ev.g_grads.take(pattern.I_g, axis=0), ev.h_grads,
+                           ev.G_grads.take(G_idx, axis=0), ev.H_grads.take(H_idx, axis=0)])
+    provenance = [(family, i) for family, idx in (("g", pattern.I_g), ("h", range(ev.dims.p)),
+                                                  ("G", G_idx), ("H", H_idx)) for i in idx]
+    ng, start = len(pattern.I_g), len(pattern.I_g) + ev.dims.p
+    classes = ["signed"] * ng + ["free"] * (len(provenance) - ng)
+    signs = np.ones(len(provenance))
+    signs[start:] = -1.0
+    dropped = []
+    for i, pair in (modes or {}).items():
+        if i not in pattern.I_GH:
+            raise ValueError(f"pair {i} is not biactive")
+        for r, mode in zip((start + G_idx.index(i), start + len(G_idx) + H_idx.index(i)),
+                           pair):
+            if mode == "zero":
+                dropped.append(r)
+            elif mode in _MODES:
+                signs[r], classes[r] = _MODES[mode]
+            else:
+                raise ValueError(f"unknown multiplier mode {mode!r}")
+    if modes:
+        rows[start:] *= -signs[start:, None]
+    if dropped:
+        keep = np.ones(len(provenance), dtype=bool)
+        keep[dropped] = False
+        rows, signs = rows[keep], signs[keep]
+        for r in sorted(dropped, reverse=True):
+            del classes[r], provenance[r]
+    return GradientBundle(rows, tuple(classes), tuple(provenance), signs)
 
 
 def canonical_json(obj) -> str:

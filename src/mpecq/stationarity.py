@@ -38,13 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import DEFAULT_BRANCH_CAP, first_leaf
+from .cq import DEFAULT_BRANCH_CAP, M_BRANCHES, first_leaf
 from .errors import WitnessVerificationError
 from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram, numerical_rank
 from .model import (ActivePattern, PointEvaluation, Tolerances,
                     gradient_bundle_tnlp)
 
 CLASS_ORDER = ("strong", "M", "C", "weak")
+
+# the multiplier of each gradient family in the multiplier equation
+_MULTIPLIER = {"g": "lambda_g", "h": "mu", "G": "gamma", "H": "nu"}
 
 
 @dataclass(frozen=True)
@@ -60,48 +63,28 @@ class StationarityReport:
 
 
 def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
-                  gh_modes: dict) -> dict | None:
+                  gh_modes: dict | None = None) -> dict | None:
     """Solve one multiplier system; returns a verified witness or None.
 
-    gh_modes maps each biactive index to (gamma_mode, nu_mode) with
-    modes 'free', 'nonneg', 'nonpos', 'zero'.
+    gh_modes maps biactive indices to (gamma_mode, nu_mode) as in
+    `gradient_bundle_tnlp`, whose rows are A^T and whose signs turn the
+    values into multipliers.  With every pair free A^T is the
+    tightened-NLP bundle, which the rank tests have already factored.
     """
     grad_f = np.asarray(grad_f, dtype=float)
-    # one column per multiplier after lambda and mu: (family, index, mode)
-    slots = ([("gamma", i, "free") for i in pattern.I_G]
-             + [("nu", i, "free") for i in pattern.I_H])
-    for i in pattern.I_GH:
-        for family, mode in zip(("gamma", "nu"), gh_modes[i]):
-            if mode not in ("free", "nonneg", "nonpos", "zero"):
-                raise ValueError(f"unknown multiplier mode {mode!r}")
-            if mode != "zero":
-                slots.append((family, i, mode))
-    # value = sign * multiplier, column = -sign * gradient.  A free
-    # column is +grad G or +grad H, so that with no active g and no
-    # biactive pair A^T is the tightened-NLP bundle, which the rank tests
-    # have already factored.
-    sign = {"free": -1.0, "nonneg": 1.0, "nonpos": -1.0}
-    ng, p = len(pattern.I_g), ev.dims.p
-    family_rows = np.concatenate([ev.G_grads, ev.H_grads])  # gamma, then nu
-    index = np.array([i + ev.dims.l * (family == "nu") for family, i, _ in slots],
-                     dtype=np.intp)
-    column_sign = np.array([-sign[mode] for _, _, mode in slots])
-    A = np.concatenate([ev.g_grads[list(pattern.I_g)], ev.h_grads,
-                        family_rows[index] * column_sign[:, None]]).T
-    free = [*range(ng, ng + p),
-            *(ng + p + s for s, (_, _, mode) in enumerate(slots) if mode == "free")]
-    values, _ = LinearProgram(A, -grad_f, free).solve()
+    bundle = gradient_bundle_tnlp(ev, pattern, gh_modes)
+    free = [r for r, c in enumerate(bundle.classes) if c == "free"]
+    values, _ = LinearProgram(bundle.rows.T, -grad_f, free).solve()
     if values is None:
         return None
 
     multipliers = {
-        "lambda_g": {str(i): float(v) for i, v in zip(pattern.I_g, values)},
-        "mu": {str(j): float(values[ng + j]) for j in range(p)},
+        "lambda_g": {}, "mu": {},
         "gamma": {str(i): 0.0 for i in sorted(set(pattern.I_G) | set(pattern.I_GH))},
         "nu": {str(i): 0.0 for i in sorted(set(pattern.I_H) | set(pattern.I_GH))},
     }
-    for (family, i, mode), value in zip(slots, values[ng + p:]):
-        multipliers[family][str(i)] = sign[mode] * float(value)
+    for (family, i), value in zip(bundle.provenance, values * bundle.signs):
+        multipliers[_MULTIPLIER[family]][str(i)] = float(value)
     residual = witness_residual(ev, pattern, grad_f, multipliers)
     if residual > WITNESS_RESIDUAL_SLACK:
         raise WitnessVerificationError(
@@ -195,8 +178,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     notes: list[str] = []
     classes = {c: "fails" for c in CLASS_ORDER}
 
-    weak_witness = _solve_system(ev, pattern, grad_f,
-                                 {i: ("free", "free") for i in pattern.I_GH})
+    weak_witness = _solve_system(ev, pattern, grad_f)
     if weak_witness is None:
         return StationarityReport("not_stationary", classes, None,
                                   ("multiplier equation infeasible even with free "
@@ -223,13 +205,9 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     positive = all(gamma > 0 and nu > 0 for gamma, nu in decided)  # strong and M
     same_sign = all(gamma * nu > 0 for gamma, nu in decided)       # C
 
-    def solve(modes):
-        return _solve_system(ev, pattern, grad_f, {
-            i: modes.get(i, ("free", "free")) for i in pattern.I_GH})
-
     if positive:
-        strong_witness = weak_witness if not open_pairs else solve(
-            {i: ("nonneg", "nonneg") for i in open_pairs})
+        strong_witness = weak_witness if not open_pairs else _solve_system(
+            ev, pattern, grad_f, dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
         if strong_witness is not None:
             return report("strong", strong_witness)
 
@@ -244,14 +222,14 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         def admit(partial):
             if not partial:  # the root is the weak system
                 return weak_witness
-            return solve({i: modes_of[choice] for i, choice in partial.items()})
+            return _solve_system(ev, pattern, grad_f,
+                                 {i: modes_of[choice] for i, choice in partial.items()})
 
         found = first_leaf(open_pairs, tuple(modes_of), admit)
         return None if found is None else found[1]
 
     if positive:
-        m_witness = search({"nonneg": ("nonneg", "nonneg"),
-                            "gamma_zero": ("zero", "free"), "nu_zero": ("free", "zero")})
+        m_witness = search(M_BRANCHES)
         if m_witness is not None:
             return report("M", m_witness)
     if same_sign:
@@ -270,8 +248,8 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     H_i >= 0 as ordinary inequalities with nonnegative multipliers on
     their active sets.  Both routes must agree at every feasible point.
     """
-    strong_ok = _solve_system(ev, pattern, grad_f,
-                              {i: ("nonneg", "nonneg") for i in pattern.I_GH}) is not None
+    strong_ok = _solve_system(ev, pattern, grad_f, dict.fromkeys(
+        pattern.I_GH, ("nonneg", "nonneg"))) is not None
 
     active_G = sorted(set(pattern.I_G) | set(pattern.I_GH))
     active_H = sorted(set(pattern.I_H) | set(pattern.I_GH))

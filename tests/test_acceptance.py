@@ -9,7 +9,7 @@ rational-arithmetic rank comparison over 10^4 integer matrices.
 
 import numpy as np
 
-from mpecq import (classify_active, classify_stationarity, make_query,
+from mpecq import (classify_active, classify_stationarity, digest, make_query,
                    numerical_rank, signed_combination_exists,
                    verify_combination)
 from mpecq.fixtures import fixture_e2, run_fixture_suite
@@ -20,6 +20,12 @@ from conftest import PINNED_TOL
 
 def violations_of(summary, *kinds):
     return [v for v in summary.violations if v["kind"] in kinds]
+
+
+def test_corpus_digest_is_pinned(fuzz_summary):
+    # the corpus's counts, branch hits and violations: a change that
+    # moves any of them moves the digest
+    assert digest(fuzz_summary.to_dict()) == "ae041e7436404382"
 
 
 def test_criterion_01_counterexample_fidelity(acceptance):

@@ -205,6 +205,18 @@ class TestLowerLevelSolve:
         assert exc.value.residual > 0
         assert exc.value.iterations == 1
 
+    def test_budget_bounds_the_segments_built(self):
+        # the path to C = 100 has 14 segments on this fold; a budget of
+        # one breakpoint must not build them all before it raises
+        rng = np.random.default_rng(0)
+        B = rng.normal(size=(15, 5))
+        inst = BhoInstance(1, 1, 15, 5, rng.normal(size=(1, 5)), B)
+        with pytest.raises(ConvergenceError, match="within 1 iterations"):
+            lower_level_solve(inst, 0, 100.0, budget=1)
+        assert len(inst._paths[0].a) <= 2
+        lower_level_solve(inst, 0, 100.0)
+        assert len(inst._paths[0].a) == 14
+
     def test_rounding_above_tolerance_raises_at_once(self):
         # rank-1 Gram whose range excludes 1: the solution has alpha_0 = C
         # and alpha_1 = (1 + 2C) / 4, where rounding in K a is about 1 > tol,

@@ -440,11 +440,11 @@ class TestSignedCombination:
     @staticmethod
     def branch_queries(gamma_row, nu_row, free=()):
         """The three closed branches that replace a strictly positive pair:
-        both >= 0, gamma = 0 (nu free) and nu = 0 (gamma free)."""
+        both >= 0, gamma = 0 (its row dropped, nu free) and nu = 0."""
         free = list(free)
         return [make_query(2, nonneg=[gamma_row, nu_row], free=free),
-                make_query(2, zero=[gamma_row], free=[nu_row] + free),
-                make_query(2, zero=[nu_row], free=[gamma_row] + free)]
+                make_query(2, free=[nu_row] + free),
+                make_query(2, free=[gamma_row] + free)]
 
     def test_strict_branch_reformulation_has_no_witness(self):
         # gamma(1,0) cannot be cancelled by nu on (0,1) in any branch
@@ -457,12 +457,6 @@ class TestSignedCombination:
         assert [w.exists for w in found] == [True, False, False]
         # the both >= 0 witness is strictly positive on the pair
         assert np.all(found[0].coefficients[:2] > 0.1)
-
-    def test_zero_class_rows_are_ignored(self):
-        q = make_query(2, zero=[[1.0, 0.0], [-1.0, 0.0]],
-                       free=[[1.0, 0.0], [0.0, 1.0]])
-        w = signed_combination_exists(q)
-        assert not w.exists
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.5, 100.0))
     @settings(max_examples=80, deadline=None)

@@ -7,8 +7,7 @@ import pytest
 
 from mpecq import (ActivePattern, ClassificationError, InputError, PointEvaluation,
                    Tolerances, canonical_json, check_feasibility,
-                   classify_active, digest, gradient_bundle_rnlp,
-                   gradient_bundle_tnlp)
+                   classify_active, digest, gradient_bundle_tnlp)
 
 
 def record(**overrides):
@@ -139,22 +138,25 @@ class TestGradientBundles:
 
     def test_relaxed_bundle_marks_biactive_rows_signed(self):
         ev = PointEvaluation.from_dict(record(H_vals=[0.0, 0.0]))
-        b = gradient_bundle_rnlp(ev, classify_active(ev, Tolerances()))
-        # biactive pair 0 contributes raw grad_G0 and grad_H0, sign-classed
-        signed = [(prov, tuple(r)) for r, cls, prov
-                  in zip(b.rows, b.classes, b.provenance) if cls == "signed"]
-        assert (("G", 0), (1.0, 0.0, 0.0)) in signed
-        assert (("H", 0), (0.0, 0.0, 1.0)) in signed
+        b = gradient_bundle_tnlp(ev, classify_active(ev, Tolerances()),
+                                 {0: ("nonneg", "nonneg")})
+        # biactive pair 0 contributes -grad_G0 and -grad_H0, sign-classed,
+        # whose coefficients are gamma_0 and nu_0 themselves
+        signed = [(prov, tuple(r), s) for r, cls, prov, s
+                  in zip(b.rows, b.classes, b.provenance, b.signs) if cls == "signed"]
+        assert (("G", 0), (-1.0, 0.0, 0.0), 1.0) in signed
+        assert (("H", 0), (0.0, 0.0, -1.0), 1.0) in signed
 
     def test_bundle_without_biactive_matches_between_forms(self):
         ev = PointEvaluation.from_dict(record())
         pattern = classify_active(ev, Tolerances())
         t = gradient_bundle_tnlp(ev, pattern)
-        r = gradient_bundle_rnlp(ev, pattern)
-        assert np.array_equal(np.sort(t.rows, axis=0), np.sort(r.rows, axis=0))
+        r = gradient_bundle_tnlp(ev, pattern, dict.fromkeys(pattern.I_GH, ("nonneg", "nonneg")))
+        assert t.rows.tobytes() == r.rows.tobytes()
+        assert (t.classes, t.provenance) == (r.classes, r.provenance)
 
-
-    def test_rows_follow_provenance_in_both_forms(self):
+    @staticmethod
+    def two_pair_point():
         rng = np.random.default_rng(5)
         ev = PointEvaluation.from_dict(record(
             m=3, l=4, g_vals=[0.0, -1.0, 0.0], G_vals=[0.0, 2.0, 0.0, 0.0],
@@ -163,26 +165,66 @@ class TestGradientBundles:
             H_grads=rng.normal(size=(4, 3)).tolist()))
         pattern = classify_active(ev, Tolerances())
         assert (pattern.I_g, pattern.I_G, pattern.I_H, pattern.I_GH) == ((0, 2), (0,), (1,), (2, 3))
+        return ev, pattern
+
+    def test_rows_follow_provenance_in_both_forms(self):
+        ev, pattern = self.two_pair_point()
         grads = {"g": ev.g_grads, "h": ev.h_grads, "G": ev.G_grads, "H": ev.H_grads}
         t = gradient_bundle_tnlp(ev, pattern)
         assert t.provenance == (("g", 0), ("g", 2), ("h", 0), ("G", 0), ("G", 2), ("G", 3),
                                 ("H", 1), ("H", 2), ("H", 3))
         assert t.classes == ("signed",) * 2 + ("free",) * 7
-        r = gradient_bundle_rnlp(ev, pattern)
-        assert r.provenance == (("g", 0), ("g", 2), ("G", 2), ("G", 3), ("H", 2), ("H", 3),
-                                ("h", 0), ("G", 0), ("H", 1))
-        assert r.classes == ("signed",) * 6 + ("free",) * 3
-        for b in (t, r):
-            expected = np.vstack([grads[family][i] for family, i in b.provenance])
+        assert t.signs.tolist() == [1.0] * 3 + [-1.0] * 6
+        r = gradient_bundle_tnlp(ev, pattern, {2: ("nonneg", "nonneg"), 3: ("nonneg", "nonneg")})
+        assert r.provenance == t.provenance
+        # signed rows first, then free ones: the relaxed NLP's bundle
+        relaxed = sorted(range(len(r.classes)), key=lambda j: r.classes[j] != "signed")
+        assert [r.provenance[j] for j in relaxed] == [
+            ("g", 0), ("g", 2), ("G", 2), ("G", 3), ("H", 2), ("H", 3),
+            ("h", 0), ("G", 0), ("H", 1)]
+        assert [r.classes[j] for j in relaxed] == ["signed"] * 6 + ["free"] * 3
+        biactive = [fam in ("G", "H") and i in pattern.I_GH for fam, i in r.provenance]
+        assert r.signs.tolist() == [1.0 if b or fam in ("g", "h") else -1.0
+                                    for b, (fam, _) in zip(biactive, r.provenance)]
+        for b, negated in ((t, [False] * 9), (r, biactive)):
+            expected = np.vstack([-grads[family][i] if neg else grads[family][i]
+                                  for (family, i), neg in zip(b.provenance, negated)])
             assert b.rows.tobytes() == expected.tobytes()
+
+    def test_zero_mode_drops_the_row(self):
+        ev, pattern = self.two_pair_point()
+        t = gradient_bundle_tnlp(ev, pattern)
+        b = gradient_bundle_tnlp(ev, pattern, {3: ("zero", "free"), 2: ("free", "zero")})
+        kept = [j for j, pv in enumerate(t.provenance) if pv not in (("G", 3), ("H", 2))]
+        assert b.provenance == tuple(t.provenance[j] for j in kept)
+        assert b.classes == tuple(t.classes[j] for j in kept)
+        assert b.rows.tobytes() == t.rows[kept].tobytes()
+        assert b.signs.tolist() == t.signs[kept].tolist()
+
+    def test_nonpos_mode_signs_the_plus_gradient(self):
+        ev, pattern = self.two_pair_point()
+        t = gradient_bundle_tnlp(ev, pattern)
+        b = gradient_bundle_tnlp(ev, pattern, {2: ("nonpos", "free")})
+        j = t.provenance.index(("G", 2))
+        # +grad G_2 with a coefficient c >= 0 stands for gamma_2 = -c <= 0
+        assert b.classes[j] == "signed" and b.signs[j] == -1.0
+        assert b.rows.tobytes() == t.rows.tobytes()
+        assert b.classes[:j] + b.classes[j + 1:] == t.classes[:j] + t.classes[j + 1:]
+
+    @pytest.mark.parametrize("modes", [{2: ("nonneg", "positive")}, {0: ("free", "free")}])
+    def test_unknown_mode_or_pair_raises(self, modes):
+        ev, pattern = self.two_pair_point()
+        with pytest.raises(ValueError):
+            gradient_bundle_tnlp(ev, pattern, modes)
 
     def test_empty_bundle_keeps_its_width(self):
         ev = PointEvaluation.from_dict(record(m=0, p=0, g_vals=[], h_vals=[],
                                               g_grads=[], h_grads=[]))
         empty = ActivePattern((), (), (), ())
-        for build in (gradient_bundle_tnlp, gradient_bundle_rnlp):
-            b = build(ev, empty)
+        for modes in (None, {}):
+            b = gradient_bundle_tnlp(ev, empty, modes)
             assert b.rows.shape == (0, 3) and b.classes == () and b.provenance == ()
+            assert b.signs.shape == (0,)
 
 
 class TestCanonicalJson:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
-                   Tolerances, assemble_feasible_point, classify_active,
+                   Tolerances, assemble_feasible_point, classify_active, cq,
                    classify_stationarity, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
                    verify_kkt_equivalence, witness_residual, witness_satisfies)
@@ -17,16 +17,21 @@ TOL = Tolerances()
 C_GRID = tuple(float(c) for c in np.logspace(-2.0, 2.0, 9))
 
 
-def svc_point(index, C):
-    """An n = 121 SVC point (T = 3, m1 = 5, m2 = 15, p = 5) at C, on
-    dataset `index` of the benchmark's generator."""
+def svc_instance(index):
+    """An n = 121 SVC instance (T = 3, m1 = 5, m2 = 15, p = 5) on dataset
+    `index` of the benchmark's generator."""
     rng = np.random.default_rng([2, index])
     X = rng.normal(0.0, 1.0, size=(60, 5))
     w = rng.normal(0.0, 1.0, size=5)
     y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
     ds = Dataset(X, y)
-    inst = BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
+    return BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
                                                     int(rng.integers(2 ** 31))))
+
+
+def svc_point(index, C, inst=None):
+    """The SVC point at C on `svc_instance(index)`, or on `inst`."""
+    inst = inst or svc_instance(index)
     point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
     ev = to_evaluation(inst, point)
     return ev, classify_active(ev, TOL), inst.grad_f
@@ -194,6 +199,38 @@ class TestOneFactorizationPerSvcPoint:
         rows = gradient_bundle_tnlp(ev, pattern).rows
         assert A.T.shape == rows.shape
         assert np.ascontiguousarray(A.T).tobytes() == rows.tobytes()
+
+    def test_biactive_knot_point_reuses_the_bundle_factorization(self, monkeypatch):
+        # a knot of a fold's path is a C where a fold index changes side,
+        # so the point there has a biactive pair
+        inst = svc_instance(1)
+        solve_all_folds(inst, 100.0)
+        ev, pattern, gf = svc_point(1, float(inst._paths[0].knots[1]), inst)
+        assert pattern.I_g == () and len(pattern.I_GH) == 1
+        systems = []
+        solve = kernels.LinearProgram.solve
+        monkeypatch.setattr(kernels.LinearProgram, "solve",
+                            lambda self: systems.append(self.A) or solve(self))
+        kernels._svd_rank.cache_clear()
+        run_all_checks(ev, pattern, TOL, is_affine=True)
+        del systems[:]
+        classify_stationarity(ev, pattern, gf, TOL)
+        # one SVD of the bundle, one of the relaxed NLP's free rows
+        assert kernels._svd_rank.cache_info().misses == 2
+        rows = gradient_bundle_tnlp(ev, pattern).rows
+        assert np.ascontiguousarray(systems[0].T).tobytes() == rows.tobytes()  # weak
+
+        queries = []
+        exists = cq.signed_combination_exists
+        monkeypatch.setattr(cq, "signed_combination_exists",
+                            lambda q, **kw: queries.append(q) or exists(q, **kw))
+        cq.check_mpec_mfcq_t(ev, pattern, TOL)
+        cq.check_nnamcq(ev, pattern, TOL)
+        mfcq_t, nnamcq_root = queries[:2]
+        for block in ("nonneg", "free"):
+            a, b = getattr(mfcq_t, block), getattr(nnamcq_root, block)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert mfcq_t.free.tobytes() == rows.tobytes()
 
 
 class TestWitnessChecks:
