@@ -11,9 +11,7 @@ machinery.  All indices are 0-based throughout.
 from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError, MpecqError,
                      WitnessVerificationError)
-from .kernels import (CombinationWitness, RankResult, SignedCombinationQuery,
-                      is_positive_definite, make_query, numerical_rank,
-                      signed_combination_exists, verify_combination)
+from .kernels import RankResult, is_positive_definite, numerical_rank
 from .model import (ActivePattern, FeasibilityReport, GradientBundle,
                     MpecDimensions, PointEvaluation, Tolerances,
                     canonical_json, check_feasibility, classify_active,
@@ -39,25 +37,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivePattern", "BhoInstance", "BhoPoint", "CLASS_ORDER", "CQ_NAMES",
-    "ClassificationError", "CombinationWitness", "ConvergenceError",
-    "CqReport", "CqVerdict", "DEFAULT_BRANCH_CAP", "Dataset",
-    "FeasibilityReport", "Fixture", "FoldSplit", "FuzzSummary", "GammaMatrix",
-    "GradientBundle", "IMPLICATION_EDGES", "InfeasiblePointError",
-    "InputError", "LambdaPsiPattern", "MpecDimensions", "MpecqError",
-    "PointEvaluation", "RankResult", "SignedCombinationQuery",
-    "StationarityReport", "TheoremVerdict", "Tolerances",
+    "ClassificationError", "ConvergenceError", "CqReport", "CqVerdict",
+    "DEFAULT_BRANCH_CAP", "Dataset", "FeasibilityReport", "Fixture",
+    "FoldSplit", "FuzzSummary", "GammaMatrix", "GradientBundle",
+    "IMPLICATION_EDGES", "InfeasiblePointError", "InputError",
+    "LambdaPsiPattern", "MpecDimensions", "MpecqError", "PointEvaluation",
+    "RankResult", "StationarityReport", "TheoremVerdict", "Tolerances",
     "WitnessVerificationError", "all_fixtures", "assemble_feasible_point",
     "assemble_gamma", "audit_implications", "canonical_json",
     "check_acq_affine", "check_feasibility", "check_licq_theorem",
     "check_mfcq_r_theorem", "check_mpec_gmfcq", "check_mpec_licq",
     "check_mpec_mfcq_r", "check_mpec_mfcq_t", "check_nnamcq",
     "classify_active", "classify_lambda_psi", "classify_stationarity",
-    "digest", "gamma_matches_generic", "gen_bho_case",
-    "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
-    "lower_level_solve", "make_query", "misclassification_oracle",
-    "numerical_rank", "run_all_checks", "run_fixture_suite", "run_fuzz",
-    "signed_combination_exists", "solve_all_folds",
-    "split_folds", "structured_index_sets", "to_evaluation",
-    "validation_error", "verify_combination", "verify_kkt_equivalence",
-    "witness_residual", "witness_satisfies",
+    "digest", "gamma_matches_generic", "gen_bho_case", "gradient_bundle_tnlp",
+    "is_positive_definite", "load_dataset_csv", "lower_level_solve",
+    "misclassification_oracle", "numerical_rank", "run_all_checks",
+    "run_fixture_suite", "run_fuzz", "solve_all_folds", "split_folds",
+    "structured_index_sets", "to_evaluation", "validation_error",
+    "verify_kkt_equivalence", "witness_residual", "witness_satisfies",
 ]

@@ -15,9 +15,14 @@ k biactive pairs.  Both are searched depth first by `first_leaf`, which
 also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
 node whose relaxation settles every leaf below it skips its subtree.
 On a full-rank bundle NNAMCQ is one LP, and GMFCQ none: a GMFCQ node
-whose rows have full row rank is certified by that rank alone.  GMFCQ
-poses its own direction systems, so the audited NNAMCQ <=> GMFCQ edge
-compares two different computations.
+whose rows have full row rank is certified by that rank alone.
+
+The module builds no LP itself.  MFCQ-TNLP, MFCQ-RNLP and every NNAMCQ
+node ask `kernels.null_combination` for a vanishing combination of
+their rows; a GMFCQ node asks `kernels.cone_combination` for the
+Motzkin alternative of its direction system.  GMFCQ poses its own
+direction systems, so the audited NNAMCQ <=> GMFCQ edge compares two
+different computations.
 
 "undecided" occurs only when the biactive count exceeds the branch
 cap, when the ACQ shortcut does not apply, or (for the model-specific
@@ -27,12 +32,11 @@ established.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (LinearProgram, make_query, numerical_rank,
-                      signed_combination_exists)
+from .kernels import cone_combination, null_combination, numerical_rank
 from .model import (ActivePattern, GradientBundle, PointEvaluation, Tolerances,
                     gradient_bundle_tnlp)
 
@@ -78,12 +82,11 @@ class CqReport:
                 "implication_violations": list(self.implication_violations)}
 
 
-def _witness_cert(witness, labels) -> dict:
-    coeffs = witness.coefficients
+def _witness_cert(coeffs, residual, labels) -> dict:
     return {
         "coefficients": [float(c) for c in coeffs],
         "labels": [list(lab) for lab in labels],
-        "residual": witness.residual,
+        "residual": residual,
     }
 
 
@@ -109,28 +112,25 @@ def _null_combination(bundle: GradientBundle, tol: Tolerances):
     """Search a nonzero combination of the bundle rows that vanishes,
     nonnegative on the signed rows and free on the others.
 
-    Returns the kernel's witness and the bundle row each of its
-    coefficients weighs: the signed rows first, then the free ones, each
-    in bundle order.
+    Returns `null_combination`'s (coefficients, residual) or None, and
+    the bundle row each coefficient weighs: the signed rows first, then
+    the free ones, each in bundle order.
     """
-    signed = np.array([c == "signed" for c in bundle.classes], dtype=bool)
-    query = make_query(bundle.rows.shape[1], nonneg=bundle.rows[signed],
-                       free=bundle.rows[~signed])
-    witness = signed_combination_exists(query, rank_rel_tol=tol.rank_rel_tol)
-    return witness, np.argsort(~signed, kind="stable")
+    return (null_combination(bundle.rows, bundle.signed, tol.rank_rel_tol),
+            np.argsort(~bundle.signed, kind="stable"))
 
 
 def _positive_independence(name: str, bundle: GradientBundle,
                            tol: Tolerances) -> CqVerdict:
     """Fails exactly when `_null_combination` finds a combination.  A
     -grad G or -grad H row is labelled G_inward or H_inward."""
-    witness, order = _null_combination(bundle, tol)
-    if not witness.exists:
+    found, order = _null_combination(bundle, tol)
+    if found is None:
         return CqVerdict(name, "holds")
     provenance = [bundle.provenance[r] for r in order]
     labels = [(fam + "_inward", i) if fam in ("G", "H") and sign > 0 else (fam, i)
               for (fam, i), sign in zip(provenance, bundle.signs[order])]
-    return CqVerdict(name, "fails", certificate=_witness_cert(witness, labels))
+    return CqVerdict(name, "fails", certificate=_witness_cert(*found, labels))
 
 
 def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
@@ -149,7 +149,13 @@ def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
     tested on outward rows, which for the lower bounds are the inward
     normals -grad G_i and -grad H_i: every biactive pair in mode
     'nonneg'.  With no biactive pairs this is the tightened-NLP test.
+    These rows are the tightened-NLP bundle's up to sign, so when that
+    bundle has full row rank, a memo hit after the LICQ check, no
+    combination of them vanishes and MFCQ-R holds without an LP.
     """
+    rows = gradient_bundle_tnlp(ev, pattern).rows
+    if numerical_rank(rows, tol.rank_rel_tol).rank == len(rows):
+        return CqVerdict("MPEC_MFCQ_RNLP", "holds")
     bundle = gradient_bundle_tnlp(ev, pattern,
                                   dict.fromkeys(pattern.I_GH, ("nonneg", "nonneg")))
     return _positive_independence("MPEC_MFCQ_RNLP", bundle, tol)
@@ -207,24 +213,27 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     def admit(partial):
         bundle = gradient_bundle_tnlp(ev, pattern,
                                       {i: M_BRANCHES[c] for i, c in partial.items()})
-        witness, order = _null_combination(bundle, tol)
-        if not witness.exists:
+        found, order = _null_combination(bundle, tol)
+        if found is None:
             return None
-        coeffs = witness.coefficients * bundle.signs[order]
-        if not coeffs[:bundle.classes.count("signed")].any():
+        coeffs, residual = found
+        coeffs = coeffs * bundle.signs[order]
+        if not coeffs[:np.count_nonzero(bundle.signed)].any():
             # a dependence among free rows has no sign of its own; keep
             # the rank kernel's positive leading entry
             coeffs *= np.sign(coeffs[np.abs(coeffs) > 1e-12][0])
         labels = [("lambda_" + fam, i) for fam, i in (bundle.provenance[r] for r in order)]
-        return replace(witness, coefficients=coeffs), labels
+        return coeffs, residual, labels
 
     found = first_leaf(pattern.I_GH, tuple(M_BRANCHES), admit)
     if found is None:
         return CqVerdict("NNAMCQ", "holds",
                          certificate={"branches_checked": 3 ** k})
-    witness, labels = found[1]
-    cert = _witness_cert(witness, labels)
-    multipliers = _multipliers_from_witness(witness, labels)
+    coeffs, residual, labels = found[1]
+    cert = _witness_cert(coeffs, residual, labels)
+    multipliers: dict = {}
+    for (kind, idx), coeff in zip(labels, coeffs):
+        multipliers.setdefault(kind, {})[str(idx)] = float(coeff)
     for i, choice in found[0].items():
         for kind, mode in zip(("lambda_G", "lambda_H"), M_BRANCHES[choice]):
             if mode == "zero":
@@ -239,29 +248,19 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     return CqVerdict("NNAMCQ", "fails", certificate=cert)
 
 
-def _multipliers_from_witness(witness, labels) -> dict:
-    out: dict = {}
-    for (kind, idx), coeff in zip(labels, witness.coefficients):
-        out.setdefault(kind, {})[str(idx)] = float(coeff)
-    return out
-
-
 def _direction_exists(n: int, eq_rows, geq_rows, strict_rows) -> bool:
     """Is there a direction d with eq.d = 0, geq.d >= 0 and strict.d > 0?
 
     By Motzkin's alternative there is none exactly when eq^T y_E +
     geq^T y_G + strict^T y_S = 0 has a solution with y_G, y_S >= 0 and
-    1.y_S = 1.  The kernel returns such a y or a verified Farkas ray
-    (-d, t) of that system: eq.d = 0, geq.d >= 0 and strict.d >= t > 0,
-    within the kernel's slack, so either answer carries its certificate.
+    1.y_S = 1, which is `cone_combination` over the rows eq, geq,
+    strict.  It returns such a y, or None after verifying a Farkas ray
+    (-d, t): eq.d = 0, geq.d >= 0 and strict.d >= t > 0, within the
+    kernel's slack, so either answer carries its certificate.
     """
     rows = np.reshape([*eq_rows, *geq_rows, *strict_rows], (-1, n))
-    A = np.zeros((n + 1, len(rows)))
-    A[:n] = rows.T
-    A[n, len(rows) - len(strict_rows):] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    return LinearProgram(A, b, range(len(eq_rows))).solve()[0] is None
+    k, ne = len(rows), len(eq_rows)
+    return cone_combination(rows, range(ne), range(k - len(strict_rows), k)) is None
 
 
 def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,

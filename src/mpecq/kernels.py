@@ -9,10 +9,13 @@ certificates, and every certificate is re-verified arithmetically before
 it is returned, so callers never have to trust the solver internals.
 
 Each of the last three is one feasibility system, A x = b with x >= 0
-except on the free columns (`LinearProgram`); a direction question is
-posed through its alternative.  It is decided by Lawson-Hanson NNLS on
-equilibrated rows, which returns either a solution that passes the
-residual test or a Farkas ray that passes `verify_farkas_ray`.
+except on the free columns (`LinearProgram`).  The combination and
+direction questions share one of them, `cone_combination`:
+`null_combination` asks it for unit mass on the signed rows, and a
+direction question is posed through its Motzkin alternative.  Every
+system is decided by Lawson-Hanson NNLS on equilibrated rows, which
+returns either a solution that passes the residual test or a Farkas ray
+that passes `verify_farkas_ray`.
 `numerical_rank` keeps the results of its last two distinct inputs, so
 a multiplier system whose A^T is a gradient bundle already factored for
 a rank test costs no second factorization.
@@ -247,103 +250,59 @@ def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:
     return bool(eigs[0] > pd_eps * (1.0 + np.trace(S) / k))
 
 
-@dataclass(frozen=True)
-class SignedCombinationQuery:
-    """Rows grouped by the sign class of their combination coefficient,
-    both blocks `dim` wide.
+def cone_combination(rows, free, mass):
+    """A y with y @ rows = 0, y >= 0 off the `free` rows and unit sum over
+    the `mass` rows, or None once `LinearProgram.solve` has verified the
+    Farkas ray that rules every such y out.
 
-    nonneg: coefficient >= 0; free: unconstrained.
+    Every combination question is this system: `null_combination` asks
+    for unit mass on its signed rows, and a direction question is asked
+    through its Motzkin alternative.  Row j of `rows` is column j of the
+    system, so y comes back in the order of `rows`.
     """
-
-    nonneg: np.ndarray
-    free: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.nonneg.shape[1]
-
-
-def make_query(dim: int, nonneg=None, free=None) -> SignedCombinationQuery:
-    def block(rows):
-        if rows is None or len(rows) == 0:
-            return np.zeros((0, dim))
-        out = np.array(rows, dtype=float, ndmin=2)
-        if out.shape[1] != dim:
-            raise ValueError("row dimension mismatch in query")
-        return out
-
-    return SignedCombinationQuery(block(nonneg), block(free))
+    rows = np.asarray(rows, dtype=float)
+    k, n = rows.shape
+    A = np.zeros((n + 1, k))
+    A[:n] = rows.T
+    A[n, list(mass)] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    return LinearProgram(A, b, free).solve()[0]
 
 
-@dataclass(frozen=True)
-class CombinationWitness:
-    exists: bool
-    # aligned with query rows in block order nonneg, free
-    coefficients: np.ndarray | None
-    residual: float | None
+def null_combination(rows, signed, rank_rel_tol: float):
+    """A nonzero combination of `rows` that vanishes, nonnegative on the
+    `signed` rows (a boolean mask) and free on the others.
 
-
-def verify_combination(query: SignedCombinationQuery, coefficients) -> float:
-    """Re-check a combination witness arithmetically; returns the residual.
-
-    Raises WitnessVerificationError if the coefficients violate their
-    sign classes, are essentially zero, or fail to annihilate the rows.
+    Returns None, or (y, residual): y weighs the signed rows first, then
+    the free ones, each in the order of `rows`, and has unit 1-norm;
+    residual is |y @ rows|_inf.  Existence is invariant under positive
+    rescaling of any row.  A dependence among the free rows alone
+    settles the question via the rank kernel; otherwise any combination
+    carries signed mass, and `cone_combination` with unit signed mass
+    decides.  y is re-verified before it is returned: signs, nonzero
+    mass and residual, which raises WitnessVerificationError.
     """
-    coeffs = np.asarray(coefficients, dtype=float)
-    kn, kf = query.nonneg.shape[0], query.free.shape[0]
-    if coeffs.shape[0] != kn + kf:
-        raise WitnessVerificationError("witness length does not match query")
-    a = coeffs[:kn]
-    f = coeffs[kn:]
-    if np.any(a < -1e-9):
-        raise WitnessVerificationError("nonneg coefficient is negative")
-    total = np.abs(coeffs).sum()
-    if total < 0.5:
-        raise WitnessVerificationError("witness is essentially zero")
-    combo = np.zeros(query.dim)
-    if kn:
-        combo += a @ query.nonneg
+    nonneg, free = rows[signed], rows[~signed]
+    kn, kf = len(nonneg), len(free)
+    y = None
     if kf:
-        combo += f @ query.free
-    residual = float(np.abs(combo).max()) if query.dim else 0.0
-    if residual > WITNESS_RESIDUAL_SLACK:
-        raise WitnessVerificationError(f"witness residual {residual:.3e} too large")
-    return residual
-
-
-def signed_combination_exists(query: SignedCombinationQuery, *,
-                              rank_rel_tol: float = 1e-12) -> CombinationWitness:
-    """Decide whether a nonzero sign-respecting null combination exists.
-
-    Existence is invariant under positive rescaling of any row.  The
-    returned coefficients are normalized to unit 1-norm and re-verified
-    before being handed back.
-
-    Decision procedure: a dependence among the free rows alone settles
-    the question via the rank kernel; otherwise any witness carries
-    nonneg mass, and the feasibility system with unit nonneg mass
-    decides.
-    """
-    kn, kf = query.nonneg.shape[0], query.free.shape[0]
-
-    def assemble(a, f):
-        coeffs = np.concatenate([a, f])
-        coeffs = coeffs / np.abs(coeffs).sum()
-        residual = verify_combination(query, coeffs)
-        return CombinationWitness(True, coeffs, residual)
-
-    if kf:
-        rr = numerical_rank(query.free, rank_rel_tol)
+        rr = numerical_rank(free, rank_rel_tol)
         if rr.rank < kf:
-            return assemble(np.zeros(kn), rr.null_witness)
-    if kn == 0:
-        return CombinationWitness(False, None, None)
-    # the rows combine to zero, and the nonneg mass is one
-    A = np.zeros((query.dim + 1, kn + kf))
-    A[:-1] = np.hstack([query.nonneg.T, query.free.T])
-    A[-1, :kn] = 1.0
-    b = np.append(np.zeros(query.dim), 1.0)
-    values, _ = LinearProgram(A, b, range(kn, kn + kf)).solve()
-    if values is None:
-        return CombinationWitness(False, None, None)
-    return assemble(values[:kn], values[kn:kn + kf])
+            y = np.concatenate([np.zeros(kn), rr.null_witness])
+    if y is None and kn:
+        y = cone_combination(np.concatenate([nonneg, free]), range(kn, kn + kf), range(kn))
+    if y is None:
+        return None
+    total = np.abs(y).sum()
+    if not total > 0.0:
+        raise WitnessVerificationError("combination is essentially zero")
+    y = y / total
+    if np.any(y[:kn] < -1e-9):
+        raise WitnessVerificationError("nonneg coefficient is negative")
+    # the signed block's product plus the free block's: one product over
+    # all rows would round the certificate residual differently
+    residual = float(np.abs(y[:kn] @ nonneg + y[kn:] @ free).max(initial=0.0))
+    if residual > WITNESS_RESIDUAL_SLACK:
+        raise WitnessVerificationError(f"combination residual {residual:.3e} too large")
+    return y, residual

@@ -222,21 +222,23 @@ def classify_active(ev: PointEvaluation, tol: Tolerances) -> ActivePattern:
 
 @dataclass(frozen=True)
 class GradientBundle:
-    """Stacked gradient rows with class, provenance and sign labels.
+    """Stacked gradient rows with sign-constraint flags, provenance and
+    sign labels.
 
-    classes[i] is 'signed' or 'free'; provenance[i] is (family, index);
-    a coefficient c on row i is the multiplier signs[i] * c of that
+    signed[i] is True when the coefficient of row i is sign-constrained
+    and False when it is free; provenance[i] is (family, index); a
+    coefficient c on row i is the multiplier signs[i] * c of that
     constraint (see `gradient_bundle_tnlp`).
     """
 
     rows: np.ndarray
-    classes: tuple
+    signed: np.ndarray
     provenance: tuple
     signs: np.ndarray
 
 
-# biactive multiplier mode -> (sign, class) of its row, which is -sign * gradient
-_MODES = {"free": (-1.0, "free"), "nonneg": (1.0, "signed"), "nonpos": (-1.0, "signed")}
+# biactive multiplier mode -> (sign, signed) of its row, which is -sign * gradient
+_MODES = {"free": (-1.0, False), "nonneg": (1.0, True), "nonpos": (-1.0, True)}
 
 
 def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
@@ -269,7 +271,7 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
     provenance = [(family, i) for family, idx in (("g", pattern.I_g), ("h", range(ev.dims.p)),
                                                   ("G", G_idx), ("H", H_idx)) for i in idx]
     ng, start = len(pattern.I_g), len(pattern.I_g) + ev.dims.p
-    classes = ["signed"] * ng + ["free"] * (len(provenance) - ng)
+    signed = np.arange(len(provenance)) < ng
     signs = np.ones(len(provenance))
     signs[start:] = -1.0
     dropped = []
@@ -281,7 +283,7 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
             if mode == "zero":
                 dropped.append(r)
             elif mode in _MODES:
-                signs[r], classes[r] = _MODES[mode]
+                signs[r], signed[r] = _MODES[mode]
             else:
                 raise ValueError(f"unknown multiplier mode {mode!r}")
     if modes:
@@ -289,10 +291,9 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
     if dropped:
         keep = np.ones(len(provenance), dtype=bool)
         keep[dropped] = False
-        rows, signs = rows[keep], signs[keep]
-        for r in sorted(dropped, reverse=True):
-            del classes[r], provenance[r]
-    return GradientBundle(rows, tuple(classes), tuple(provenance), signs)
+        rows, signed, signs = rows[keep], signed[keep], signs[keep]
+        provenance = [pv for pv, kept in zip(provenance, keep) if kept]
+    return GradientBundle(rows, signed, tuple(provenance), signs)
 
 
 def canonical_json(obj) -> str:

@@ -73,8 +73,7 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     """
     grad_f = np.asarray(grad_f, dtype=float)
     bundle = gradient_bundle_tnlp(ev, pattern, gh_modes)
-    free = [r for r, c in enumerate(bundle.classes) if c == "free"]
-    values, _ = LinearProgram(bundle.rows.T, -grad_f, free).solve()
+    values, _ = LinearProgram(bundle.rows.T, -grad_f, np.flatnonzero(~bundle.signed)).solve()
     if values is None:
         return None
 

@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from mpecq import (make_query, numerical_rank,
-                   signed_combination_exists)
+from mpecq import numerical_rank
 
 # smallest margin the strict-margin LPs count as strict
 STRICT_MARGIN = 1e-6
@@ -119,6 +118,19 @@ def direction_margin(n, eq_rows, geq_rows, strict_rows):
     return _highs_max_t(A_eq, np.zeros(len(eq)), A_ub, set(range(n)))
 
 
+def _combination_exists(n, nonneg, free, tol) -> bool:
+    """Does a nonzero combination of the rows vanish, with nonnegative
+    coefficients on `nonneg`?  A dependence among the free rows alone
+    is read off `numerical_rank`, which criterion 09 checks against
+    `rational_rank`; otherwise HiGHS decides the system with unit mass
+    on the nonneg rows."""
+    if free and numerical_rank(np.array(free), tol.rank_rel_tol).rank < len(free):
+        return True
+    columns = [np.append(r, 1.0) for r in nonneg] + [np.append(r, 0.0) for r in free]
+    return bool(nonneg) and _max_margin(columns, [0.0] * n + [1.0],
+                                        range(len(nonneg), len(columns)), (), 0.0)
+
+
 def nnamcq_oracle(ev, pattern, tol) -> str:
     """NNAMCQ over all 3^k branches: both multipliers strictly positive,
     gamma = 0 or nu = 0 on each biactive pair."""
@@ -134,9 +146,7 @@ def nnamcq_oracle(ev, pattern, tol) -> str:
             else:
                 free.append(-(ev.H_grads[i] if c == 1 else ev.G_grads[i]))
         if not strict:
-            exists = signed_combination_exists(
-                make_query(ev.dims.n, nonneg=nonneg, free=free),
-                rank_rel_tol=tol.rank_rel_tol).exists
+            exists = _combination_exists(ev.dims.n, nonneg, free, tol)
         else:
             # unit 1-norm with free rows split in two nonneg parts
             rows = nonneg + strict + free + [-r for r in free]

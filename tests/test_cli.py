@@ -205,6 +205,27 @@ class TestExitCodes:
         assert "--tol-margin" in capsys.readouterr().err
 
 
+class TestGoldenReports:
+    """`check` and `stationarity` output pinned byte for byte.
+
+    The inputs are the three fixtures, the perfbench `biactive_record`
+    points k = 1..3 of both families (seed 0, draw 0), and the first
+    fold knot of sweep_data.csv's instance (T = 2, m1 = 3, m2 = 8,
+    seed 5), a k = 1 SVC point.
+    """
+
+    CASES = ("e1", "e2", "e3", "fold_knot",
+             *(f"biactive_{family}_k{k}" for family in ("holds", "fails") for k in (1, 2, 3)))
+
+    @pytest.mark.parametrize("command", ["check", "stationarity"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_output_matches_golden_file(self, capsys, case, command):
+        path = GOLDEN / "cli" / f"{case}.input.json"
+        code, out, err = run_cli(capsys, [command, "--input", str(path)])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "cli" / f"{case}.{command}.json").read_text()
+
+
 class TestFixturesCommand:
     def test_passes_and_is_deterministic(self, capsys):
         code1, out1, _ = run_cli(capsys, ["fixtures"])

@@ -8,10 +8,9 @@ from scipy.optimize import linprog
 from scipy.sparse import block_diag
 
 from mpecq import (WitnessVerificationError, is_positive_definite, kernels,
-                   make_query, numerical_rank, signed_combination_exists,
-                   verify_combination)
+                   numerical_rank)
 from mpecq.cq import _direction_exists
-from mpecq.kernels import LinearProgram
+from mpecq.kernels import LinearProgram, null_combination
 from _oracles import rational_rank
 
 
@@ -411,52 +410,54 @@ class TestKernelAgainstHighs:
                     assert kernels.verify_farkas_ray(bent, b, ray, []) <= 1e-12
 
 
+def combination(dim, nonneg=(), free=()):
+    """`null_combination` over the nonneg rows, then the free ones."""
+    rows = np.array([*nonneg, *free], dtype=float).reshape(-1, dim)
+    return rows, null_combination(rows, np.arange(len(rows)) < len(nonneg), 1e-12)
+
+
 class TestSignedCombination:
     def test_free_rows_only_dependence(self):
-        q = make_query(2, free=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w = signed_combination_exists(q)
-        assert w.exists
-        assert np.abs(w.coefficients @ np.vstack([q.free])).max() < 1e-9
+        rows, found = combination(2, free=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert found is not None
+        assert np.abs(found[0] @ rows).max() < 1e-9
 
     def test_free_rows_only_independent(self):
-        q = make_query(2, free=[[1.0, 0.0], [0.0, 1.0]])
-        assert not signed_combination_exists(q).exists
+        assert combination(2, free=[[1.0, 0.0], [0.0, 1.0]])[1] is None
 
     def test_nonneg_witness_found(self):
         # lambda(-1,-1) + free gamma(1,0) + free nu(0,1) = 0 at lambda=1
-        q = make_query(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
-        w = signed_combination_exists(q)
-        assert w.exists
-        lam = w.coefficients[0]
+        _, found = combination(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
+        assert found is not None
+        coeffs = found[0]
+        lam = coeffs[0]
         assert lam > 0
-        assert w.coefficients[1] == pytest.approx(lam, abs=1e-9)
-        assert w.coefficients[2] == pytest.approx(lam, abs=1e-9)
+        assert coeffs[1] == pytest.approx(lam, abs=1e-9)
+        assert coeffs[2] == pytest.approx(lam, abs=1e-9)
 
     def test_one_sign_cone_has_no_witness(self):
         # all rows point into distinct negative directions
-        q = make_query(2, nonneg=[[-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
-        assert not signed_combination_exists(q).exists
+        assert combination(2, nonneg=[[-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])[1] is None
 
     @staticmethod
     def branch_queries(gamma_row, nu_row, free=()):
         """The three closed branches that replace a strictly positive pair:
         both >= 0, gamma = 0 (its row dropped, nu free) and nu = 0."""
         free = list(free)
-        return [make_query(2, nonneg=[gamma_row, nu_row], free=free),
-                make_query(2, free=[nu_row] + free),
-                make_query(2, free=[gamma_row] + free)]
+        return [combination(2, nonneg=[gamma_row, nu_row], free=free)[1],
+                combination(2, free=[nu_row] + free)[1],
+                combination(2, free=[gamma_row] + free)[1]]
 
     def test_strict_branch_reformulation_has_no_witness(self):
         # gamma(1,0) cannot be cancelled by nu on (0,1) in any branch
-        queries = self.branch_queries([1.0, 0.0], [0.0, 1.0])
-        assert not any(signed_combination_exists(q).exists for q in queries)
+        found = self.branch_queries([1.0, 0.0], [0.0, 1.0])
+        assert all(f is None for f in found)
 
     def test_strict_branch_reformulation_witness(self):
-        queries = self.branch_queries([1.0, 0.0], [-1.0, 1.0], free=[[0.0, -1.0]])
-        found = [signed_combination_exists(q) for q in queries]
-        assert [w.exists for w in found] == [True, False, False]
+        found = self.branch_queries([1.0, 0.0], [-1.0, 1.0], free=[[0.0, -1.0]])
+        assert [f is not None for f in found] == [True, False, False]
         # the both >= 0 witness is strictly positive on the pair
-        assert np.all(found[0].coefficients[:2] > 0.1)
+        assert np.all(found[0][0][:2] > 0.1)
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.5, 100.0))
     @settings(max_examples=80, deadline=None)
@@ -465,22 +466,27 @@ class TestSignedCombination:
         n = int(rng.integers(2, 5))
         nn = int_matrix(rng, int(rng.integers(0, 3)), n, -2, 2)
         fr = int_matrix(rng, int(rng.integers(1, 3)), n, -2, 2)
-        base = signed_combination_exists(make_query(n, nonneg=nn, free=fr))
-        scaled = signed_combination_exists(
-            make_query(n, nonneg=scale * nn, free=fr))
-        assert base.exists == scaled.exists
+        base = combination(n, nonneg=nn, free=fr)[1]
+        scaled = combination(n, nonneg=scale * nn, free=fr)[1]
+        assert (base is None) == (scaled is None)
 
-    def test_verify_rejects_sign_violation(self):
-        q = make_query(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [-0.5, -0.5, 0.0])
+    # the kernel re-verifies what `cone_combination` hands it
+    @pytest.fixture
+    def cone_returns(self, monkeypatch):
+        def stub(y):
+            monkeypatch.setattr(kernels, "cone_combination",
+                                lambda rows, free, mass: np.array(y, dtype=float))
+            return combination(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
+        return stub
 
-    def test_verify_rejects_nonzero_residual(self):
-        q = make_query(2, nonneg=[[-1.0, -1.0]], free=[[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [0.5, 0.5, 0.25])
+    def test_verify_rejects_sign_violation(self, cone_returns):
+        with pytest.raises(WitnessVerificationError, match="negative"):
+            cone_returns([-0.5, -0.5, 0.0])
 
-    def test_verify_rejects_trivial_combination(self):
-        q = make_query(2, free=[[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(WitnessVerificationError):
-            verify_combination(q, [0.0, 0.0])
+    def test_verify_rejects_nonzero_residual(self, cone_returns):
+        with pytest.raises(WitnessVerificationError, match="residual"):
+            cone_returns([0.5, 0.5, 0.25])
+
+    def test_verify_rejects_trivial_combination(self, cone_returns):
+        with pytest.raises(WitnessVerificationError, match="zero"):
+            cone_returns([0.0, 0.0, 0.0])

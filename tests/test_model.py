@@ -132,8 +132,8 @@ class TestGradientBundles:
         b = gradient_bundle_tnlp(ev, classify_active(ev, Tolerances()))
         families = [prov[0] for prov in b.provenance]
         assert families == ["g", "h", "G", "H"]
-        assert b.classes[0] == "signed"     # active g
-        assert set(b.classes[1:]) == {"free"}
+        assert b.signed[0]                  # active g
+        assert not b.signed[1:].any()
         np.testing.assert_allclose(b.rows[2], [1.0, 0.0, 0.0])  # G_0 gradient
 
     def test_relaxed_bundle_marks_biactive_rows_signed(self):
@@ -142,8 +142,8 @@ class TestGradientBundles:
                                  {0: ("nonneg", "nonneg")})
         # biactive pair 0 contributes -grad_G0 and -grad_H0, sign-classed,
         # whose coefficients are gamma_0 and nu_0 themselves
-        signed = [(prov, tuple(r), s) for r, cls, prov, s
-                  in zip(b.rows, b.classes, b.provenance, b.signs) if cls == "signed"]
+        signed = [(prov, tuple(r), s) for r, is_signed, prov, s
+                  in zip(b.rows, b.signed, b.provenance, b.signs) if is_signed]
         assert (("G", 0), (-1.0, 0.0, 0.0), 1.0) in signed
         assert (("H", 0), (0.0, 0.0, -1.0), 1.0) in signed
 
@@ -153,7 +153,7 @@ class TestGradientBundles:
         t = gradient_bundle_tnlp(ev, pattern)
         r = gradient_bundle_tnlp(ev, pattern, dict.fromkeys(pattern.I_GH, ("nonneg", "nonneg")))
         assert t.rows.tobytes() == r.rows.tobytes()
-        assert (t.classes, t.provenance) == (r.classes, r.provenance)
+        assert t.signed.tolist() == r.signed.tolist() and t.provenance == r.provenance
 
     @staticmethod
     def two_pair_point():
@@ -173,16 +173,16 @@ class TestGradientBundles:
         t = gradient_bundle_tnlp(ev, pattern)
         assert t.provenance == (("g", 0), ("g", 2), ("h", 0), ("G", 0), ("G", 2), ("G", 3),
                                 ("H", 1), ("H", 2), ("H", 3))
-        assert t.classes == ("signed",) * 2 + ("free",) * 7
+        assert t.signed.tolist() == [True] * 2 + [False] * 7
         assert t.signs.tolist() == [1.0] * 3 + [-1.0] * 6
         r = gradient_bundle_tnlp(ev, pattern, {2: ("nonneg", "nonneg"), 3: ("nonneg", "nonneg")})
         assert r.provenance == t.provenance
         # signed rows first, then free ones: the relaxed NLP's bundle
-        relaxed = sorted(range(len(r.classes)), key=lambda j: r.classes[j] != "signed")
+        relaxed = sorted(range(len(r.signed)), key=lambda j: not r.signed[j])
         assert [r.provenance[j] for j in relaxed] == [
             ("g", 0), ("g", 2), ("G", 2), ("G", 3), ("H", 2), ("H", 3),
             ("h", 0), ("G", 0), ("H", 1)]
-        assert [r.classes[j] for j in relaxed] == ["signed"] * 6 + ["free"] * 3
+        assert [r.signed[j] for j in relaxed] == [True] * 6 + [False] * 3
         biactive = [fam in ("G", "H") and i in pattern.I_GH for fam, i in r.provenance]
         assert r.signs.tolist() == [1.0 if b or fam in ("g", "h") else -1.0
                                     for b, (fam, _) in zip(biactive, r.provenance)]
@@ -197,7 +197,7 @@ class TestGradientBundles:
         b = gradient_bundle_tnlp(ev, pattern, {3: ("zero", "free"), 2: ("free", "zero")})
         kept = [j for j, pv in enumerate(t.provenance) if pv not in (("G", 3), ("H", 2))]
         assert b.provenance == tuple(t.provenance[j] for j in kept)
-        assert b.classes == tuple(t.classes[j] for j in kept)
+        assert b.signed.tolist() == t.signed[kept].tolist()
         assert b.rows.tobytes() == t.rows[kept].tobytes()
         assert b.signs.tolist() == t.signs[kept].tolist()
 
@@ -207,9 +207,9 @@ class TestGradientBundles:
         b = gradient_bundle_tnlp(ev, pattern, {2: ("nonpos", "free")})
         j = t.provenance.index(("G", 2))
         # +grad G_2 with a coefficient c >= 0 stands for gamma_2 = -c <= 0
-        assert b.classes[j] == "signed" and b.signs[j] == -1.0
+        assert b.signed[j] and b.signs[j] == -1.0
         assert b.rows.tobytes() == t.rows.tobytes()
-        assert b.classes[:j] + b.classes[j + 1:] == t.classes[:j] + t.classes[j + 1:]
+        assert np.delete(b.signed, j).tolist() == np.delete(t.signed, j).tolist()
 
     @pytest.mark.parametrize("modes", [{2: ("nonneg", "positive")}, {0: ("free", "free")}])
     def test_unknown_mode_or_pair_raises(self, modes):
@@ -223,8 +223,8 @@ class TestGradientBundles:
         empty = ActivePattern((), (), (), ())
         for modes in (None, {}):
             b = gradient_bundle_tnlp(ev, empty, modes)
-            assert b.rows.shape == (0, 3) and b.classes == () and b.provenance == ()
-            assert b.signs.shape == (0,)
+            assert b.rows.shape == (0, 3) and b.provenance == ()
+            assert b.signed.shape == b.signs.shape == (0,)
 
 
 class TestCanonicalJson:

@@ -215,22 +215,22 @@ class TestOneFactorizationPerSvcPoint:
         run_all_checks(ev, pattern, TOL, is_affine=True)
         del systems[:]
         classify_stationarity(ev, pattern, gf, TOL)
-        # one SVD of the bundle, one of the relaxed NLP's free rows
-        assert kernels._svd_rank.cache_info().misses == 2
+        # one SVD of the bundle: MFCQ-R holds by its full row rank
+        assert kernels._svd_rank.cache_info().misses == 1
         rows = gradient_bundle_tnlp(ev, pattern).rows
         assert np.ascontiguousarray(systems[0].T).tobytes() == rows.tobytes()  # weak
 
         queries = []
-        exists = cq.signed_combination_exists
-        monkeypatch.setattr(cq, "signed_combination_exists",
-                            lambda q, **kw: queries.append(q) or exists(q, **kw))
+        combine = cq.null_combination
+        monkeypatch.setattr(cq, "null_combination",
+                            lambda r, s, t: queries.append((r, s)) or combine(r, s, t))
         cq.check_mpec_mfcq_t(ev, pattern, TOL)
         cq.check_nnamcq(ev, pattern, TOL)
         mfcq_t, nnamcq_root = queries[:2]
-        for block in ("nonneg", "free"):
-            a, b = getattr(mfcq_t, block), getattr(nnamcq_root, block)
+        for a, b in zip(mfcq_t, nnamcq_root):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert mfcq_t.free.tobytes() == rows.tobytes()
+        # every row free: the kernel factors the bundle itself
+        assert not mfcq_t[1].any() and mfcq_t[0].tobytes() == rows.tobytes()
 
 
 class TestWitnessChecks:
