@@ -16,7 +16,10 @@ direction question is posed through its Motzkin alternative.  Every
 system is decided by Lawson-Hanson NNLS on equilibrated rows, which
 returns either a solution that passes the residual test or a Farkas ray
 that passes `verify_farkas_ray`.
-`numerical_rank` keeps the results of its last two distinct inputs, so
+`numerical_rank` first eliminates unit rows exactly, the free column
+singletons of presolve, so only the block they leave is factored; in a
+bilevel SVC bundle most rows are unit rows from the box on alpha.  It
+keeps the SVDs of its last two distinct blocks, keyed on the block, so
 a multiplier system whose A^T is a gradient bundle already factored for
 a rank test costs no second factorization.
 """
@@ -24,7 +27,9 @@ a rank test costs no second factorization.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,9 +100,9 @@ class LinearProgram:
 
         Rows are equilibrated to unit inf-norm over [A | b], which
         changes neither the solutions nor the rays up to row scaling.
-        A system with every column free first tries the least-norm
-        solution read off the SVD of A^T that `numerical_rank` keeps,
-        x = U_r S_r^-1 V_r^T b, a memo hit when A^T was just factored
+        A system with every column free first tries the solution read
+        off the presolve and block SVD of A^T that `numerical_rank`
+        keeps (`_Presolve.solve`), a memo hit when A^T was just factored
         for a rank test.  Every system then runs Lawson & Hanson's NNLS
         (Solving Least Squares Problems, 1974, ch. 23) on the
         equilibrated rows, starting from the passive set of free
@@ -117,8 +122,7 @@ class LinearProgram:
         As, bs, scale = _equilibrate(A, b)
         tol = _INFEASIBLE_TOL * max(1.0, m)
         if free.all():
-            rr = numerical_rank(A.T)
-            x = rr.left_basis @ ((rr.right_basis @ b) / rr.singular_values[:rr.rank])
+            x = numerical_rank(A.T).presolve.solve(b)
             if np.abs(bs - As @ x).sum() <= tol:
                 return x, None
         passive = free.copy()
@@ -160,74 +164,165 @@ class LinearProgram:
         return None, ray
 
 
+class _Presolve(NamedTuple):
+    """M split into its eliminated unit rows and the rest (`numerical_rank`).
+
+    Unit row `units[j]` holds `values[j]` in column `pivots[j]` and is
+    zero elsewhere.  The other rows, `dense` = M[rows], keep every
+    column; the block dense[:, cols] drops the pivot columns and is
+    factored as U S V^T, truncated at its rank.
+    """
+    rows: np.ndarray   # boolean mask of the rows left in the block
+    cols: np.ndarray   # boolean mask of the columns left in the block
+    units: np.ndarray
+    pivots: np.ndarray
+    values: np.ndarray
+    dense: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vt: np.ndarray
+
+    def solve(self, b):
+        """An x with x @ M = b when b is in the row space of M.
+
+        The block rows take the least-norm solution of the block's
+        columns, U S^-1 V^T b; each pivot column's equation then fixes
+        the sum of a x over its unit rows, which is spread over them in
+        proportion to their a (the least-norm split).
+        """
+        b = np.asarray(b, dtype=float)
+        x = np.zeros(self.rows.size)
+        x[self.rows] = self.U @ ((self.Vt @ b[self.cols]) / self.sigma)
+        x[self.units] = self.spread(b[self.pivots] - x[self.rows] @ self.dense[:, self.pivots])
+        return x
+
+    def spread(self, need):
+        """Unit-row entries whose sum of a x on each pivot column is `need`
+        (last axis, one entry per unit row), least-norm per column."""
+        norms = np.bincount(self.pivots, self.values * self.values)
+        return need * (self.values / norms[self.pivots])
+
+
 @dataclass(frozen=True)
 class RankResult:
     rank: int
-    singular_values: np.ndarray
     null_witness: np.ndarray | None  # left-null combination over the rows
     # orthonormal basis of the left null space, one column per dependence
     null_basis: np.ndarray
-    # M = U S V^T truncated at the rank: U[:, :rank] spans the column
-    # space of M, V^T[:rank] its row space
-    left_basis: np.ndarray | None = None
-    right_basis: np.ndarray | None = None
+    # the elimination and block factorization behind them, which
+    # `LinearProgram.solve` reuses for systems whose A^T is the matrix
+    presolve: _Presolve = field(repr=False, compare=False)
 
     def __post_init__(self):
-        # results are shared between callers (see numerical_rank)
-        for arr in (self.singular_values, self.null_witness, self.null_basis,
-                    self.left_basis, self.right_basis):
+        for arr in (self.null_witness, self.null_basis):
             if arr is not None:
                 arr.setflags(write=False)
 
 
 def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
-    """SVD rank with relative threshold, plus a row-dependence witness.
+    """Rank with a relative threshold, after exact unit-row elimination,
+    plus a row-dependence witness.
 
-    rank = #{sigma > rank_rel_tol * sigma_max * max(rows, cols)}.  When
-    the rows are dependent the witness w satisfies ||w.M||_inf below the
-    same threshold, has unit 1-norm, and a positive leading entry.  The
-    null basis holds the left singular vectors past the rank: row j of
-    it is zero exactly when row j of M lies outside the span of the
-    other rows.
+    A unit row, one nonzero a in column c, is a free column singleton
+    (Andersen & Andersen, Math. Programming 71, 1995).  Row operations
+    with it clear column c from every other row, so the unit rows on c
+    add exactly 1 to the rank, and those rows and column c are dropped;
+    the unit rows on c beyond the first are exact multiples of it.
+    Only the reduced block that remains is factored by SVD:
 
-    The results of the last two distinct (matrix bytes, threshold) inputs
-    are kept and handed out again: the CQ checks at one point factor the
-    same gradient bundle several times.  The SVD is deterministic and the
-    arrays of a RankResult are read-only, so a kept result is bitwise
-    what recomputing would give.
+        rank = #pivot columns + #{sigma(block) > thresh},
+        thresh = rank_rel_tol * max(rows, cols) * s,
+
+    with s the larger of the unit rows' |a| and sigma_max(block), and
+    rows, cols those of the full matrix.  A pivot column none of whose
+    unit rows has |a| > thresh goes back into the block, which is
+    factored again.
+
+    The null basis is orthonormal.  Each left-null vector z of the
+    block is extended to the unit rows by back-substitution, y_u =
+    -a_u (z . M[block rows, c]) / (sum of a^2 over the unit rows on c),
+    and the extensions are re-orthonormalized; each pivot column with
+    several unit rows adds an orthonormal basis of a^perp over them.
+    Row j of the basis is zero exactly when row j of M lies outside the
+    span of the other rows.  When the rows are dependent, the witness is
+    the first basis column scaled to unit 1-norm and a positive leading
+    entry, and ||w.M||_inf is verified below thresh.
+
+    The SVDs of the last two distinct reduced blocks are kept, keyed on
+    the block's shape and bytes, so the CQ checks at one point factor
+    their shared gradient bundle once.
     """
-    M = np.array(matrix, dtype=float, ndmin=2)
-    return _svd_rank(M.shape, rank_rel_tol, M.tobytes())
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    k, n = M.shape
+    nonzero = M != 0.0
+    rows = nonzero.sum(axis=1) != 1  # the rows left in the block
+    units = (~rows).nonzero()[0]
+    pivots = nonzero[units].argmax(axis=1) if units.size else units  # no argmax over 0 columns
+    values = M[units, pivots]
+    size = np.abs(values)
+    scale = rank_rel_tol * max(k, n)
+    while True:
+        cols = np.ones(n, dtype=bool)
+        cols[pivots] = False
+        dense = M[rows]
+        block = dense[:, cols]
+        if block.size:
+            U, sigma, Vt = _block_svd(block.shape, block.tobytes())
+        else:  # nothing to factor, and nothing to evict from the memo
+            U, sigma, Vt = np.eye(block.shape[0]), np.zeros(0), np.zeros((0, block.shape[1]))
+        thresh = scale * max(size.max(initial=0.0), sigma[0] if sigma.size else 0.0)
+        if size.min(initial=np.inf) > thresh:
+            break
+        # a column stays eliminated while one of its unit rows clears thresh
+        kept = np.isin(pivots, pivots[size > thresh])
+        if kept.all():
+            break
+        rows[units[~kept]] = True
+        units, pivots, values, size = units[kept], pivots[kept], values[kept], size[kept]
+    block_rank = int((sigma > thresh).sum())
+    presolve = _Presolve(rows, cols, units, pivots, values, dense,
+                         U[:, :block_rank], sigma[:block_rank], Vt[:block_rank])
+    pivot_count = n - int(cols.sum())
+    rank = pivot_count + block_rank
+    if rank == k:
+        return RankResult(rank, None, np.zeros((k, 0)), presolve)
+
+    basis = np.zeros((k, k - rank))
+    Z = U[:, block_rank:]
+    nz = Z.shape[1]
+    basis[rows, :nz] = Z
+    if nz and units.size:
+        basis[units, :nz] = -presolve.spread(Z.T @ dense[:, pivots]).T
+        basis[:, :nz] = np.linalg.qr(basis[:, :nz])[0]
+    shared = (np.bincount(pivots) > 1).nonzero()[0] if units.size > pivot_count else ()
+    for c in shared:
+        on = (pivots == c).nonzero()[0]
+        # the Householder reflection I - v v^T / |v_0| maps a/|a| to -+e_0,
+        # so its other columns are an orthonormal basis of a^perp
+        v = values[on] / math.sqrt(values[on] @ values[on])
+        v[0] += math.copysign(1.0, v[0])
+        basis[units[on], nz:nz + on.size - 1] = (np.eye(on.size)[:, 1:]
+                                                 - v[:, None] * (v[1:] / abs(v[0])))
+        nz += on.size - 1
+
+    w = basis[:, 0] / np.abs(basis[:, 0]).sum()
+    if w[(np.abs(w) > 1e-12).argmax()] < 0:  # the leading entry
+        w = -w
+    resid = float(np.abs(w @ M).max(initial=0.0))
+    if resid > thresh * (1.0 + 1e-6) + 1e-15:
+        raise WitnessVerificationError(
+            f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
+    return RankResult(rank, w, basis, presolve)
 
 
 @functools.lru_cache(maxsize=2)
-def _svd_rank(shape, rank_rel_tol, data) -> RankResult:
-    M = np.frombuffer(data).reshape(shape)
-    k, ncol = M.shape
-    if k == 0:
-        return RankResult(0, np.zeros(0), None, np.zeros((0, 0)),
-                          np.zeros((0, 0)), np.zeros((0, ncol)))
-    if ncol == 0 or not np.any(M):
-        w = np.zeros(k)
-        w[0] = 1.0
-        return RankResult(0, np.zeros(min(k, ncol)), w, np.eye(k),
-                          np.zeros((k, 0)), np.zeros((0, ncol)))
-    U, sigma, Vt = np.linalg.svd(M, full_matrices=True)
-    thresh = rank_rel_tol * sigma[0] * max(k, ncol)
-    rank = int(np.sum(sigma > thresh))
-    witness = None
-    if rank < k:
-        w = U[:, rank]
-        w = w / np.abs(w).sum()
-        lead = np.nonzero(np.abs(w) > 1e-12)[0]
-        if lead.size and w[lead[0]] < 0:
-            w = -w
-        resid = float(np.abs(w @ M).max())
-        if resid > thresh * (1.0 + 1e-6) + 1e-15:
-            raise WitnessVerificationError(
-                f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
-        witness = w
-    return RankResult(rank, sigma, witness, U[:, rank:], U[:, :rank], Vt[:rank])
+def _block_svd(shape, data):
+    """Full SVD (U, sigma, V^T) of the nonempty matrix with these shape and
+    bytes; the arrays are read-only, shared by every caller of a kept entry."""
+    factors = np.linalg.svd(np.frombuffer(data).reshape(shape))
+    for arr in factors:
+        arr.setflags(write=False)
+    return factors
 
 
 def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:

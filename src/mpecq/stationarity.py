@@ -94,17 +94,18 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
 
 def witness_residual(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                      multipliers: dict) -> float:
-    """Recompute the multiplier equation residual from scratch."""
+    """Recompute the multiplier equation residual from scratch, from the
+    gradients of `ev`, one gathered product per family."""
     r = np.array(grad_f, dtype=float)
-    for i in pattern.I_g:
-        r += multipliers["lambda_g"][str(i)] * ev.g_grads[i]
-    for j in range(ev.dims.p):
-        r += multipliers["mu"][str(j)] * ev.h_grads[j]
-    for key, val in multipliers["gamma"].items():
-        r -= val * ev.G_grads[int(key)]
-    for key, val in multipliers["nu"].items():
-        r -= val * ev.H_grads[int(key)]
-    return float(np.abs(r).max()) if r.size else 0.0
+    for sign, grads, weights in (
+            (1.0, ev.g_grads, {i: multipliers["lambda_g"][str(i)] for i in pattern.I_g}),
+            (1.0, ev.h_grads, {j: multipliers["mu"][str(j)] for j in range(ev.dims.p)}),
+            (-1.0, ev.G_grads, multipliers["gamma"]),
+            (-1.0, ev.H_grads, multipliers["nu"])):
+        if weights:
+            values = np.fromiter(weights.values(), dtype=float, count=len(weights))
+            r += sign * (values @ grads[[int(i) for i in weights]])
+    return float(np.abs(r).max(initial=0.0))
 
 
 def witness_satisfies(ev: PointEvaluation, pattern: ActivePattern, grad_f,

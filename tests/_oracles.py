@@ -8,13 +8,15 @@ the two routes is meaningful evidence.  scipy is a test-time dependency
 only; the package never imports it.
 """
 
+import functools
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
 
-from mpecq import numerical_rank
+from mpecq import RankResult, numerical_rank
 
 # smallest margin the strict-margin LPs count as strict
 STRICT_MARGIN = 1e-6
@@ -64,6 +66,41 @@ def rational_lineq_feasible(rows, rhs) -> bool:
     A = np.asarray(rows)
     b = np.asarray(rhs).reshape(-1, 1)
     return rational_rank(A.T) == rational_rank(np.hstack([A.T, b]))
+
+
+@functools.lru_cache(maxsize=2)
+def _full_svd(shape, data):
+    return np.linalg.svd(np.frombuffer(data).reshape(shape))
+
+
+def svd_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
+    """`numerical_rank` without the unit-row presolve: one full SVD of M.
+
+    rank = #{sigma > rank_rel_tol * sigma_max * max(rows, cols)}, the null
+    basis holds the left singular vectors past the rank, and the witness
+    is the first of them with unit 1-norm and a positive leading entry.
+    Its `presolve.solve(b)` is the least-norm x with x @ M = b,
+    U_r S_r^-1 V_r^T b.  A drop-in replacement for `numerical_rank` that
+    the presolved kernel is compared against; the SVDs of its last two
+    distinct inputs are kept, as that kernel's were before the presolve.
+    """
+    M = np.array(matrix, dtype=float, ndmin=2)
+    k, n = M.shape
+    if k == 0 or n == 0 or not M.any():
+        witness = np.eye(k)[0] if k else None
+        return RankResult(0, witness, np.eye(k),
+                          SimpleNamespace(solve=lambda b: np.zeros(k)))
+    U, sigma, Vt = _full_svd(M.shape, M.tobytes())
+    rank = int(np.sum(sigma > rank_rel_tol * sigma[0] * max(k, n)))
+    witness = None
+    if rank < k:
+        witness = U[:, rank] / np.abs(U[:, rank]).sum()
+        lead = np.flatnonzero(np.abs(witness) > 1e-12)
+        if lead.size and witness[lead[0]] < 0:
+            witness = -witness
+    U_r, sigma_r, Vt_r = U[:, :rank], sigma[:rank], Vt[:rank]
+    return RankResult(rank, witness, U[:, rank:],
+                      SimpleNamespace(solve=lambda b: U_r @ ((Vt_r @ b) / sigma_r)))
 
 
 # ------------------------------------------------------------------

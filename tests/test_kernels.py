@@ -11,7 +11,7 @@ from mpecq import (WitnessVerificationError, is_positive_definite, kernels,
                    numerical_rank)
 from mpecq.cq import _direction_exists
 from mpecq.kernels import LinearProgram, null_combination
-from _oracles import rational_rank
+from _oracles import rational_rank, svd_rank
 
 
 def int_matrix(rng, rows, cols, lo=-10, hi=10):
@@ -76,27 +76,26 @@ class TestRankMemo:
         M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]])
         first = numerical_rank(M)
         again = numerical_rank(M.copy())
-        for other in (np.eye(2), np.eye(3)):  # evict M
+        for other in (np.ones((2, 2)), np.ones((3, 3))):  # evict M's block
             numerical_rank(other)
+        misses = kernels._block_svd.cache_info().misses
         fresh = numerical_rank(M)
-        assert fresh is not first
+        assert kernels._block_svd.cache_info().misses == misses + 1
         for res in (again, fresh):
             assert res.rank == first.rank == 2
-            assert res.singular_values.tobytes() == first.singular_values.tobytes()
+            assert res.null_basis.tobytes() == first.null_basis.tobytes()
             assert res.null_witness.tobytes() == first.null_witness.tobytes()
 
     def test_returned_arrays_are_read_only(self):
         res = numerical_rank(np.array([[1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(ValueError):
-            res.singular_values[0] = 0.0
-        with pytest.raises(ValueError):
             res.null_witness[0] = 0.0
         with pytest.raises(ValueError):
             res.null_basis[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            res.left_basis[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            res.right_basis[0, 0] = 0.0
+        # the kept factorization is shared between callers
+        for kept in (res.presolve.U, res.presolve.sigma, res.presolve.Vt):
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
 
     def test_mutated_input_is_factored_afresh(self):
         M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -109,7 +108,99 @@ class TestRankMemo:
         rng = np.random.default_rng(3)
         for _ in range(6):
             numerical_rank(rng.normal(size=(3, 4)))
-            assert kernels._svd_rank.cache_info().currsize <= 2
+            assert kernels._block_svd.cache_info().currsize <= 2
+
+
+def mixed_matrix(rng, rows, cols, units):
+    """Integer dense rows with `units` unit rows shuffled in.
+
+    The unit rows' columns are drawn with replacement, so some columns
+    carry two or three unit rows, with entries of either sign; the dense
+    rows use every column, the unit rows' columns included.
+    """
+    M = int_matrix(rng, rows, cols, -3, 3)
+    unit = np.zeros((units, cols))
+    unit[np.arange(units), rng.integers(0, cols, size=units)] = (
+        rng.integers(1, 4, size=units) * rng.choice([-1.0, 1.0], size=units))
+    return rng.permutation(np.vstack([M, unit]))
+
+
+class TestUnitRowPresolve:
+    """`numerical_rank` eliminates unit rows exactly; checked against the
+    rational oracle, the full-SVD reference and the basis's own
+    definition."""
+
+    @staticmethod
+    def check_null_space(M, res):
+        k, n = M.shape
+        cutoff = 1e-12 * max(k, n) * max(1.0, np.abs(M).max())
+        basis = res.null_basis
+        assert basis.shape == (k, k - res.rank)
+        assert np.abs(basis.T @ basis - np.eye(k - res.rank)).max(initial=0.0) < 1e-12
+        assert np.abs(basis.T @ M).max(initial=0.0) <= cutoff
+        if res.rank == k:
+            assert res.null_witness is None
+            return
+        w = res.null_witness
+        assert abs(np.abs(w).sum() - 1.0) < 1e-12
+        assert w[np.flatnonzero(np.abs(w) > 1e-12)[0]] > 0
+        assert np.abs(w @ M).max() <= cutoff
+
+    @given(st.integers(0, 6), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_oracle(self, rows, cols, units, seed):
+        rng = np.random.default_rng(seed)
+        M = mixed_matrix(rng, rows, cols, units)
+        res = numerical_rank(M)
+        assert res.rank == rational_rank(M) == svd_rank(M).rank
+        assert res.presolve.rows.sum() <= rows  # every unit row is eliminated
+        self.check_null_space(M, res)
+        # row j of the basis is zero iff dropping row j lowers the rank
+        for j in range(len(M)):
+            isolated = rational_rank(np.delete(M, j, axis=0)) < res.rank
+            assert (np.abs(res.null_basis[j]).max(initial=0.0) <= 1e-10) == isolated
+        # x @ M = b is solved for every b in the row space
+        b = rng.integers(-3, 4, size=len(M)) @ M
+        assert np.abs(res.presolve.solve(b) @ M - b).max(initial=0.0) < 1e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unit_rows_sharing_a_column_are_one_dependence(self, sign):
+        # rows 0 and 2 are both unit rows on column 1; the dense row uses it
+        M = np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.0, 3.0 * sign, 0.0]])
+        res = numerical_rank(M)
+        assert res.rank == 2 and not res.presolve.rows[[0, 2]].any()
+        self.check_null_space(M, res)
+        expected = np.array([3.0, 0.0, -2.0 * sign]) / 5.0
+        assert np.abs(res.null_witness - expected).max() < 1e-15
+        # column 1 asks 2 x0 + 3 sign x2 = 26 once x1 = 1; the least-norm
+        # split is (x0, x2) = 2 (2, 3 sign)
+        x = res.presolve.solve(M[1] + 13.0 * M[0])
+        assert np.abs(x - [4.0, 1.0, 6.0 * sign]).max() < 1e-14
+
+    def test_unit_row_below_the_cutoff_stays_in_the_block(self):
+        M = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 4.0], [2.0, 4.0, 0.0], [0.0, 1e-14, 0.0]])
+        res = numerical_rank(M)
+        assert res.presolve.rows[3]
+        assert res.rank == svd_rank(M).rank == rational_rank(M[:3]) == 2
+        self.check_null_space(M, res)
+        # the same row clears the cutoff once its entry is large enough
+        M[3, 1] = 1.0
+        res = numerical_rank(M)
+        assert not res.presolve.rows[3]
+        assert res.rank == rational_rank(M) == 3
+
+    def test_mutated_block_is_factored_again(self):
+        # row 2 is a unit row; the block is rows 0, 1 over columns 0, 1, 3
+        M = np.array([[1.0, 2.0, 0.0, 5.0], [2.0, 4.0, 0.0, 0.0], [0.0, 0.0, 7.0, 0.0]])
+        misses = kernels._block_svd.cache_info().misses
+        assert numerical_rank(M).rank == 3
+        M[0, 3] = 0.0  # rows 0 and 1 become parallel
+        res = numerical_rank(M)
+        assert res.rank == 2 == svd_rank(M).rank
+        self.check_null_space(M, res)
+        M[1, 1] = 4.5
+        assert numerical_rank(M).rank == 3
+        assert kernels._block_svd.cache_info().misses == misses + 3
 
 
 class TestPositiveDefinite:

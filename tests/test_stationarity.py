@@ -7,8 +7,10 @@ from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
                    Tolerances, assemble_feasible_point, classify_active, cq,
                    classify_stationarity, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
-                   verify_kkt_equivalence, witness_residual, witness_satisfies)
+                   stationarity, verify_kkt_equivalence, witness_residual,
+                   witness_satisfies)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
+from _oracles import svd_rank
 
 TOL = Tolerances()
 
@@ -189,14 +191,17 @@ class TestOneFactorizationPerSvcPoint:
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
-        kernels._svd_rank.cache_clear()
+        kernels._block_svd.cache_clear()
         run_all_checks(ev, pattern, TOL, is_affine=True)
         report = classify_stationarity(ev, pattern, gf, TOL)
         assert report.classes["weak"] == "holds"
-        assert kernels._svd_rank.cache_info().misses == 1
+        assert kernels._block_svd.cache_info().misses == 1
         assert lstsq_calls == []
         (A,) = systems
         rows = gradient_bundle_tnlp(ev, pattern).rows
+        # the factored block is what the unit rows leave, not the bundle
+        assert kernels.numerical_rank(rows).presolve.rows.sum() < 120
+        assert kernels._block_svd.cache_info().misses == 1
         assert A.T.shape == rows.shape
         assert np.ascontiguousarray(A.T).tobytes() == rows.tobytes()
 
@@ -211,12 +216,12 @@ class TestOneFactorizationPerSvcPoint:
         solve = kernels.LinearProgram.solve
         monkeypatch.setattr(kernels.LinearProgram, "solve",
                             lambda self: systems.append(self.A) or solve(self))
-        kernels._svd_rank.cache_clear()
+        kernels._block_svd.cache_clear()
         run_all_checks(ev, pattern, TOL, is_affine=True)
         del systems[:]
         classify_stationarity(ev, pattern, gf, TOL)
         # one SVD of the bundle: MFCQ-R holds by its full row rank
-        assert kernels._svd_rank.cache_info().misses == 1
+        assert kernels._block_svd.cache_info().misses == 1
         rows = gradient_bundle_tnlp(ev, pattern).rows
         assert np.ascontiguousarray(systems[0].T).tobytes() == rows.tobytes()  # weak
 
@@ -233,6 +238,46 @@ class TestOneFactorizationPerSvcPoint:
         assert not mfcq_t[1].any() and mfcq_t[0].tobytes() == rows.tobytes()
 
 
+class TestPresolveAgainstFullSvd:
+    """The unit-row presolve against `_oracles.svd_rank`, one full SVD
+    per rank question, at every `C_GRID` point and every fold knot below
+    C = 100 of three benchmark datasets (267 knots in all)."""
+
+    @staticmethod
+    def outcome(ev, pattern, gf):
+        rows = gradient_bundle_tnlp(ev, pattern).rows
+        checks = run_all_checks(ev, pattern, TOL, is_affine=True)
+        report = classify_stationarity(ev, pattern, gf, TOL)
+        return (stationarity.numerical_rank(rows, TOL.rank_rel_tol).rank,
+                stationarity._determined_pairs(ev, pattern, TOL),
+                {name: v.status for name, v in checks.verdicts.items()},
+                report)
+
+    @pytest.mark.parametrize("index, knot_count", [(1, 98), (4, 82), (7, 87)])
+    def test_same_verdicts_and_multipliers(self, monkeypatch, index, knot_count):
+        inst = svc_instance(index)
+        solve_all_folds(inst, 100.0)
+        knots = sorted({float(C) for path in inst._paths.values() for C in path.knots
+                        if 0.0 < C < 100.0})
+        assert len(knots) == knot_count
+        points = [svc_point(index, C, inst) for C in (*C_GRID, *knots)]
+        presolved = [self.outcome(*point) for point in points]
+        for module in (kernels, cq, stationarity):
+            monkeypatch.setattr(module, "numerical_rank", svd_rank)
+        for point, new in zip(points, presolved):
+            old = self.outcome(*point)
+            assert new[:3] == old[:3]
+            new_report, old_report = new[3], old[3]
+            assert (new_report.strongest, new_report.classes) == (
+                old_report.strongest, old_report.classes)
+            for family in ("lambda_g", "mu", "gamma", "nu"):
+                new_values = new_report.witness[family]
+                old_values = old_report.witness[family]
+                assert new_values.keys() == old_values.keys()
+                for key, x in old_values.items():
+                    assert abs(new_values[key] - x) <= 1e-12 * max(1.0, abs(x))
+
+
 class TestWitnessChecks:
     def test_residual_recomputation(self):
         fx = fixture_e1()
@@ -240,6 +285,36 @@ class TestWitnessChecks:
         report = classify_stationarity(fx.evaluation, pattern, fx.grad_f, TOL)
         res = witness_residual(fx.evaluation, pattern, fx.grad_f, report.witness)
         assert res == pytest.approx(report.witness["residual"], abs=1e-12)
+
+    @staticmethod
+    def loop_residual(ev, pattern, grad_f, multipliers):
+        """The multiplier equation residual, one gradient row at a time."""
+        r = np.array(grad_f, dtype=float)
+        scale = np.abs(r)
+        for family, grads in (("lambda_g", ev.g_grads), ("mu", ev.h_grads),
+                              ("gamma", -ev.G_grads), ("nu", -ev.H_grads)):
+            for key, value in multipliers[family].items():
+                r += value * grads[int(key)]
+                scale += np.abs(value * grads[int(key)])
+        return float(np.abs(r).max(initial=0.0)), float(scale.max(initial=0.0))
+
+    @pytest.mark.parametrize("make", [fixture_e1, fixture_e2, fixture_e3, None])
+    def test_residual_matches_the_per_row_loop(self, make):
+        if make is None:
+            ev, pattern, gf = svc_point(1, C_GRID[4])
+        else:
+            fx = make()
+            ev, pattern, gf = fx.evaluation, classify_active(fx.evaluation, TOL), fx.grad_f
+        witness = classify_stationarity(ev, pattern, gf, TOL).witness
+        rng = np.random.default_rng(0)
+        # perturbed multipliers, so that the residual is far from zero
+        for family in ("lambda_g", "mu", "gamma", "nu"):
+            witness[family] = {key: value + rng.normal()
+                               for key, value in witness[family].items()}
+        expected, scale = self.loop_residual(ev, pattern, gf, witness)
+        assert expected > 0.1
+        got = witness_residual(ev, pattern, gf, witness)
+        assert abs(got - expected) <= 16 * np.finfo(float).eps * scale
 
     def test_monotonicity_of_class_predicates(self):
         ev, pattern, gf = one_pair_point([2.0, 3.0])
