@@ -19,13 +19,15 @@ that passes `verify_farkas_ray`.
 `numerical_rank` first eliminates unit rows exactly, the free column
 singletons of presolve, so only the block they leave is factored; in a
 bilevel SVC bundle most rows are unit rows from the box on alpha.  It
-keeps the SVDs of its last two distinct blocks, keyed on the block, so
-a multiplier system whose A^T is a gradient bundle already factored for
-a rank test costs no second factorization.
+keeps its last two results, returned again for an input equal bit for
+bit, and the SVDs of its last two distinct blocks, keyed on the block,
+so a multiplier system whose A^T is a gradient bundle already factored
+for a rank test costs no second factorization.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +46,10 @@ _INFEASIBLE_TOL = 1e-8
 # a column enters the passive set only when its dual entry exceeds this
 # times max(rows, cols); smaller entries are rounding noise
 _DUAL_TOL = 1e-14
+# `numerical_rank` eliminates a unit row's column only when |a| is at
+# least this share of the column's 2-norm; the unit rows of the bilevel
+# SVC bundles and biactive records in the tests clear it 40 times over
+_PIVOT_SHARE = 1e-3
 
 
 def _equilibrate(A, b):
@@ -233,10 +239,17 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
         rank = #pivot columns + #{sigma(block) > thresh},
         thresh = rank_rel_tol * max(rows, cols) * s,
 
-    with s the larger of the unit rows' |a| and sigma_max(block), and
-    rows, cols those of the full matrix.  A pivot column none of whose
-    unit rows has |a| > thresh goes back into the block, which is
-    factored again.
+    with rows, cols those of the full matrix and s the larger of
+    sigma_max(block) and the largest 2-norm of a pivot column of M,
+    which holds the dense rows' entries on it as well as the unit rows'
+    a.  Every column of M is a pivot column or a column of the block
+    padded with zeros, so sigma_max(M) / sqrt(1 + #pivot columns) <= s
+    <= sigma_max(M): the cutoff stays relative to the whole matrix.
+    A column is eliminated only while one of its unit rows has |a| >
+    thresh and |a| >= _PIVOT_SHARE * ||M[:, c]|| (threshold pivoting, as
+    in sparse LU), so clearing it adds at most 1 / _PIVOT_SHARE times a
+    unit row to any other row; any other pivot column goes back into
+    the block, which is factored again.
 
     The null basis is orthonormal.  Each left-null vector z of the
     block is extended to the unit rows by back-substitution, y_u =
@@ -248,11 +261,32 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     the first basis column scaled to unit 1-norm and a positive leading
     entry, and ||w.M||_inf is verified below thresh.
 
-    The SVDs of the last two distinct reduced blocks are kept, keyed on
-    the block's shape and bytes, so the CQ checks at one point factor
-    their shared gradient bundle once.
+    The last two results are kept with their inputs: an input equal to
+    one of those bit for bit, at the same tolerance, gets the kept
+    result back, whose arrays are read-only and shared by every caller.
+    The SVDs of the last two distinct reduced blocks are kept as well,
+    keyed on the block's shape and bytes, so the CQ checks at one point
+    factor their shared gradient bundle once.
     """
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    key = (M.shape, rank_rel_tol, M.tobytes())
+    for i, (kept, result) in enumerate(_recent_results):
+        if kept == key:
+            if i:  # the least recently used entry becomes the most recent
+                _recent_results.rotate()
+            return result
+    result = _presolved_rank(M, rank_rel_tol)
+    _recent_results.appendleft((key, result))
+    return result
+
+
+# ((shape, rank_rel_tol, bytes) of the input, result) of the two most
+# recently used `numerical_rank` inputs, most recent first
+_recent_results = collections.deque(maxlen=2)
+
+
+def _presolved_rank(M, rank_rel_tol):
+    """`numerical_rank` of the 2-D float array M, computed afresh."""
     k, n = M.shape
     nonzero = M != 0.0
     rows = nonzero.sum(axis=1) != 1  # the rows left in the block
@@ -261,7 +295,14 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     values = M[units, pivots]
     size = np.abs(values)
     scale = rank_rel_tol * max(k, n)
+    column_norms = np.sqrt(np.einsum("ij,ij->j", M, M))
+    keep = size >= _PIVOT_SHARE * column_norms[pivots]
     while True:
+        # a column stays eliminated while one of its unit rows is kept
+        if not keep.all():
+            kept = np.isin(pivots, pivots[keep])
+            rows[units[~kept]] = True
+            units, pivots, values, size = units[kept], pivots[kept], values[kept], size[kept]
         cols = np.ones(n, dtype=bool)
         cols[pivots] = False
         dense = M[rows]
@@ -270,18 +311,16 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
             U, sigma, Vt = _block_svd(block.shape, block.tobytes())
         else:  # nothing to factor, and nothing to evict from the memo
             U, sigma, Vt = np.eye(block.shape[0]), np.zeros(0), np.zeros((0, block.shape[1]))
-        thresh = scale * max(size.max(initial=0.0), sigma[0] if sigma.size else 0.0)
-        if size.min(initial=np.inf) > thresh:
+        thresh = scale * max(column_norms[pivots].max(initial=0.0),
+                             sigma[0] if sigma.size else 0.0)
+        keep = size > thresh
+        if keep.all() or np.isin(pivots, pivots[keep]).all():
             break
-        # a column stays eliminated while one of its unit rows clears thresh
-        kept = np.isin(pivots, pivots[size > thresh])
-        if kept.all():
-            break
-        rows[units[~kept]] = True
-        units, pivots, values, size = units[kept], pivots[kept], values[kept], size[kept]
     block_rank = int((sigma > thresh).sum())
     presolve = _Presolve(rows, cols, units, pivots, values, dense,
                          U[:, :block_rank], sigma[:block_rank], Vt[:block_rank])
+    for arr in presolve:
+        arr.setflags(write=False)
     pivot_count = n - int(cols.sum())
     rank = pivot_count + block_rank
     if rank == k:

@@ -76,7 +76,8 @@ class TestRankMemo:
         M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]])
         first = numerical_rank(M)
         again = numerical_rank(M.copy())
-        for other in (np.ones((2, 2)), np.ones((3, 3))):  # evict M's block
+        assert again is first  # an input equal bit for bit gets the kept result
+        for other in (np.ones((2, 2)), np.ones((3, 3))):  # evict M and its block
             numerical_rank(other)
         misses = kernels._block_svd.cache_info().misses
         fresh = numerical_rank(M)
@@ -92,10 +93,10 @@ class TestRankMemo:
             res.null_witness[0] = 0.0
         with pytest.raises(ValueError):
             res.null_basis[0, 0] = 0.0
-        # the kept factorization is shared between callers
-        for kept in (res.presolve.U, res.presolve.sigma, res.presolve.Vt):
+        # the kept result and factorization are shared between callers
+        for kept in res.presolve:
             with pytest.raises(ValueError):
-                kept[0] = 0.0
+                kept[0] = 0
 
     def test_mutated_input_is_factored_afresh(self):
         M = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -104,11 +105,27 @@ class TestRankMemo:
         res = numerical_rank(M)
         assert res.rank == 3 and res.null_witness is None
 
+    def test_kept_result_needs_the_same_bits_and_tolerance(self):
+        M = np.array([[0.0, 1e-11, 0.0], [1.0, 0.0, 0.0]])
+        first = numerical_rank(M)
+        assert first.rank == 2
+        assert numerical_rank(M, 1e-12 * (1.0 + 1e-15)) is not first
+        assert numerical_rank(M) is first  # and first is now the most recent
+        # 1e-11 is below the looser cutoff of 3e-11, so the answer must be recomputed
+        assert numerical_rank(M, 1e-11).rank == 1
+        assert numerical_rank(M) is first
+        # -0.0 equals 0.0 but has other bits
+        assert numerical_rank(np.array([[-0.0, 1e-11, 0.0], [1.0, 0.0, 0.0]])) is not first
+        # a transposed view is compared by its values, not its memory
+        assert numerical_rank(np.asfortranarray(M)) is first
+        assert numerical_rank(M.T.copy().T) is first
+
     def test_memo_holds_at_most_two_entries(self):
         rng = np.random.default_rng(3)
         for _ in range(6):
             numerical_rank(rng.normal(size=(3, 4)))
             assert kernels._block_svd.cache_info().currsize <= 2
+            assert len(kernels._recent_results) <= 2
 
 
 def mixed_matrix(rng, rows, cols, units):
@@ -178,16 +195,49 @@ class TestUnitRowPresolve:
         assert np.abs(x - [4.0, 1.0, 6.0 * sign]).max() < 1e-14
 
     def test_unit_row_below_the_cutoff_stays_in_the_block(self):
-        M = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 4.0], [2.0, 4.0, 0.0], [0.0, 1e-14, 0.0]])
+        # row 2 is column 2's only nonzero, far below the cutoff
+        M = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 0.0], [0.0, 0.0, 1e-14]])
         res = numerical_rank(M)
-        assert res.presolve.rows[3]
-        assert res.rank == svd_rank(M).rank == rational_rank(M[:3]) == 2
+        assert res.presolve.rows[2]
+        assert res.rank == svd_rank(M).rank == rational_rank(M[:2]) == 2
         self.check_null_space(M, res)
         # the same row clears the cutoff once its entry is large enough
-        M[3, 1] = 1.0
+        M[2, 2] = 1e-6
         res = numerical_rank(M)
-        assert not res.presolve.rows[3]
-        assert res.rank == rational_rank(M) == 3
+        assert not res.presolve.rows[2]
+        assert res.rank == svd_rank(M).rank == rational_rank(M) == 3
+
+    def test_unit_row_small_within_its_column_stays_in_the_block(self):
+        # row 2 clears the cutoff, but row 0 holds 1e6 times its entry on
+        # column 1: it is not eliminated, and the full SVD finds M within
+        # 1e-6 of rank 2, below the cutoff of about 3e-6
+        M = np.array([[1.0, 1e6, 0.0], [3.0, -1.0, 4.0], [0.0, 1.0, 0.0]])
+        res = numerical_rank(M)
+        assert res.presolve.rows[2]
+        assert res.rank == svd_rank(M).rank == rational_rank(M) - 1 == 2
+        self.check_null_space(M, res)
+        M[0, 1] = 100.0
+        res = numerical_rank(M)
+        assert not res.presolve.rows[2]
+        assert res.rank == svd_rank(M).rank == rational_rank(M) == 3
+
+    @pytest.mark.parametrize("M", [
+        [[1.0, 0.0], [1e8, 1e-5]],
+        # row 2 = row 0 + row 1, but all three rows lie within 1e-8 of one line
+        [[1.0, 0.0], [1e8, 1.0], [1e8 + 1.0, 1.0]],
+    ])
+    def test_cutoff_scales_with_the_dense_rows_on_pivot_columns(self, M):
+        # the unit row's column holds 1e8 in a dense row, so the full
+        # matrix's sigma_max, not the unit row's entry, sets the cutoff
+        M = np.array(M)
+        res, ref = numerical_rank(M), svd_rank(M)
+        assert res.rank == ref.rank == 1
+        cutoff = 1e-12 * max(M.shape) * np.linalg.svd(M, compute_uv=False)[0]
+        assert np.abs(res.null_basis.T @ res.null_basis - np.eye(len(M) - 1)).max() < 1e-12
+        assert np.abs(res.null_basis.T @ M).max() <= cutoff
+        w = res.null_witness
+        assert abs(np.abs(w).sum() - 1.0) < 1e-12 and w[0] > 0
+        assert np.abs(w @ M).max() <= cutoff
 
     def test_mutated_block_is_factored_again(self):
         # row 2 is a unit row; the block is rows 0, 1 over columns 0, 1, 3

@@ -192,6 +192,7 @@ class TestOneFactorizationPerSvcPoint:
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
         kernels._block_svd.cache_clear()
+        kernels._recent_results.clear()
         run_all_checks(ev, pattern, TOL, is_affine=True)
         report = classify_stationarity(ev, pattern, gf, TOL)
         assert report.classes["weak"] == "holds"
@@ -217,6 +218,7 @@ class TestOneFactorizationPerSvcPoint:
         monkeypatch.setattr(kernels.LinearProgram, "solve",
                             lambda self: systems.append(self.A) or solve(self))
         kernels._block_svd.cache_clear()
+        kernels._recent_results.clear()
         run_all_checks(ev, pattern, TOL, is_affine=True)
         del systems[:]
         classify_stationarity(ev, pattern, gf, TOL)
