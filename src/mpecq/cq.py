@@ -15,7 +15,13 @@ k biactive pairs.  Both are searched depth first by `first_leaf`, which
 also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
 node whose relaxation settles every leaf below it skips its subtree.
 On a full-rank bundle NNAMCQ is one LP, and GMFCQ none: a GMFCQ node
-whose rows have full row rank is certified by that rank alone.
+whose rows have full row rank is certified by that rank alone.  A pair
+whose G and H rows both lie outside the span of the other bundle rows
+(`determined_pairs`, shared with the stationarity classifier) weighs
+nothing in any vanishing combination, so a node that assigns it is
+settled by its parent's answer or, in GMFCQ's R, by a direction on its
+own rows, without an LP or a rank test.  Where every pair but a few is
+so determined, both searches take a fixed number of LPs, whatever k.
 
 The module builds no LP itself.  MFCQ-TNLP, MFCQ-RNLP and every NNAMCQ
 node ask `kernels.null_combination` for a vanishing combination of
@@ -32,6 +38,7 @@ established.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +113,27 @@ def check_mpec_licq(ev: PointEvaluation, pattern: ActivePattern,
         "labels": [list(pv) for pv in bundle.provenance],
     }
     return CqVerdict("MPEC_LICQ", "fails", certificate=cert)
+
+
+def determined_pairs(ev: PointEvaluation, pattern: ActivePattern,
+                     tol: Tolerances) -> list:
+    """Biactive pairs whose grad G and grad H rows each lie outside the
+    span of the other tightened-NLP bundle rows.
+
+    Such a row has zero weight in every vanishing combination of bundle
+    rows, up to sign, so its multiplier is the same in every weak
+    stationarity solution and it carries nothing in any NNAMCQ or GMFCQ
+    certificate.  A row is outside the span when its row of the
+    bundle's orthonormal left null basis is at most the rank kernel's
+    own cutoff rank_rel_tol * max(rows, cols); the rank call is a kept
+    result after MPEC-LICQ.
+    """
+    bundle = gradient_bundle_tnlp(ev, pattern)
+    basis = numerical_rank(bundle.rows, tol.rank_rel_tol).null_basis
+    cutoff = tol.rank_rel_tol * max(bundle.rows.shape)
+    fixed = {pv for pv, row in zip(bundle.provenance, basis)
+             if np.abs(row).max(initial=0.0) <= cutoff}
+    return [i for i in pattern.I_GH if {("G", i), ("H", i)} <= fixed]
 
 
 def _null_combination(bundle: GradientBundle, tol: Tolerances):
@@ -198,7 +226,11 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     multiplier vector.  The branches are searched depth first with the
     unassigned pairs free; a node whose relaxation admits no nonzero
     multiplier clears its whole subtree, and the root is the MFCQ-TNLP
-    query.  Each node's rows are `gradient_bundle_tnlp` with the pairs'
+    query.  A determined pair (`determined_pairs`) has zero weight in
+    every vanishing combination, so an inner node that assigns one
+    admits exactly when its parent did and poses no system; a leaf
+    always solves its own, which is the reported certificate.  Each
+    node's rows are `gradient_bundle_tnlp` with the pairs'
     `M_BRANCHES` modes, a pinned multiplier's row dropped.  The labels
     lambda_g, lambda_h, lambda_G and lambda_H name the multipliers of
     grad g, grad h, -grad G and -grad H; a pinned multiplier appears in
@@ -210,7 +242,13 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
         return CqVerdict("NNAMCQ", "undecided",
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
 
+    # computed at the first inner node, so a search that stops at its root
+    # (a full-rank bundle) never needs it
+    determined = functools.cache(lambda: set(determined_pairs(ev, pattern, tol)))
+
     def admit(partial):
+        if 0 < len(partial) < k and pattern.I_GH[len(partial) - 1] in determined():
+            return True  # a determined pair changes no admitted combination
         bundle = gradient_bundle_tnlp(ev, pattern,
                                       {i: M_BRANCHES[c] for i, c in partial.items()})
         found, order = _null_combination(bundle, tol)
@@ -287,7 +325,13 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
     those rows, so some direction gives them any signs.  At the root
     these rows are the tightened-NLP bundle, so MPEC-LICQ settles both
     searches.  An R child in (i) has its parent's rows, whose rank test
-    failed, so it skips the test.  Otherwise a node of (i) asks for one
+    failed, so it skips the test.  In (i) a node that assigns a
+    determined pair (`determined_pairs`) needs neither test nor LP: in
+    R it is certified by the direction that is 1 on the pair's G and H
+    rows and 0 on every other row, which exists because those rows lie
+    outside the span of the rest; in P or Q its dropped row weighs
+    nothing in any dependence or Motzkin solution, so it is uncertified
+    exactly when its parent is.  Otherwise a node of (i) asks for one
     direction (`_direction_exists`): each assigned R row >= 0 and their
     sum > 0.  A leaf still not certified is the failing partition; (i)
     is searched in R, P, Q order, (ii) in P, Q order.
@@ -316,10 +360,15 @@ def check_mpec_gmfcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerance
         rows = np.concatenate(blocks)
         return not len(rows) or numerical_rank(rows, tol.rank_rel_tol).rank == len(rows)
 
+    # computed at the first child, so a root certified by rank never needs it
+    determined = functools.cache(lambda: set(determined_pairs(ev, pattern, tol)))
+
     def uncertified_i(partial):
         R = side(partial, "R")
         if not R and len(partial) == k:  # a leaf without R is exempt
             return False
+        if partial and (pair := pattern.I_GH[len(partial) - 1]) in determined():
+            return partial[pair] != "R"  # R is certified, P and Q are as the parent
         cone = np.concatenate([ev.G_grads[R], ev.H_grads[R]])
         eq = eq_rows(partial)
         # the pair just put in R moved its G and H rows from eq to cone

@@ -22,7 +22,11 @@ bilevel SVC bundle most rows are unit rows from the box on alpha.  It
 keeps its last two results, returned again for an input equal bit for
 bit, and the SVDs of its last two distinct blocks, keyed on the block,
 so a multiplier system whose A^T is a gradient bundle already factored
-for a rank test costs no second factorization.
+for a rank test costs no second factorization.  `LinearProgram.solve`
+likewise keeps its last two NNLS answers, returned again for a system
+(A, b, free) equal bit for bit: MFCQ-TNLP's system is the NNAMCQ
+root's, MFCQ-RNLP's the all-`nonneg` NNAMCQ leaf's, and the strong
+stationarity system can be the KKT system of `verify_kkt_equivalence`.
 """
 
 from __future__ import annotations
@@ -104,70 +108,105 @@ class LinearProgram:
         """Return (x, None) with a solution x, or (None, ray) with a
         verified Farkas ray (`verify_farkas_ray`) when there is none.
 
-        Rows are equilibrated to unit inf-norm over [A | b], which
-        changes neither the solutions nor the rays up to row scaling.
         A system with every column free first tries the solution read
         off the presolve and block SVD of A^T that `numerical_rank`
         keeps (`_Presolve.solve`), a memo hit when A^T was just factored
-        for a rank test.  Every system then runs Lawson & Hanson's NNLS
-        (Solving Least Squares Problems, 1974, ch. 23) on the
-        equilibrated rows, starting from the passive set of free
-        columns, which never leave it; with every column free that is
-        one least-squares solve.  A candidate x counts as a solution
-        when its equilibrated residual has 1-norm at most
-        _INFEASIBLE_TOL * max(1, rows).  At the NNLS optimum the
-        residual r has A_P^T r = 0 on the passive columns, A_Z^T r <= 0
-        on the others and b.r = |r|^2 > 0, so it is a Farkas ray.  It
-        carries rounding of size eps * |A| |x|, which can outweigh a
-        small residual, so it is projected off the range of the passive
-        columns once more before it is re-checked.  Raises
-        ConvergenceError after 3 * cols + 10 outer iterations.
+        for a rank test; it counts when it passes `_nnls`'s residual
+        test.  Every other system, and one whose candidate fails, is
+        decided by `_nnls`.  Its last two
+        answers are kept with their (A, b, free): a system equal to one
+        of those bit for bit gets the kept answer back, whose arrays are
+        read-only and shared by every caller.  The key is built only
+        after the all-free candidate has failed.
         """
         A, b, free = self.A, self.b, self.free
-        m, n = A.shape
-        As, bs, scale = _equilibrate(A, b)
-        tol = _INFEASIBLE_TOL * max(1.0, m)
         if free.all():
             x = numerical_rank(A.T).presolve.solve(b)
-            if np.abs(bs - As @ x).sum() <= tol:
+            As, bs, _ = _equilibrate(A, b)
+            if np.abs(bs - As @ x).sum() <= _INFEASIBLE_TOL * max(1.0, A.shape[0]):
                 return x, None
-        passive = free.copy()
-        x = _lstsq(As, bs, passive)
-        dual_tol = _DUAL_TOL * max(m, n)
-        for _ in range(3 * n + 10):
-            r = bs - As @ x
-            if np.abs(r).sum() <= tol:
-                return x, None
-            if passive.all():
+        key = (A.shape, A.tobytes(), b.tobytes(), free.tobytes())
+        return _recall(_recent_answers, key, lambda: _nnls(A, b, free))
+
+
+# ((shape, A bytes, b bytes, free bytes), answer) of the two most recently
+# used systems that `_nnls` decided, most recent first
+_recent_answers = collections.deque(maxlen=2)
+
+
+def _recall(kept, key, compute):
+    """The result kept with `key` in the two-entry deque `kept`, which
+    becomes the most recently used, or compute() kept with it in front."""
+    for i, (seen, result) in enumerate(kept):
+        if seen == key:
+            if i:  # the least recently used entry becomes the most recent
+                kept.rotate()
+            return result
+    result = compute()
+    kept.appendleft((key, result))
+    return result
+
+
+def _nnls(A, b, free):
+    """(x, None) or (None, ray) for A x = b, x >= 0 off the boolean mask
+    `free`; the returned array is read-only.
+
+    Rows are equilibrated to unit inf-norm over [A | b], which changes
+    neither the solutions nor the rays up to row scaling.  Lawson &
+    Hanson's NNLS (Solving Least Squares Problems, 1974, ch. 23) runs on
+    the equilibrated rows, starting from the passive set of free
+    columns, which never leave it; with every column free that is one
+    least-squares solve.  A candidate x counts as a solution when its
+    equilibrated residual has 1-norm at most _INFEASIBLE_TOL * max(1,
+    rows).  At the NNLS optimum the residual r has A_P^T r = 0 on the
+    passive columns, A_Z^T r <= 0 on the others and b.r = |r|^2 > 0, so
+    it is a Farkas ray.  It carries rounding of size eps * |A| |x|,
+    which can outweigh a small residual, so it is projected off the
+    range of the passive columns once more before it is re-checked.
+    Raises ConvergenceError after 3 * cols + 10 outer iterations.
+    """
+    m, n = A.shape
+    As, bs, scale = _equilibrate(A, b)
+    tol = _INFEASIBLE_TOL * max(1.0, m)
+    passive = free.copy()
+    x = _lstsq(As, bs, passive)
+    dual_tol = _DUAL_TOL * max(m, n)
+    for _ in range(3 * n + 10):
+        r = bs - As @ x
+        if np.abs(r).sum() <= tol:
+            x.setflags(write=False)
+            return x, None
+        if passive.all():
+            break
+        dual = np.where(passive, -np.inf, r @ As)
+        j = int(np.argmax(dual))
+        if dual[j] <= dual_tol:
+            break
+        passive[j] = True
+        z = _lstsq(As, bs, passive)
+        if z[j] <= 0.0:  # the dual entry was rounding noise
+            passive[j] = False
+            break
+        while True:
+            blocked = np.flatnonzero(passive & ~free & (z <= 0.0))
+            if not blocked.size:
                 break
-            dual = np.where(passive, -np.inf, r @ As)
-            j = int(np.argmax(dual))
-            if dual[j] <= dual_tol:
-                break
-            passive[j] = True
+            # step from x toward z until the first constrained value hits 0
+            steps = x[blocked] / (x[blocked] - z[blocked])
+            x += steps.min() * (z - x)
+            x[blocked[np.argmin(steps)]] = 0.0
+            passive &= free | (x > 0.0)
+            x[~passive] = 0.0
             z = _lstsq(As, bs, passive)
-            if z[j] <= 0.0:  # the dual entry was rounding noise
-                passive[j] = False
-                break
-            while True:
-                blocked = np.flatnonzero(passive & ~free & (z <= 0.0))
-                if not blocked.size:
-                    break
-                # step from x toward z until the first constrained value hits 0
-                steps = x[blocked] / (x[blocked] - z[blocked])
-                x += steps.min() * (z - x)
-                x[blocked[np.argmin(steps)]] = 0.0
-                passive &= free | (x > 0.0)
-                x[~passive] = 0.0
-                z = _lstsq(As, bs, passive)
-            x = z
-        else:
-            raise ConvergenceError("NNLS did not reach its optimum",
-                                   float(np.abs(r).sum()), 3 * n + 10)
-        y = r - As @ _lstsq(As, r, passive)
-        ray = y / scale
-        verify_farkas_ray(A, b, ray, free)
-        return None, ray
+        x = z
+    else:
+        raise ConvergenceError("NNLS did not reach its optimum",
+                               float(np.abs(r).sum()), 3 * n + 10)
+    y = r - As @ _lstsq(As, r, passive)
+    ray = y / scale
+    verify_farkas_ray(A, b, ray, free)
+    ray.setflags(write=False)
+    return None, ray
 
 
 class _Presolve(NamedTuple):
@@ -270,14 +309,7 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     """
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     key = (M.shape, rank_rel_tol, M.tobytes())
-    for i, (kept, result) in enumerate(_recent_results):
-        if kept == key:
-            if i:  # the least recently used entry becomes the most recent
-                _recent_results.rotate()
-            return result
-    result = _presolved_rank(M, rank_rel_tol)
-    _recent_results.appendleft((key, result))
-    return result
+    return _recall(_recent_results, key, lambda: _presolved_rank(M, rank_rel_tol))
 
 
 # ((shape, rank_rel_tol, bytes) of the input, result) of the two most

@@ -15,9 +15,10 @@ constraints on the biactive multipliers (i in I_GH):
   strong  gamma_i >= 0 and nu_i >= 0
 
 The weak system is solved first.  A biactive pair whose G and H rows
-lie outside the span of the other tightened-NLP bundle rows has the
-same gamma_i and nu_i in every weak solution; when both are nonzero
-beyond activity_eps their signs settle the pair for every class.
+lie outside the span of the other tightened-NLP bundle rows
+(`cq.determined_pairs`, the rule the NNAMCQ and GMFCQ searches share)
+has the same gamma_i and nu_i in every weak solution; when both are
+nonzero beyond activity_eps their signs settle the pair for every class.
 Under MPEC-LICQ every pair is settled so, and the weak system is the
 only one solved.  For the other pairs, M's per-pair set equals the
 union of three closed branches, both >= 0, gamma = 0 and nu = 0, and
@@ -29,7 +30,9 @@ already solved.  Strong stationarity is a single LP, the weak one
 itself when no pair is left open, and coincides with the classical KKT
 system of the problem viewed as a plain NLP, which
 `verify_kkt_equivalence` checks by building that second system
-independently.
+independently.  Where the two systems are equal bit for bit, as with
+no pair active on one side only, the LP kernel's kept answer decides
+the second.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq import DEFAULT_BRANCH_CAP, M_BRANCHES, first_leaf
+from .cq import DEFAULT_BRANCH_CAP, M_BRANCHES, determined_pairs, first_leaf
 from .errors import WitnessVerificationError
-from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram, numerical_rank
+from .kernels import WITNESS_RESIDUAL_SLACK, LinearProgram
 from .model import (ActivePattern, PointEvaluation, Tolerances,
                     gradient_bundle_tnlp)
 
@@ -143,24 +146,6 @@ def _signs_satisfy(pattern: ActivePattern, multipliers: dict, cls: str,
     return True
 
 
-def _determined_pairs(ev: PointEvaluation, pattern: ActivePattern,
-                      tol: Tolerances) -> list:
-    """Biactive pairs whose gamma and nu are the same in every weak solution.
-
-    A multiplier is fixed by the weak system when its gradient row lies
-    outside the span of the other tightened-NLP bundle rows, that is,
-    when its row of the bundle's left null basis vanishes.  The basis
-    is orthonormal, so it is measured against the rank kernel's own
-    relative cutoff rank_rel_tol * max(rows, cols).
-    """
-    bundle = gradient_bundle_tnlp(ev, pattern)
-    basis = numerical_rank(bundle.rows, tol.rank_rel_tol).null_basis
-    cutoff = tol.rank_rel_tol * max(bundle.rows.shape)
-    fixed = {pv for pv, row in zip(bundle.provenance, basis)
-             if np.abs(row).max(initial=0.0) <= cutoff}
-    return [i for i in pattern.I_GH if {("G", i), ("H", i)} <= fixed]
-
-
 def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                           tol: Tolerances,
                           cap: int = DEFAULT_BRANCH_CAP) -> StationarityReport:
@@ -197,7 +182,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     eps = tol.activity_eps
     decided = []  # (gamma, nu) of each pair decided by its signs
     open_pairs = list(pattern.I_GH)
-    for i in (_determined_pairs(ev, pattern, tol) if k else ()):
+    for i in (determined_pairs(ev, pattern, tol) if k else ()):
         gamma, nu = weak_witness["gamma"][str(i)], weak_witness["nu"][str(i)]
         if abs(gamma) > eps and abs(nu) > eps:
             decided.append((gamma, nu))

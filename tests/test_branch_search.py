@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
                    assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, cq, gen_bho_case,
-                   kernels, to_evaluation)
+                   kernels, stationarity, to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
 from mpecq.fixtures import all_fixtures
 from mpecq.fuzz import FORCE_MODES
@@ -235,9 +235,10 @@ def test_fails_family_matches_oracles_in_detail(k):
 
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_gmfcq_r_children_skip_the_rank_test(k, monkeypatch):
-    # an R child has its parent's rows, whose rank test failed; in the
-    # fails family only the root and the P children on the way to the
-    # failing leaf are factored, where every node was before
+    # an R child has its parent's rows, whose rank test failed, and in the
+    # fails family every pair but pair 0 is determined, so no child runs a
+    # rank test: the calls are the root's test and `determined_pairs`'s,
+    # a kept result
     calls = []
     rank = cq.numerical_rank
     monkeypatch.setattr(cq, "numerical_rank",
@@ -245,7 +246,30 @@ def test_gmfcq_r_children_skip_the_rank_test(k, monkeypatch):
     ev, _ = biactive_point(k, "fails", np.random.default_rng([k, 5]))
     gmfcq = check_mpec_gmfcq(ev, classify_active(ev, TOL), TOL)
     assert gmfcq.status == "fails" and gmfcq.certificate["condition"] == "i"
-    assert len(calls) == k
+    assert len(calls) == 2
+
+
+def counting(log, function):
+    return lambda *args: log.append(1) or function(*args)
+
+
+def test_fails_family_search_cost_is_flat_in_k(monkeypatch):
+    # every pair but pair 0 is determined, so NNAMCQ and GMFCQ assign it
+    # without a solve or a factorization; both are counted below the
+    # kept results, so a kept answer counts as neither
+    solves, factorizations = [], []
+    monkeypatch.setattr(kernels, "_nnls", counting(solves, kernels._nnls))
+    monkeypatch.setattr(kernels, "_presolved_rank",
+                        counting(factorizations, kernels._presolved_rank))
+    for k in range(2, 11):
+        ev, _ = biactive_point(k, "fails")
+        pattern = classify_active(ev, TOL)
+        kernels._recent_results.clear()
+        kernels._recent_answers.clear()
+        del solves[:], factorizations[:]
+        assert check_nnamcq(ev, pattern, TOL).status == "fails"
+        assert check_mpec_gmfcq(ev, pattern, TOL).status == "fails"
+        assert (len(solves), len(factorizations)) == (3, 3), k
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))
@@ -260,9 +284,9 @@ def test_rank_deficient_integer_points_match_oracles_in_detail(seed, k):
     assert_matches_oracles_in_detail(ev, grad_f)
 
 
-@pytest.mark.parametrize("mode", ["gh3", "gh4", "multi"])
-def test_fuzz_corpus_biactive_points_match_oracles(mode):
-    # the forced SVC cases of the acceptance corpus, drawn as run_fuzz does
+def forced_corpus_points(mode):
+    """(ev, grad_f) of the acceptance corpus's forced SVC cases of one
+    mode, drawn as run_fuzz does."""
     n_forced = max(50, FUZZ_POINTS // 4)
     quota, extra = divmod(n_forced, len(FORCE_MODES))
     takes = [quota + (1 if j < extra else 0) for j in range(len(FORCE_MODES))]
@@ -271,9 +295,60 @@ def test_fuzz_corpus_biactive_points_match_oracles(mode):
     for child in children[first:first + takes[FORCE_MODES.index(mode)]]:
         case = gen_bho_case(np.random.default_rng(child), mode, PINNED_TOL)
         point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
-        ev = to_evaluation(case.instance, point)
+        yield to_evaluation(case.instance, point), case.instance.grad_f
+
+
+@pytest.mark.parametrize("mode", ["gh3", "gh4", "multi"])
+def test_fuzz_corpus_biactive_points_match_oracles(mode):
+    for ev, grad_f in forced_corpus_points(mode):
         assert classify_active(ev, PINNED_TOL).I_GH
-        assert_matches_oracles_in_detail(ev, case.instance.grad_f, PINNED_TOL)
+        assert_matches_oracles_in_detail(ev, grad_f, PINNED_TOL)
+
+
+def differential_points(source):
+    """(ev, grad_f, tol) of one source of the determined-pair differential."""
+    if source == "fixtures":
+        return [(fx.evaluation, fx.grad_f, TOL) for fx in all_fixtures()]
+    if source == "biactive_records":
+        # the 84 points that perfbench's biactive sweep draws at seed 0
+        return [(*biactive_point(k, family, np.random.default_rng([0, draw, k, j])), TOL)
+                for draw in range(6) for j, family in enumerate(("holds", "fails"))
+                for k in range(1, 8)]
+    if source in ("integer", "deficient"):
+        draw = integer_point if source == "integer" else deficient_point
+        return [(*draw(seed, k), TOL) for seed in range(40) for k in range(1, 5)]
+    return [(ev, grad_f, PINNED_TOL) for mode in ("gh3", "gh4", "multi")
+            for ev, grad_f in forced_corpus_points(mode)]
+
+
+@pytest.mark.parametrize("source", ["fixtures", "biactive_records", "integer",
+                                    "deficient", "corpus"])
+def test_determined_pair_rule_changes_no_report(source, monkeypatch):
+    # the rule settles a determined pair's nodes without a system of their
+    # own; with it disabled every node solves one.  NNAMCQ and GMFCQ
+    # verdicts and certificates must not change, nor the stationarity
+    # classes.  Without the rule the classifier solves other systems, so
+    # its witness may move by rounding (8.9e-16 on one deficient draw).
+    def outcome(ev, grad_f, tol):
+        pattern = classify_active(ev, tol)
+        return (check_nnamcq(ev, pattern, tol).to_dict(),
+                check_mpec_gmfcq(ev, pattern, tol).to_dict(),
+                classify_stationarity(ev, pattern, grad_f, tol).to_dict())
+
+    points = differential_points(source)
+    with_rule = [outcome(*point) for point in points]
+    for module in (cq, stationarity):
+        monkeypatch.setattr(module, "determined_pairs", lambda *args: [])
+    for point, (nnamcq, gmfcq, report) in zip(points, with_rule):
+        new_nnamcq, new_gmfcq, new_report = outcome(*point)
+        assert (new_nnamcq, new_gmfcq) == (nnamcq, gmfcq)
+        witness, new_witness = report.pop("witness"), new_report.pop("witness")
+        assert new_report == report
+        assert (new_witness is None) == (witness is None)
+        for family in ("lambda_g", "mu", "gamma", "nu") if witness else ():
+            assert new_witness[family].keys() == witness[family].keys()
+            for key, x in witness[family].items():
+                assert abs(new_witness[family][key] - x) <= 1e-12 * max(1.0, abs(x))
 
 
 def test_full_rank_bundle_needs_no_branch_lps(monkeypatch):

@@ -376,6 +376,87 @@ class TestLinearProgram:
         assert x is None and kernels.verify_farkas_ray(A, b, ray, []) == 0.0
 
 
+class TestKeptLpAnswers:
+    """`LinearProgram.solve` keeps the last two answers of `_nnls` with
+    their (A, b, free), compared bit for bit."""
+
+    FEASIBLE = ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [2.0, 1.0])
+    INFEASIBLE = ([[1.0, 2.0]], [-1.0])
+
+    @pytest.fixture
+    def nnls(self, monkeypatch):
+        calls = []
+        nnls = kernels._nnls
+        monkeypatch.setattr(kernels, "_nnls",
+                            lambda *args: calls.append(1) or nnls(*args))
+        kernels._recent_answers.clear()
+        return calls
+
+    def test_repeat_returns_the_kept_answer(self, nnls):
+        A, b = self.FEASIBLE
+        first = LinearProgram(A, b).solve()
+        assert first[0] is not None and nnls == [1]
+        again = LinearProgram(np.array(A), np.array(b), free=()).solve()
+        assert again is first and nnls == [1]
+        # a transposed copy is compared by its values, not its memory
+        assert LinearProgram(np.asfortranarray(A), b).solve() is first
+
+    def test_farkas_ray_answers_are_kept(self, nnls):
+        A, b = self.INFEASIBLE
+        first = LinearProgram(A, b).solve()
+        assert first[0] is None and first[1] is not None
+        assert LinearProgram(A, b).solve() is first and nnls == [1]
+
+    @staticmethod
+    def flip_last_bit(values, index):
+        bits = np.array(values, dtype=float).view(np.int64)
+        bits.flat[index] ^= 1
+        return bits.view(float)
+
+    def test_one_changed_bit_misses(self, nnls):
+        A, b = self.FEASIBLE
+        first = LinearProgram(A, b).solve()
+        variants = (LinearProgram(self.flip_last_bit(A, 4), b),
+                    LinearProgram(A, self.flip_last_bit(b, 1)),
+                    LinearProgram(A, b, free=[2]),
+                    # -0.0 equals 0.0 but has other bits
+                    LinearProgram([[1.0, 1.0, -0.0], [1.0, 0.0, 1.0]], b))
+        for count, system in enumerate(variants, start=2):
+            assert LinearProgram(A, b).solve() is first
+            assert system.solve() is not first
+            assert len(nnls) == count
+
+    def test_least_recently_used_answer_is_evicted(self, nnls):
+        systems = [([[1.0, 1.0]], [c]) for c in (1.0, 2.0, 3.0)]
+        first, second, third = (LinearProgram(*s) for s in systems)
+        kept = first.solve()
+        second.solve()
+        assert first.solve() is kept and len(nnls) == 2  # now the most recent
+        third.solve()  # evicts the second system's answer
+        assert len(kernels._recent_answers) == 2
+        assert first.solve() is kept and len(nnls) == 3
+        second.solve()
+        assert len(nnls) == 4
+
+    def test_returned_arrays_are_read_only(self, nnls):
+        for A, b in (self.FEASIBLE, self.INFEASIBLE):
+            answer = LinearProgram(A, b).solve()
+            kept = answer[0] if answer[0] is not None else answer[1]
+            with pytest.raises(ValueError):
+                kept[0] = 1.0
+
+    def test_all_free_candidate_never_reaches_the_kept_answers(self, nnls):
+        A = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 0.0]])
+        x, ray = LinearProgram(A, A @ [1.0, -1.0], free=range(2)).solve()
+        assert ray is None and np.abs(A @ x - A @ [1.0, -1.0]).max() < 1e-12
+        assert nnls == [] and len(kernels._recent_answers) == 0
+        # an inconsistent all-free system falls through to NNLS and is kept
+        inconsistent = LinearProgram(A, [1.0, 0.0, 0.0], free=range(2))
+        answer = inconsistent.solve()
+        assert answer[0] is None and nnls == [1]
+        assert inconsistent.solve() is answer and nnls == [1]
+
+
 class TestRangeSolveDifferential:
     """All-free systems, the range question, against the truth of how
     each system was built.

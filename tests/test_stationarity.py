@@ -7,8 +7,7 @@ from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
                    Tolerances, assemble_feasible_point, classify_active, cq,
                    classify_stationarity, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
-                   stationarity, verify_kkt_equivalence, witness_residual,
-                   witness_satisfies)
+                   verify_kkt_equivalence, witness_residual, witness_satisfies)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
 from _oracles import svd_rank
 
@@ -250,8 +249,8 @@ class TestPresolveAgainstFullSvd:
         rows = gradient_bundle_tnlp(ev, pattern).rows
         checks = run_all_checks(ev, pattern, TOL, is_affine=True)
         report = classify_stationarity(ev, pattern, gf, TOL)
-        return (stationarity.numerical_rank(rows, TOL.rank_rel_tol).rank,
-                stationarity._determined_pairs(ev, pattern, TOL),
+        return (cq.numerical_rank(rows, TOL.rank_rel_tol).rank,
+                cq.determined_pairs(ev, pattern, TOL),
                 {name: v.status for name, v in checks.verdicts.items()},
                 report)
 
@@ -264,7 +263,7 @@ class TestPresolveAgainstFullSvd:
         assert len(knots) == knot_count
         points = [svc_point(index, C, inst) for C in (*C_GRID, *knots)]
         presolved = [self.outcome(*point) for point in points]
-        for module in (kernels, cq, stationarity):
+        for module in (kernels, cq):
             monkeypatch.setattr(module, "numerical_rank", svd_rank)
         for point, new in zip(points, presolved):
             old = self.outcome(*point)
