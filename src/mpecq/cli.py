@@ -3,6 +3,7 @@
 Subcommands: check, stationarity, fixtures, fuzz, bho build, bho sweep.
 All output is JSON on stdout (pretty-printed, sorted keys) and is
 byte-for-byte deterministic for fixed inputs unless --timing is given.
+Every payload is built from Python builtins, so it is dumped as is.
 Exit codes: 0 success (including an infeasible-point report), 1 a
 verdict or invariant suite failed or the package raised (an
 `MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
@@ -84,26 +85,10 @@ def _resolve_int(flag_value, flag: str, env_name: str, default: int) -> int:
     return _count(value, env_name)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _emit(payload: dict, timing_started: float | None):
     if timing_started is not None:
         payload = dict(payload, timing_seconds=time.perf_counter() - timing_started)
-    json.dump(_jsonable(payload), sys.stdout, indent=2, sort_keys=True)
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
@@ -227,7 +212,7 @@ def cmd_bho_build(args) -> int:
                       "validation_indices": [list(f) for f in split.validation],
                       "training_indices": [list(f) for f in split.training],
                       "csv": os.path.basename(args.csv)}
-    text = json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
     else:

@@ -198,21 +198,19 @@ def first_leaf(pairs, choices, admit):
     their choices; a falsy result skips the node's subtree, so a search
     may return falsy only when no leaf below can be admitted.  Returns
     (assignment, admit value) for the first admitted full assignment in
-    lexicographic choice order, or None.
+    lexicographic choice order, or None.  The nodes wait on a stack, the
+    children pushed in reverse so the first choice is visited first.
     """
-    def visit(partial):
+    stack = [{}]
+    while stack:
+        partial = stack.pop()
         value = admit(partial)
         if not value:
-            return None
+            continue
         if len(partial) == len(pairs):
             return partial, value
-        for choice in choices:
-            found = visit({**partial, pairs[len(partial)]: choice})
-            if found is not None:
-                return found
-        return None
-
-    return visit({})
+        stack.extend({**partial, pairs[len(partial)]: c} for c in reversed(choices))
+    return None
 
 
 def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,

@@ -20,9 +20,10 @@ that passes `verify_farkas_ray`.
 singletons of presolve, so only the block they leave is factored; in a
 bilevel SVC bundle most rows are unit rows from the box on alpha.  It
 keeps its last two results, returned again for an input equal bit for
-bit, and the SVDs of its last two distinct blocks, keyed on the block,
-so a multiplier system whose A^T is a gradient bundle already factored
-for a rank test costs no second factorization.  `LinearProgram.solve`
+bit at the same cutoff, each with the block factorization behind it.
+That is the package's one factorization memo: a multiplier system whose
+A^T is a gradient bundle just factored for a rank test costs no second
+factorization.  `LinearProgram.solve`
 likewise keeps its last two NNLS answers, returned again for a system
 (A, b, free) equal bit for bit: MFCQ-TNLP's system is the NNAMCQ
 root's, MFCQ-RNLP's the all-`nonneg` NNAMCQ leaf's, and the strong
@@ -32,7 +33,6 @@ stationarity system can be the KKT system of `verify_kkt_equivalence`.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -94,15 +94,21 @@ def _lstsq(A, b, columns):
 
 
 class LinearProgram:
-    """The system A x = b with x >= 0 except on the `free` columns."""
+    """The system A x = b with x >= 0 except on the `free` columns.
 
-    def __init__(self, A, b, free=()):
+    `rank_rel_tol` is the cutoff of the rank test behind an all-free
+    system's first candidate (`solve`); pass the caller's, so the kept
+    rank result of A^T is found.
+    """
+
+    def __init__(self, A, b, free=(), rank_rel_tol: float = 1e-12):
         self.A = np.array(A, dtype=float, ndmin=2)
         self.b = np.array(b, dtype=float).ravel()
         if self.b.shape[0] != self.A.shape[0]:
             raise ValueError("inconsistent system dimensions")
         self.free = np.zeros(self.A.shape[1], dtype=bool)
         self.free[list(free)] = True
+        self.rank_rel_tol = rank_rel_tol
 
     def solve(self):
         """Return (x, None) with a solution x, or (None, ray) with a
@@ -121,7 +127,7 @@ class LinearProgram:
         """
         A, b, free = self.A, self.b, self.free
         if free.all():
-            x = numerical_rank(A.T).presolve.solve(b)
+            x = numerical_rank(A.T, self.rank_rel_tol).presolve.solve(b)
             As, bs, _ = _equilibrate(A, b)
             if np.abs(bs - As @ x).sum() <= _INFEASIBLE_TOL * max(1.0, A.shape[0]):
                 return x, None
@@ -303,9 +309,10 @@ def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
     The last two results are kept with their inputs: an input equal to
     one of those bit for bit, at the same tolerance, gets the kept
     result back, whose arrays are read-only and shared by every caller.
-    The SVDs of the last two distinct reduced blocks are kept as well,
-    keyed on the block's shape and bytes, so the CQ checks at one point
-    factor their shared gradient bundle once.
+    A kept result carries its block factorization (`presolve`), which
+    `LinearProgram.solve` reuses, so the CQ checks and the stationarity
+    system at one point factor their shared gradient bundle once; it is
+    the package's only factorization memo.
     """
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     key = (M.shape, rank_rel_tol, M.tobytes())
@@ -339,10 +346,7 @@ def _presolved_rank(M, rank_rel_tol):
         cols[pivots] = False
         dense = M[rows]
         block = dense[:, cols]
-        if block.size:
-            U, sigma, Vt = _block_svd(block.shape, block.tobytes())
-        else:  # nothing to factor, and nothing to evict from the memo
-            U, sigma, Vt = np.eye(block.shape[0]), np.zeros(0), np.zeros((0, block.shape[1]))
+        U, sigma, Vt = np.linalg.svd(block)
         thresh = scale * max(column_norms[pivots].max(initial=0.0),
                              sigma[0] if sigma.size else 0.0)
         keep = size > thresh
@@ -384,16 +388,6 @@ def _presolved_rank(M, rank_rel_tol):
         raise WitnessVerificationError(
             f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
     return RankResult(rank, w, basis, presolve)
-
-
-@functools.lru_cache(maxsize=2)
-def _block_svd(shape, data):
-    """Full SVD (U, sigma, V^T) of the nonempty matrix with these shape and
-    bytes; the arrays are read-only, shared by every caller of a kept entry."""
-    factors = np.linalg.svd(np.frombuffer(data).reshape(shape))
-    for arr in factors:
-        arr.setflags(write=False)
-    return factors
 
 
 def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:

@@ -66,17 +66,19 @@ class StationarityReport:
 
 
 def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
-                  gh_modes: dict | None = None) -> dict | None:
+                  tol: Tolerances, gh_modes: dict | None = None) -> dict | None:
     """Solve one multiplier system; returns a verified witness or None.
 
     gh_modes maps biactive indices to (gamma_mode, nu_mode) as in
     `gradient_bundle_tnlp`, whose rows are A^T and whose signs turn the
     values into multipliers.  With every pair free A^T is the
-    tightened-NLP bundle, which the rank tests have already factored.
+    tightened-NLP bundle, which the rank tests have already factored at
+    tol.rank_rel_tol.
     """
     grad_f = np.asarray(grad_f, dtype=float)
     bundle = gradient_bundle_tnlp(ev, pattern, gh_modes)
-    values, _ = LinearProgram(bundle.rows.T, -grad_f, np.flatnonzero(~bundle.signed)).solve()
+    values, _ = LinearProgram(bundle.rows.T, -grad_f, np.flatnonzero(~bundle.signed),
+                              tol.rank_rel_tol).solve()
     if values is None:
         return None
 
@@ -163,7 +165,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     notes: list[str] = []
     classes = {c: "fails" for c in CLASS_ORDER}
 
-    weak_witness = _solve_system(ev, pattern, grad_f)
+    weak_witness = _solve_system(ev, pattern, grad_f, tol)
     if weak_witness is None:
         return StationarityReport("not_stationary", classes, None,
                                   ("multiplier equation infeasible even with free "
@@ -192,7 +194,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
 
     if positive:
         strong_witness = weak_witness if not open_pairs else _solve_system(
-            ev, pattern, grad_f, dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
+            ev, pattern, grad_f, tol, dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
         if strong_witness is not None:
             return report("strong", strong_witness)
 
@@ -207,7 +209,7 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         def admit(partial):
             if not partial:  # the root is the weak system
                 return weak_witness
-            return _solve_system(ev, pattern, grad_f,
+            return _solve_system(ev, pattern, grad_f, tol,
                                  {i: modes_of[choice] for i, choice in partial.items()})
 
         found = first_leaf(open_pairs, tuple(modes_of), admit)
@@ -233,7 +235,7 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     H_i >= 0 as ordinary inequalities with nonnegative multipliers on
     their active sets.  Both routes must agree at every feasible point.
     """
-    strong_ok = _solve_system(ev, pattern, grad_f, dict.fromkeys(
+    strong_ok = _solve_system(ev, pattern, grad_f, tol, dict.fromkeys(
         pattern.I_GH, ("nonneg", "nonneg"))) is not None
 
     active_G = sorted(set(pattern.I_G) | set(pattern.I_GH))
@@ -249,6 +251,7 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                          prod_grads.T])
     ng, ncols = len(pattern.I_g), A.shape[1]
     free = [*range(ng, ng + ev.dims.p), *range(ncols - len(tau), ncols)]
-    kkt_ok = LinearProgram(A, -np.asarray(grad_f, dtype=float), free).solve()[0] is not None
+    kkt_ok = LinearProgram(A, -np.asarray(grad_f, dtype=float), free,
+                           tol.rank_rel_tol).solve()[0] is not None
     return {"strong_feasible": strong_ok, "kkt_feasible": kkt_ok,
             "agree": strong_ok == kkt_ok}

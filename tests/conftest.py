@@ -1,9 +1,10 @@
-"""Shared fixtures: pinned tolerances, the session fuzz corpus, and the
-acceptance-line recorder that prints one PASS/FAIL line per criterion."""
+"""Shared fixtures: pinned tolerances, the session fuzz corpus, a
+factorization counter, and the acceptance-line recorder that prints one
+PASS/FAIL line per criterion."""
 
 import pytest
 
-from mpecq import Tolerances
+from mpecq import Tolerances, kernels
 from mpecq.fuzz import run_fuzz
 
 # pinned for the acceptance gate; every threshold is explicit
@@ -21,6 +22,16 @@ _EXPECTED_CRITERIA = tuple(range(1, 11))
 def fuzz_summary():
     """One deterministic randomized sweep shared by all acceptance tests."""
     return run_fuzz(FUZZ_POINTS, FUZZ_SEED, PINNED_TOL)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """One entry per `_presolved_rank` run, the rank memo's misses."""
+    calls = []
+    presolved_rank = kernels._presolved_rank
+    monkeypatch.setattr(kernels, "_presolved_rank",
+                        lambda *args: calls.append(1) or presolved_rank(*args))
+    return calls
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ strongest class must agree everywhere, and the search must stay cheap
 where the exhaustive one is exponential.
 """
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
                    assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, cq, gen_bho_case,
-                   kernels, stationarity, to_evaluation)
+                   kernels, run_all_checks, stationarity, to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
 from mpecq.fixtures import all_fixtures
 from mpecq.fuzz import FORCE_MODES
@@ -270,6 +272,23 @@ def test_fails_family_search_cost_is_flat_in_k(monkeypatch):
         assert check_nnamcq(ev, pattern, TOL).status == "fails"
         assert check_mpec_gmfcq(ev, pattern, TOL).status == "fails"
         assert (len(solves), len(factorizations)) == (3, 3), k
+
+
+@pytest.mark.parametrize("family", ["holds", "fails"])
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_checks_leave_no_cyclic_garbage(k, family):
+    # a reference cycle waits for the cyclic collector, whose pass then
+    # lands on whichever later call happens to allocate
+    ev, grad_f = biactive_point(k, family, np.random.default_rng([k, 5]))
+    pattern = classify_active(ev, TOL)
+    gc.collect()
+    gc.disable()
+    try:
+        run_all_checks(ev, pattern, TOL, is_affine=True)
+        classify_stationarity(ev, pattern, grad_f, TOL)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4))

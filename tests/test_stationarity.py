@@ -8,8 +8,9 @@ from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
                    classify_stationarity, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
                    verify_kkt_equivalence, witness_residual, witness_satisfies)
-from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
+from mpecq.fixtures import all_fixtures, fixture_e1, fixture_e2, fixture_e3
 from _oracles import svd_rank
+from test_branch_search import biactive_point
 
 TOL = Tolerances()
 
@@ -177,9 +178,9 @@ class TestLpCount:
 class TestOneFactorizationPerSvcPoint:
     """Without active g and biactive pairs the weak system's A^T is the
     tightened-NLP bundle, so the CQ checks and the stationarity
-    classifier share one SVD and run no least squares."""
+    classifier share one factorization and run no least squares."""
 
-    def test_checks_and_classifier_share_one_svd(self, monkeypatch):
+    def test_checks_and_classifier_share_one_svd(self, monkeypatch, factorizations):
         ev, pattern, gf = svc_point(9, C_GRID[3])
         assert pattern.I_g == () and pattern.I_GH == ()
         systems = []
@@ -190,22 +191,34 @@ class TestOneFactorizationPerSvcPoint:
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
-        kernels._block_svd.cache_clear()
         kernels._recent_results.clear()
+        del factorizations[:]
         run_all_checks(ev, pattern, TOL, is_affine=True)
         report = classify_stationarity(ev, pattern, gf, TOL)
         assert report.classes["weak"] == "holds"
-        assert kernels._block_svd.cache_info().misses == 1
+        assert len(factorizations) == 1
         assert lstsq_calls == []
         (A,) = systems
         rows = gradient_bundle_tnlp(ev, pattern).rows
         # the factored block is what the unit rows leave, not the bundle
         assert kernels.numerical_rank(rows).presolve.rows.sum() < 120
-        assert kernels._block_svd.cache_info().misses == 1
+        assert len(factorizations) == 1
         assert A.T.shape == rows.shape
         assert np.ascontiguousarray(A.T).tobytes() == rows.tobytes()
 
-    def test_biactive_knot_point_reuses_the_bundle_factorization(self, monkeypatch):
+    def test_a_looser_rank_cutoff_still_factors_once(self, factorizations):
+        # the weak system reads its candidate off the rank result kept at
+        # the classifier's cutoff, not at the default one
+        tol = Tolerances(rank_rel_tol=1e-10)
+        ev, pattern, gf = svc_point(9, C_GRID[3])
+        kernels._recent_results.clear()
+        del factorizations[:]
+        run_all_checks(ev, pattern, tol, is_affine=True)
+        assert classify_stationarity(ev, pattern, gf, tol).classes["weak"] == "holds"
+        assert len(factorizations) == 1
+
+    def test_biactive_knot_point_reuses_the_bundle_factorization(self, monkeypatch,
+                                                                 factorizations):
         # a knot of a fold's path is a C where a fold index changes side,
         # so the point there has a biactive pair
         inst = svc_instance(1)
@@ -216,13 +229,13 @@ class TestOneFactorizationPerSvcPoint:
         solve = kernels.LinearProgram.solve
         monkeypatch.setattr(kernels.LinearProgram, "solve",
                             lambda self: systems.append(self.A) or solve(self))
-        kernels._block_svd.cache_clear()
         kernels._recent_results.clear()
+        del factorizations[:]
         run_all_checks(ev, pattern, TOL, is_affine=True)
         del systems[:]
         classify_stationarity(ev, pattern, gf, TOL)
-        # one SVD of the bundle: MFCQ-R holds by its full row rank
-        assert kernels._block_svd.cache_info().misses == 1
+        # one factorization of the bundle: MFCQ-R holds by its full row rank
+        assert len(factorizations) == 1
         rows = gradient_bundle_tnlp(ev, pattern).rows
         assert np.ascontiguousarray(systems[0].T).tobytes() == rows.tobytes()  # weak
 
@@ -376,3 +389,30 @@ class TestKktEquivalence:
         assert out["strong_feasible"] == out["kkt_feasible"]
         strongest = classify_stationarity(ev, pattern, gf, TOL).strongest
         assert out["strong_feasible"] == (strongest == "strong")
+
+
+def test_kept_results_never_change_a_report():
+    # the rank kernel's and the LP kernel's kept results live for the
+    # whole process: every report must read the same whether they are
+    # cleared before each point or still hold the previous point's
+    points = [(fx.evaluation, fx.grad_f, fx.is_affine) for fx in all_fixtures()]
+    points += [(*biactive_point(k, family, np.random.default_rng([k, 5])), True)
+               for family in ("holds", "fails") for k in range(1, 8)]
+    for C in C_GRID:
+        ev, _, grad_f = svc_point(9, C)
+        points.append((ev, grad_f, True))
+
+    def reports(cold):
+        kernels._recent_results.clear()
+        kernels._recent_answers.clear()
+        out = []
+        for ev, grad_f, affine in points:
+            if cold:
+                kernels._recent_results.clear()
+                kernels._recent_answers.clear()
+            pattern = classify_active(ev, TOL)
+            out.append((run_all_checks(ev, pattern, TOL, is_affine=affine).to_dict(),
+                        classify_stationarity(ev, pattern, grad_f, TOL).to_dict()))
+        return out
+
+    assert reports(cold=True) == reports(cold=False)
