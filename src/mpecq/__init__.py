@@ -26,7 +26,7 @@ from .stationarity import (CLASS_ORDER, StationarityReport,
 from .bho import (BhoInstance, BhoPoint, Dataset, FoldSplit, GammaMatrix,
                   LambdaPsiPattern, TheoremVerdict, assemble_feasible_point,
                   assemble_gamma, check_licq_theorem, check_mfcq_r_theorem,
-                  classify_lambda_psi, gamma_matches_generic,
+                  classify_lambda_psi, fold_knots, gamma_matches_generic,
                   load_dataset_csv, lower_level_solve,
                   misclassification_oracle, solve_all_folds, split_folds,
                   structured_index_sets, to_evaluation, validation_error)
@@ -49,10 +49,11 @@ __all__ = [
     "check_mfcq_r_theorem", "check_mpec_gmfcq", "check_mpec_licq",
     "check_mpec_mfcq_r", "check_mpec_mfcq_t", "check_nnamcq",
     "classify_active", "classify_lambda_psi", "classify_stationarity",
-    "digest", "gamma_matches_generic", "gen_bho_case", "gradient_bundle_tnlp",
-    "is_positive_definite", "load_dataset_csv", "lower_level_solve",
-    "misclassification_oracle", "numerical_rank", "run_all_checks",
-    "run_fixture_suite", "run_fuzz", "solve_all_folds", "split_folds",
-    "structured_index_sets", "to_evaluation", "validation_error",
-    "verify_kkt_equivalence", "witness_residual", "witness_satisfies",
+    "digest", "fold_knots", "gamma_matches_generic", "gen_bho_case",
+    "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
+    "lower_level_solve", "misclassification_oracle", "numerical_rank",
+    "run_all_checks", "run_fixture_suite", "run_fuzz", "solve_all_folds",
+    "split_folds", "structured_index_sets", "to_evaluation",
+    "validation_error", "verify_kkt_equivalence", "witness_residual",
+    "witness_satisfies",
 ]

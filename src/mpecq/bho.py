@@ -112,6 +112,8 @@ def load_dataset_csv(path) -> Dataset:
 
 @dataclass(frozen=True)
 class FoldSplit:
+    """Per-fold dataset indices; a repeated training sample is a tie."""
+
     T: int
     m1: int
     m2: int
@@ -121,7 +123,11 @@ class FoldSplit:
 
 
 def split_folds(dataset: Dataset, T: int, m1: int, m2: int, seed: int) -> FoldSplit:
-    """Deterministic disjoint fold sampling; leftover samples are dropped."""
+    """Deterministic disjoint fold sampling; leftover samples are dropped.
+
+    A split built otherwise may repeat a training sample in a fold, a tie
+    that the lower-level path holds with one copy at a bound.
+    """
     if T < 1 or m1 < 1 or m2 < 1:
         raise InputError("T, m1, m2 must all be at least 1")
     need = T * (m1 + m2)
@@ -348,8 +354,12 @@ def misclassification_oracle(dataset: Dataset, split: FoldSplit, alphas) -> floa
     return wrong / (split.T * split.m1)
 
 
+# default breakpoint budget of a fold's path
+_BUDGET = 100000
+
+
 def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
-                      tol: float = 1e-9, budget: int = 100000) -> np.ndarray:
+                      tol: float = 1e-9, budget: int = _BUDGET) -> np.ndarray:
     """Solve the fold's box QP min 0.5 a.K.a - sum(a) s.t. 0 <= a <= C.
 
     alpha(C) is read off the fold's exact solution path
@@ -374,9 +384,7 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     K = instance.fold_training_gram(fold)
     if C == 0.0:
         return np.zeros(K.shape[0])
-    path = instance._paths.get(fold)
-    if path is None:
-        path = instance._paths[fold] = _RegularizationPath(K)
+    path = instance._paths.get(fold) or _fold_path(instance, fold)
     path.extend(C, budget)
     knots = path.knots
     # segment j starts at the j-th breakpoint below C
@@ -397,6 +405,31 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
         raise ConvergenceError(f"lower-level path read at C={C:.6g} misses "
                                f"tolerance {tol:.1e}", residual, j + 1)
     return alpha
+
+
+def fold_knots(instance: BhoInstance, fold: int) -> np.ndarray:
+    """The finite breakpoints C > 0 of the fold's whole solution path,
+    ascending and read-only: at each, a fold index changes side, so its
+    family-3 or family-4 pair is biactive.  The path is the one
+    `lower_level_solve` reads, built to its end; ConvergenceError when
+    that takes more segments than lower_level_solve's default budget or
+    repeats a side assignment.
+    """
+    path = _fold_path(instance, fold)
+    path.extend(np.inf, _BUDGET)
+    if np.isfinite(path.knots[-1]):
+        raise ConvergenceError(f"lower-level path of fold {fold} stopped at "
+                               f"C={path.knots[-1]:.6g}", np.inf, len(path.a))
+    return path.knots[1:-1]
+
+
+def _fold_path(instance: BhoInstance, fold: int) -> "_RegularizationPath":
+    path = instance._paths.get(fold)
+    if path is None:
+        if not 0 <= fold < instance.T:
+            raise InputError(f"fold must be in [0, {instance.T}), got {fold}")
+        path = instance._paths[fold] = _RegularizationPath(instance.fold_training_gram(fold))
+    return path
 
 
 _LOWER, _FREE, _UPPER = 0, 1, 2
@@ -516,7 +549,7 @@ def _natural_residual(K: np.ndarray, alpha: np.ndarray, C: float) -> float:
 
 
 def solve_all_folds(instance: BhoInstance, C: float, *, tol: float = 1e-9,
-                    budget: int = 100000) -> list:
+                    budget: int = _BUDGET) -> list:
     return [lower_level_solve(instance, t, C, tol=tol, budget=budget)
             for t in range(instance.T)]
 
@@ -880,60 +913,3 @@ def check_licq_theorem(instance: BhoInstance, point: BhoPoint,
     if abs(ahat) > tol.activity_eps:
         return TheoremVerdict(name, "holds", case, details)
     return TheoremVerdict(name, "fails", "ahat_zero", details)
-
-
-def rescale_training_row(instance: BhoInstance, row: int, scale: float) -> BhoInstance:
-    """New instance with one training sample scaled; A is untouched."""
-    B = instance.B.copy()
-    B[row] = scale * B[row]
-    return BhoInstance(instance.T, instance.m1, instance.m2, instance.p,
-                       instance.A, B)
-
-
-def force_family3_biactive(instance: BhoInstance, alphas, count: int = 1):
-    """Rescale inactive training samples so their margins land exactly at 1.
-
-    For an index with alpha_i = 0 the fold solution is unchanged by
-    rescaling sample i (it contributes nothing to the normal vector and
-    its own optimality condition stays satisfied with margin 1), so the
-    rescaled instance keeps the same alphas while pair (3, i) becomes
-    biactive.  Returns (instance, chosen_rows) or None when fewer than
-    `count` usable indices exist.  count=2 forces the multi-biactive
-    branch.
-    """
-    alpha = np.concatenate([np.asarray(a, dtype=float) for a in alphas])
-    s = instance.BBt @ alpha
-    usable = [i for i in range(instance.n_training)
-              if alpha[i] <= 1e-14 and s[i] > 1.0 + 1e-6]
-    if len(usable) < count:
-        return None
-    chosen = usable[:count]
-    out = instance
-    for i in chosen:
-        out = rescale_training_row(out, i, 1.0 / s[i])
-    return out, tuple(chosen)
-
-
-def force_family4_biactive(instance: BhoInstance, C: float, alphas):
-    """Pick C at the largest alpha so exactly that index hits the box bound.
-
-    Shrinking the box to C' = max(alpha) leaves the alphas optimal when
-    the maximizer was strictly interior under the original C (then no
-    index sat at the old bound, every other index stays interior or at
-    zero, and the maximizer lands exactly on the new bound with xi = 0,
-    turning its family-4 pair biactive).  Uniqueness of the maximizer
-    keeps the biactive count at one.  Returns C' or None.
-    """
-    alpha = np.concatenate([np.asarray(a, dtype=float) for a in alphas])
-    if alpha.size == 0:
-        return None
-    order = np.argsort(alpha)
-    top = float(alpha[order[-1]])
-    second = float(alpha[order[-2]]) if alpha.size > 1 else 0.0
-    if top <= 1e-6:
-        return None
-    if top >= C * (1.0 - 1e-6):
-        return None
-    if top - second <= 1e-6 * (1.0 + top):
-        return None
-    return top

@@ -125,18 +125,30 @@ def _dispatch_input(data: dict):
                      "or an {instance, point} pair")
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter() if args.timing else None
-    tol = _resolve_tolerances(args)
-    cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
-    data = _load_json(args.input)
-    ev, _, extras = _dispatch_input(data)
+def _feasible_input(path: str, tol: Tolerances, started: float | None,
+                    need_grad_f: bool = False):
+    """(evaluation, grad_f, extras, payload with the feasibility report) of
+    an input record, or None once an infeasible point's report is out."""
+    ev, grad_f, extras = _dispatch_input(_load_json(path))
+    if need_grad_f and grad_f is None:
+        raise InputError("stationarity needs grad_f in the input record")
     feas = check_feasibility(ev, tol)
     payload = {"feasibility": feas.to_dict()}
     if not feas.feasible:
         payload["note"] = "point is not feasible at feas_eps; no checks run"
         _emit(payload, started)
+        return None
+    return ev, grad_f, extras, payload
+
+
+def cmd_check(args) -> int:
+    started = time.perf_counter() if args.timing else None
+    tol = _resolve_tolerances(args)
+    cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
+    loaded = _feasible_input(args.input, tol, started)
+    if loaded is None:
         return 0
+    ev, _, extras, payload = loaded
     pattern = classify_active(ev, tol)
     payload["active_pattern"] = pattern.to_dict()
     report = run_all_checks(ev, pattern, tol, cap=cap, is_affine=extras["affine"])
@@ -161,16 +173,10 @@ def cmd_stationarity(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
     cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
-    data = _load_json(args.input)
-    ev, grad_f, _ = _dispatch_input(data)
-    if grad_f is None:
-        raise InputError("stationarity needs grad_f in the input record")
-    feas = check_feasibility(ev, tol)
-    payload = {"feasibility": feas.to_dict()}
-    if not feas.feasible:
-        payload["note"] = "point is not feasible at feas_eps; no checks run"
-        _emit(payload, started)
+    loaded = _feasible_input(args.input, tol, started, need_grad_f=True)
+    if loaded is None:
         return 0
+    ev, grad_f, _, payload = loaded
     pattern = classify_active(ev, tol)
     report = classify_stationarity(ev, pattern, grad_f, tol, cap=cap)
     payload["stationarity"] = report.to_dict()
@@ -272,6 +278,14 @@ def _add_tol_flags(parser):
                         help="append wall-clock timing to the output")
 
 
+def _add_split_flags(parser):
+    parser.add_argument("--csv", required=True)
+    parser.add_argument("--T", type=int, required=True)
+    parser.add_argument("--m1", type=int, required=True)
+    parser.add_argument("--m2", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=None)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as is."""
@@ -310,21 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = pb.add_subparsers(dest="bho_command", required=True)
 
     p = bsub.add_parser("build", help="build an instance from a CSV dataset")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    _add_split_flags(p)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
     _add_tol_flags(p)
     p.set_defaults(func=cmd_bho_build)
 
     p = bsub.add_parser("sweep", help="solve and report over a C grid")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    _add_split_flags(p)
     p.add_argument("--grid", required=True, help="comma-separated C values")
     p.add_argument("--budget", type=int, default=100000)
     _add_tol_flags(p)

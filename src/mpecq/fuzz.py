@@ -3,8 +3,9 @@
 Two point sources feed the invariant monitors: a constructed-pattern
 affine generator (gradients are small integers, the point is the
 origin, activity is chosen per pair) and the hyperparameter-selection
-family (random Gaussian datasets solved to optimality, plus forcing
-transformations that steer the point into each closed-form branch).
+family (random Gaussian datasets solved to optimality, at a random C or
+at a C read off the exact regularization path that lands the point in
+one closed-form branch).
 
 Every generated point is pushed through cross-checks that must hold by
 construction: the implication lattice, tightened/relaxed agreement
@@ -16,7 +17,7 @@ Any failure is recorded with enough provenance to replay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,13 +85,38 @@ class BhoCase:
     mode: str
 
 
+def _licq_case(instance: bho.BhoInstance, C: float, tol: Tolerances,
+               clean: bool):
+    """(alphas, LICQ-theorem case or None if flagged) of the instance at C;
+    None if the point fails to solve or classify, or if `clean` and a
+    validation margin is flagged."""
+    try:
+        alphas = bho.solve_all_folds(instance, C)
+        point, flags = bho.assemble_feasible_point(instance, C, alphas, tol)
+        if clean and flags:
+            return None
+        pattern = bho.classify_lambda_psi(instance, point, tol)
+    except (ConvergenceError, InfeasiblePointError, ClassificationError):
+        return None
+    if pattern.assumption_flags:
+        return alphas, None
+    return alphas, bho.check_licq_theorem(instance, point, pattern, tol).case
+
+
 def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
                  retries: int = 80) -> BhoCase:
-    """Sample (and for forced modes, steer) one solved instance.
+    """Sample one solved instance whose LICQ-theorem case is the mode's.
 
-    Retries with fresh data until the closed-form branch test lands on
-    the case the mode asks for; raises RuntimeError when the retry
-    budget runs out, which for the shipped seeds never happens.
+    `plain` takes any point that classifies, at a random C.  The forced
+    modes keep the data and read C off the exact path (`bho.fold_knots`):
+    `gh3` and `gh4` try the knots in a random order, since at a knot one
+    family-3 or family-4 pair is biactive.  `multi` and `ahat0` train
+    fold 0 on its first sample twice, a tie the path holds at a bound
+    with gradient 0; `multi` adds a knot of fold 0 for a second biactive
+    pair, and `ahat0` takes twice the last knot, where the held copy's
+    row lies in the span of the free rows.  Retries with fresh data;
+    raises RuntimeError when the retries run out, which for the shipped
+    seeds never happens.
     """
     if mode not in FORCE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -98,72 +124,30 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
     for _ in range(retries):
         T = int(rng.integers(1, 3))
         m1 = int(rng.integers(1, 4))
-        if mode == "gh4":
-            m2 = int(rng.integers(2, 5))
-            p = m2 + int(rng.integers(0, 3))
-        elif mode == "multi":
-            m2 = int(rng.integers(3, 6))
-            p = int(rng.integers(2, 4))
-        else:
-            m2 = int(rng.integers(2, 6))
-            p = int(rng.integers(2, 5))
+        m2 = int(rng.integers(2, 6))
+        p = int(rng.integers(2, 5))
         dataset = _random_dataset(rng, T, m1, m2, p)
         split = bho.split_folds(dataset, T, m1, m2, int(rng.integers(2 ** 31)))
+        if mode in ("multi", "ahat0"):
+            first = split.training[0]
+            split = replace(split, training=((*first[:-1], first[0]),
+                                             *split.training[1:]))
         instance = bho.BhoInstance.from_dataset(dataset, split)
-        if mode == "ahat0":
-            # a box bound none of the folds touches empties lam_u
-            top = 1.0
-            singular = False
-            for t in range(T):
-                K = instance.fold_training_gram(t)
-                try:
-                    unc = np.linalg.solve(K, np.ones(m2))
-                except np.linalg.LinAlgError:
-                    singular = True
-                    break
-                top = max(top, float(np.abs(unc).max()))
-            if singular:
-                continue
-            C = 2.0 * top
-        elif mode == "gh3":
-            C = 10.0 ** float(rng.uniform(-1.0, 0.5))
-        else:
-            C = 10.0 ** float(rng.integers(-1, 2)) * float(rng.uniform(0.5, 2.0))
-        try:
-            alphas = bho.solve_all_folds(instance, C)
-        except ConvergenceError:
-            continue
-        if mode in ("gh3", "ahat0", "multi"):
-            count = 2 if mode == "multi" else 1
-            forced = bho.force_family3_biactive(instance, alphas, count)
-            if forced is None:
-                continue
-            instance = forced[0]
-        elif mode == "gh4":
-            newC = bho.force_family4_biactive(instance, C, alphas)
-            if newC is None:
-                continue
-            C = newC
-        try:
-            point, flags = bho.assemble_feasible_point(instance, C, alphas, tol)
-        except InfeasiblePointError:
-            continue
-        if mode != "plain" and flags:
-            continue
-        try:
-            pattern = bho.classify_lambda_psi(instance, point, tol)
-        except ClassificationError:
-            continue
-        if pattern.assumption_flags:
-            if mode == "plain":
-                return BhoCase(instance, C, alphas, dataset, split, mode)
-            continue
-        verdict = bho.check_licq_theorem(instance, point, pattern, tol)
-        if verdict.case == wanted:
-            return BhoCase(instance, C, alphas, dataset, split, mode)
         if mode == "plain":
-            # any clean solved point is acceptable for the plain corpus
-            return BhoCase(instance, C, alphas, dataset, split, mode)
+            candidates = [10.0 ** float(rng.integers(-1, 2)) * float(rng.uniform(0.5, 2.0))]
+        else:
+            try:
+                knots = np.concatenate([bho.fold_knots(instance, t)
+                                        for t in range(1 if mode == "multi" else T)])
+            except ConvergenceError:
+                continue
+            if mode == "ahat0":  # past every fold's last knot
+                knots = 2.0 * np.sort(knots)[-1:]
+            candidates = rng.permutation(knots)
+        for C in candidates:
+            solved = _licq_case(instance, C, tol, clean=mode != "plain")
+            if solved is not None and (mode == "plain" or solved[1] == wanted):
+                return BhoCase(instance, float(C), solved[0], dataset, split, mode)
     raise RuntimeError(f"could not generate a '{mode}' case in {retries} tries")
 
 

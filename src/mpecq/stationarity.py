@@ -173,8 +173,9 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     classes["weak"] = "holds"
 
     def report(cls, witness):
-        # the residual is the same for every class: recompute it once
-        residual_ok = witness_residual(ev, pattern, grad_f, witness) <= WITNESS_RESIDUAL_SLACK
+        # the residual is the same for every class, and _solve_system
+        # computed it for this witness
+        residual_ok = witness["residual"] <= WITNESS_RESIDUAL_SLACK
         for weaker in CLASS_ORDER[CLASS_ORDER.index(cls):]:
             if not (residual_ok and _signs_satisfy(pattern, witness, weaker, tol)):
                 raise WitnessVerificationError(f"{cls} witness does not certify {weaker}")

@@ -25,7 +25,7 @@ def violations_of(summary, *kinds):
 def test_corpus_digest_is_pinned(fuzz_summary):
     # the corpus's counts, branch hits and violations: a change that
     # moves any of them moves the digest
-    assert digest(fuzz_summary.to_dict()) == "ae041e7436404382"
+    assert digest(fuzz_summary.to_dict()) == "24bfcdc7a935d2b1"
 
 
 def test_criterion_01_counterexample_fidelity(acceptance):

@@ -9,8 +9,8 @@ from mpecq import (BhoInstance, BhoPoint, ClassificationError,
                    InputError, Tolerances, assemble_feasible_point,
                    assemble_gamma, check_feasibility, check_licq_theorem,
                    check_mfcq_r_theorem, check_mpec_licq, check_mpec_mfcq_r,
-                   classify_active, classify_lambda_psi, gamma_matches_generic,
-                   load_dataset_csv, lower_level_solve,
+                   bho, classify_active, classify_lambda_psi, fold_knots,
+                   gamma_matches_generic, load_dataset_csv, lower_level_solve,
                    misclassification_oracle, solve_all_folds, split_folds,
                    structured_index_sets, to_evaluation, validation_error)
 from mpecq.fuzz import gen_bho_case
@@ -421,6 +421,28 @@ class TestRegularizationPath:
         with pytest.raises(ValueError):
             path.a[0, 0] = 1.0
 
+    def test_fold_knots_read_the_solver_path(self):
+        # the two-sample example above: the whole path breaks at 1/7, 3/16
+        inst = BhoInstance(1, 1, 2, 2, np.array([[1.0, 0.0]]),
+                           np.array([[2.0, 0.0], [1.0, 2.0]]))
+        knots = fold_knots(inst, 0)
+        np.testing.assert_allclose(knots, [1 / 7, 3 / 16], rtol=1e-15)
+        assert not knots.flags.writeable
+        path = inst._paths[0]
+        lower_level_solve(inst, 0, 1.0)
+        assert inst._paths[0] is path
+        with pytest.raises(InputError):
+            fold_knots(inst, 1)
+
+    def test_fold_knots_raise_past_the_budget(self, monkeypatch):
+        inst = BhoInstance(1, 1, 2, 2, np.array([[1.0, 0.0]]),
+                           np.array([[2.0, 0.0], [1.0, 2.0]]))
+        monkeypatch.setattr(bho, "_BUDGET", 2)  # the path has 3 segments
+        with pytest.raises(ConvergenceError):
+            fold_knots(inst, 0)
+        monkeypatch.setattr(bho, "_BUDGET", 3)
+        np.testing.assert_allclose(fold_knots(inst, 0), [1 / 7, 3 / 16], rtol=1e-15)
+
 
 class TestAssembly:
     def test_assembled_point_is_feasible(self):
@@ -578,6 +600,21 @@ class TestTheorems:
             ev = to_evaluation(bundle.instance, point)
             generic = check_mpec_licq(ev, classify_active(ev, TOL), TOL)
             assert generic.status == thm.status
+
+    @pytest.mark.parametrize("mode", ["gh3", "gh4", "multi", "ahat0"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forced_cases_keep_their_data(self, mode, seed):
+        # a forced case is the dataset's own instance at a C read off its
+        # path: a knot, or twice the last knot for ahat0
+        case = gen_bho_case(np.random.default_rng(seed), mode, TOL)
+        rebuilt = BhoInstance.from_dataset(case.dataset, case.split)
+        assert rebuilt.A.tobytes() == case.instance.A.tobytes()
+        assert rebuilt.B.tobytes() == case.instance.B.tobytes()
+        knots = [fold_knots(case.instance, t) for t in range(case.instance.T)]
+        if mode == "ahat0":
+            assert case.C == 2.0 * np.concatenate(knots).max()
+        else:
+            assert case.C in np.concatenate(knots[:1] if mode == "multi" else knots)
 
     def test_exemplar_multi_biactive_fails(self):
         instance, C, alphas = exemplar_instance()

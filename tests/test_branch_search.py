@@ -9,13 +9,15 @@ where the exhaustive one is exponential.
 """
 
 import gc
+import json
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpecq import (MpecDimensions, PointEvaluation, Tolerances,
-                   assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
+from mpecq import (BhoInstance, BhoPoint, MpecDimensions, PointEvaluation,
+                   Tolerances, assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, cq, gen_bho_case,
                    kernels, run_all_checks, stationarity, to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
@@ -28,6 +30,7 @@ from _oracles import (STRICT_MARGIN, direction_margin, gmfcq_oracle,
 from conftest import FUZZ_POINTS, FUZZ_SEED, PINNED_TOL
 
 TOL = Tolerances()
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def biactive_point(k, family, rng=None):
@@ -161,16 +164,16 @@ def test_search_cost_stays_polynomial_where_enumeration_explodes(monkeypatch):
 
 
 def test_degenerate_node_lp_from_fuzz_corpus():
-    # forced gh3 case 64 of the acceptance corpus: the GMFCQ (i) direction
+    # a gh3 point of an earlier fuzz corpus, made by rescaling a training
+    # row, kept as an {instance, point} record: the GMFCQ (i) direction
     # system of the node that puts the one biactive pair in R is fully
     # degenerate, and the dense simplex that once decided it pivoted on
     # rounding noise there.  The bundle has full rank, so GMFCQ itself
     # certifies the node by rank and the system is posed here on the
     # node's rows.
-    forced = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2]
-    case = gen_bho_case(np.random.default_rng(forced.spawn(250)[64]), "gh3", PINNED_TOL)
-    point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
-    ev = to_evaluation(case.instance, point)
+    record = json.loads((GOLDEN / "fuzz_gh3_degenerate_node.json").read_text())
+    ev = to_evaluation(BhoInstance.from_dict(record["instance"]),
+                       BhoPoint.from_dict(record["point"]))
     pattern = classify_active(ev, PINNED_TOL)
     assert ev.dims.m == ev.dims.p == 0 and len(pattern.I_GH) == 1
     i = pattern.I_GH[0]
@@ -317,7 +320,7 @@ def forced_corpus_points(mode):
         yield to_evaluation(case.instance, point), case.instance.grad_f
 
 
-@pytest.mark.parametrize("mode", ["gh3", "gh4", "multi"])
+@pytest.mark.parametrize("mode", ["gh3", "gh4", "multi", "ahat0"])
 def test_fuzz_corpus_biactive_points_match_oracles(mode):
     for ev, grad_f in forced_corpus_points(mode):
         assert classify_active(ev, PINNED_TOL).I_GH

@@ -5,7 +5,7 @@ import pytest
 
 from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
                    Tolerances, assemble_feasible_point, classify_active, cq,
-                   classify_stationarity, gradient_bundle_tnlp, kernels,
+                   classify_stationarity, fold_knots, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
                    verify_kkt_equivalence, witness_residual, witness_satisfies)
 from mpecq.fixtures import all_fixtures, fixture_e1, fixture_e2, fixture_e3
@@ -222,8 +222,7 @@ class TestOneFactorizationPerSvcPoint:
         # a knot of a fold's path is a C where a fold index changes side,
         # so the point there has a biactive pair
         inst = svc_instance(1)
-        solve_all_folds(inst, 100.0)
-        ev, pattern, gf = svc_point(1, float(inst._paths[0].knots[1]), inst)
+        ev, pattern, gf = svc_point(1, float(fold_knots(inst, 0)[0]), inst)
         assert pattern.I_g == () and len(pattern.I_GH) == 1
         systems = []
         solve = kernels.LinearProgram.solve
@@ -270,9 +269,8 @@ class TestPresolveAgainstFullSvd:
     @pytest.mark.parametrize("index, knot_count", [(1, 98), (4, 82), (7, 87)])
     def test_same_verdicts_and_multipliers(self, monkeypatch, index, knot_count):
         inst = svc_instance(index)
-        solve_all_folds(inst, 100.0)
-        knots = sorted({float(C) for path in inst._paths.values() for C in path.knots
-                        if 0.0 < C < 100.0})
+        knots = sorted({float(C) for t in range(inst.T) for C in fold_knots(inst, t)
+                        if C < 100.0})
         assert len(knots) == knot_count
         points = [svc_point(index, C, inst) for C in (*C_GRID, *knots)]
         presolved = [self.outcome(*point) for point in points]
