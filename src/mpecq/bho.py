@@ -126,7 +126,8 @@ def split_folds(dataset: Dataset, T: int, m1: int, m2: int, seed: int) -> FoldSp
     """Deterministic disjoint fold sampling; leftover samples are dropped.
 
     A split built otherwise may repeat a training sample in a fold, a tie
-    that the lower-level path holds with one copy at a bound.
+    that the lower-level path holds with one copy at a bound, or repeat a
+    whole fold, whose copy then has the same path.
     """
     if T < 1 or m1 < 1 or m2 < 1:
         raise InputError("T, m1, m2 must all be at least 1")
@@ -384,7 +385,7 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     K = instance.fold_training_gram(fold)
     if C == 0.0:
         return np.zeros(K.shape[0])
-    path = instance._paths.get(fold) or _fold_path(instance, fold)
+    path = _fold_path(instance, fold)
     path.extend(C, budget)
     knots = path.knots
     # segment j starts at the j-th breakpoint below C

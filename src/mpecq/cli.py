@@ -125,30 +125,27 @@ def _dispatch_input(data: dict):
                      "or an {instance, point} pair")
 
 
-def _feasible_input(path: str, tol: Tolerances, started: float | None,
-                    need_grad_f: bool = False):
-    """(evaluation, grad_f, extras, payload with the feasibility report) of
-    an input record, or None once an infeasible point's report is out."""
-    ev, grad_f, extras = _dispatch_input(_load_json(path))
-    if need_grad_f and grad_f is None:
-        raise InputError("stationarity needs grad_f in the input record")
+def _feasibility_payload(ev: PointEvaluation, tol: Tolerances,
+                         started: float | None) -> dict | None:
+    """The output payload opened by the feasibility report, or None once
+    an infeasible point's report is out."""
     feas = check_feasibility(ev, tol)
     payload = {"feasibility": feas.to_dict()}
-    if not feas.feasible:
-        payload["note"] = "point is not feasible at feas_eps; no checks run"
-        _emit(payload, started)
-        return None
-    return ev, grad_f, extras, payload
+    if feas.feasible:
+        return payload
+    payload["note"] = "point is not feasible at feas_eps; no checks run"
+    _emit(payload, started)
+    return None
 
 
 def cmd_check(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
     cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
-    loaded = _feasible_input(args.input, tol, started)
-    if loaded is None:
+    ev, _, extras = _dispatch_input(_load_json(args.input))
+    payload = _feasibility_payload(ev, tol, started)
+    if payload is None:
         return 0
-    ev, _, extras, payload = loaded
     pattern = classify_active(ev, tol)
     payload["active_pattern"] = pattern.to_dict()
     report = run_all_checks(ev, pattern, tol, cap=cap, is_affine=extras["affine"])
@@ -173,10 +170,12 @@ def cmd_stationarity(args) -> int:
     started = time.perf_counter() if args.timing else None
     tol = _resolve_tolerances(args)
     cap = _resolve_int(args.cap, "--cap", "MPECQ_CAP_GH", DEFAULT_BRANCH_CAP)
-    loaded = _feasible_input(args.input, tol, started, need_grad_f=True)
-    if loaded is None:
+    ev, grad_f, _ = _dispatch_input(_load_json(args.input))
+    if grad_f is None:
+        raise InputError("stationarity needs grad_f in the input record")
+    payload = _feasibility_payload(ev, tol, started)
+    if payload is None:
         return 0
-    ev, grad_f, _, payload = loaded
     pattern = classify_active(ev, tol)
     report = classify_stationarity(ev, pattern, grad_f, tol, cap=cap)
     payload["stationarity"] = report.to_dict()

@@ -110,11 +110,12 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
     `plain` takes any point that classifies, at a random C.  The forced
     modes keep the data and read C off the exact path (`bho.fold_knots`):
     `gh3` and `gh4` try the knots in a random order, since at a knot one
-    family-3 or family-4 pair is biactive.  `multi` and `ahat0` train
-    fold 0 on its first sample twice, a tie the path holds at a bound
-    with gradient 0; `multi` adds a knot of fold 0 for a second biactive
-    pair, and `ahat0` takes twice the last knot, where the held copy's
-    row lies in the span of the free rows.  Retries with fresh data;
+    family-3 or family-4 pair is biactive.  `multi` repeats fold 0 as
+    one more fold and takes a knot of fold 0, where both copies have a
+    biactive pair in their own fold block.  `ahat0` trains fold 0 on its
+    first sample twice, a tie the path holds at a bound with gradient 0,
+    and takes twice the last knot, where the held copy's row lies in the
+    span of the free rows.  Retries with fresh data;
     raises RuntimeError when the retries run out, which for the shipped
     seeds never happens.
     """
@@ -128,7 +129,11 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
         p = int(rng.integers(2, 5))
         dataset = _random_dataset(rng, T, m1, m2, p)
         split = bho.split_folds(dataset, T, m1, m2, int(rng.integers(2 ** 31)))
-        if mode in ("multi", "ahat0"):
+        if mode == "multi":
+            split = replace(split, T=T + 1,
+                            validation=(*split.validation, split.validation[0]),
+                            training=(*split.training, split.training[0]))
+        elif mode == "ahat0":
             first = split.training[0]
             split = replace(split, training=((*first[:-1], first[0]),
                                              *split.training[1:]))
@@ -267,6 +272,8 @@ def _check_bho_case(case: BhoCase, tol, cap, where, summary):
     mfr = bho.check_mfcq_r_theorem(instance, point, lp_pattern, tol)
     if mfr.status == "holds":
         summary.bump("mfcqr_theorem_confirmable")
+        if thm.case == "multi_biactive":
+            summary.bump("mfcqr_theorem_confirmable_multi")
         if verdicts["MPEC_MFCQ_RNLP"] != "holds":
             summary.flag("mfcqr_theorem_vs_generic", where,
                          f"theorem holds, generic={verdicts['MPEC_MFCQ_RNLP']}")

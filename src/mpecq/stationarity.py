@@ -158,8 +158,8 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     every class, both negative rules out strong and M, mixed signs rule
     out C as well.  Only the other pairs are constrained in the strong
     system and searched for M and C; the decided ones stay free there,
-    which changes no feasible set.  The returned witness is re-checked
-    against its class and every weaker one.
+    which changes no feasible set.  The sign conditions of the returned
+    witness are re-checked against its class and every weaker one.
     """
     k = len(pattern.I_GH)
     notes: list[str] = []
@@ -173,11 +173,10 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     classes["weak"] = "holds"
 
     def report(cls, witness):
-        # the residual is the same for every class, and _solve_system
-        # computed it for this witness
-        residual_ok = witness["residual"] <= WITNESS_RESIDUAL_SLACK
+        # _solve_system has already checked the residual, which is the
+        # same for every class
         for weaker in CLASS_ORDER[CLASS_ORDER.index(cls):]:
-            if not (residual_ok and _signs_satisfy(pattern, witness, weaker, tol)):
+            if not _signs_satisfy(pattern, witness, weaker, tol):
                 raise WitnessVerificationError(f"{cls} witness does not certify {weaker}")
             classes[weaker] = "holds"
         return StationarityReport(cls, classes, witness, tuple(notes))

@@ -1,5 +1,8 @@
 """Hyperparameter-selection family tests: data plumbing, QP, index charts."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +18,10 @@ from mpecq import (BhoInstance, BhoPoint, ClassificationError,
                    structured_index_sets, to_evaluation, validation_error)
 from mpecq.fuzz import gen_bho_case
 from _oracles import face_projected_gradient_qp, projected_gradient_qp
+from conftest import PINNED_TOL
 
 TOL = Tolerances()
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def make_instance(seed=0, T=2, m1=2, m2=3, p=3, extra=1):
@@ -639,6 +644,25 @@ class TestTheorems:
             ev = to_evaluation(inst, point)
             assert check_mpec_mfcq_r(ev, classify_active(ev, TOL), TOL).status == "holds"
         assert hits > 0
+
+    @pytest.mark.parametrize("name, case", [("fuzz_multi_mfcqr", "multi_biactive"),
+                                            ("fuzz_ahat0_mfcqr", "ahat_zero")])
+    def test_mfcq_r_theorem_on_kept_corpus_points(self, name, case):
+        # a multi and an ahat0 point of an earlier fuzz corpus, drawn by
+        # rescaling two training rows and by solving for a C where ahat
+        # vanishes, kept as {instance, point} records: the Gram block over
+        # lam1 and lam3 is positive definite there, which an ahat0 tie
+        # drawn now never gives
+        record = json.loads((GOLDEN / f"{name}.json").read_text())
+        inst = BhoInstance.from_dict(record["instance"])
+        point = BhoPoint.from_dict(record["point"])
+        lp = classify_lambda_psi(inst, point, PINNED_TOL)
+        assert check_licq_theorem(inst, point, lp, PINNED_TOL).case == case
+        assert check_mfcq_r_theorem(inst, point, lp, PINNED_TOL).status == "holds"
+        ev = to_evaluation(inst, point)
+        pattern = classify_active(ev, PINNED_TOL)
+        assert len(pattern.I_GH) == (2 if case == "multi_biactive" else 1)
+        assert check_mpec_mfcq_r(ev, pattern, PINNED_TOL).status == "holds"
 
     def test_flags_force_undecided(self):
         ds = Dataset(np.zeros((6, 2)), np.ones(6))
