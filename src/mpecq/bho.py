@@ -178,7 +178,7 @@ class BhoInstance:
         BBt.setflags(write=False)
         object.__setattr__(self, "_ABt", ABt)
         object.__setattr__(self, "_BBt", BBt)
-        # fold -> _RegularizationPath, built by the first lower-level solve
+        # fold -> _RegularizationPath, built whole by the fold's first solve
         object.__setattr__(self, "_paths", {})
 
     # v = [C; zeta; z; alpha; xi]
@@ -257,6 +257,8 @@ class BhoInstance:
         return base + local
 
     def fold_training_gram(self, t: int) -> np.ndarray:
+        if not 0 <= t < self.T:
+            raise InputError(f"fold must be in [0, {self.T}), got {t}")
         rows = slice(t * self.m2, (t + 1) * self.m2)
         return self.BBt[rows, rows]
 
@@ -355,28 +357,24 @@ def misclassification_oracle(dataset: Dataset, split: FoldSplit, alphas) -> floa
     return wrong / (split.T * split.m1)
 
 
-# default breakpoint budget of a fold's path
+# a fold's path is built to at most this many segments
 _BUDGET = 100000
+# largest natural-map residual accepted from a read of the path
+_TOL = 1e-9
 
 
-def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
-                      tol: float = 1e-9, budget: int = _BUDGET) -> np.ndarray:
+def lower_level_solve(instance: BhoInstance, fold: int, C: float) -> np.ndarray:
     """Solve the fold's box QP min 0.5 a.K.a - sum(a) s.t. 0 <= a <= C.
 
     alpha(C) is read off the fold's exact solution path
-    (`_RegularizationPath`), which the instance keeps and extends only
-    as far as the largest C asked for.  The read is accepted when the
-    step-1 natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf is
-    at most tol, which keeps downstream complementarity residuals at
-    O(C * tol).  There is no second solver: a read above tol, which
+    (`_RegularizationPath`), which the instance builds whole at the
+    first read and keeps.  The read is accepted when the step-1
+    natural-map residual ||a - clip(a - (K a - 1), 0, C)||_inf is at most
+    `_TOL` = 1e-9, which keeps downstream complementarity residuals at
+    O(C * _TOL).  There is no second solver: a read above that, which
     rounding in K a causes for C near 1e16, raises ConvergenceError with
-    that residual, and so does a path that stopped before C.
-
-    `budget` caps breakpoints: each breakpoint of the path below C counts
-    as one, and so does the final read, so the path is built to at most
-    `budget` segments.  When the budget runs out the ConvergenceError
-    carries the residual of the path's alpha at the last breakpoint it
-    allows.
+    that residual, and so does a path that stopped before C because a
+    side assignment repeated or it reached `_BUDGET` segments.
     """
     if not np.isfinite(C):
         raise InputError(f"C must be finite, got {C}")
@@ -386,25 +384,19 @@ def lower_level_solve(instance: BhoInstance, fold: int, C: float, *,
     if C == 0.0:
         return np.zeros(K.shape[0])
     path = _fold_path(instance, fold)
-    path.extend(C, budget)
     knots = path.knots
+    if C > knots[-1]:
+        raise ConvergenceError(f"lower-level path stopped at C={knots[-1]:.6g} "
+                               f"before C={C:.6g}: a side assignment repeated "
+                               f"or the path reached {_BUDGET} segments",
+                               _natural_residual(K, path.alpha(-1, C), C), len(path.a))
     # segment j starts at the j-th breakpoint below C
     j = int(np.searchsorted(knots, C)) - 1
-    if j >= budget:
-        residual = (_natural_residual(K, path.alpha(budget - 1, knots[budget - 1]), C)
-                    if budget > 0 else np.inf)
-        raise ConvergenceError(f"lower-level QP did not reach tolerance {tol:.1e} "
-                               f"within {budget} iterations", residual, budget)
-    if C > knots[-1]:
-        last = len(path.a) - 1
-        raise ConvergenceError(f"lower-level path stopped at C={knots[-1]:.6g} "
-                               f"before C={C:.6g}: a side assignment repeated",
-                               _natural_residual(K, path.alpha(last, C), C), last + 1)
     alpha = path.alpha(j, C)
     residual = _natural_residual(K, alpha, C)
-    if residual > tol:
+    if residual > _TOL:
         raise ConvergenceError(f"lower-level path read at C={C:.6g} misses "
-                               f"tolerance {tol:.1e}", residual, j + 1)
+                               f"tolerance {_TOL:.1e}", residual, j + 1)
     return alpha
 
 
@@ -412,23 +404,21 @@ def fold_knots(instance: BhoInstance, fold: int) -> np.ndarray:
     """The finite breakpoints C > 0 of the fold's whole solution path,
     ascending and read-only: at each, a fold index changes side, so its
     family-3 or family-4 pair is biactive.  The path is the one
-    `lower_level_solve` reads, built to its end; ConvergenceError when
-    that takes more segments than lower_level_solve's default budget or
-    repeats a side assignment.
+    `lower_level_solve` reads; ConvergenceError when it stopped at a
+    finite C.
     """
     path = _fold_path(instance, fold)
-    path.extend(np.inf, _BUDGET)
     if np.isfinite(path.knots[-1]):
         raise ConvergenceError(f"lower-level path of fold {fold} stopped at "
-                               f"C={path.knots[-1]:.6g}", np.inf, len(path.a))
+                               f"C={path.knots[-1]:.6g}: a side assignment repeated "
+                               f"or the path reached {_BUDGET} segments",
+                               np.inf, len(path.a))
     return path.knots[1:-1]
 
 
 def _fold_path(instance: BhoInstance, fold: int) -> "_RegularizationPath":
     path = instance._paths.get(fold)
     if path is None:
-        if not 0 <= fold < instance.T:
-            raise InputError(f"fold must be in [0, {instance.T}), got {fold}")
         path = instance._paths[fold] = _RegularizationPath(instance.fold_training_gram(fold))
     return path
 
@@ -458,55 +448,51 @@ class _RegularizationPath:
     then the entering indices are admitted one at a time, in index
     order, while K_FF stays nonsingular, and the others stay on their
     bound with rows in the span of the free rows and gradients at 0.
-    A side assignment seen before, which only rounding can cause, stops
-    the path; knots[-1] is then the last C it covers.  `extend` builds
-    segments until the path covers the C asked for or has `segments`
-    of them; knots, a and b are read-only and are replaced, never
-    changed, when it grows.
+
+    The constructor builds the whole path: to C = inf, or until a side
+    assignment seen before comes back, which only rounding can cause,
+    or to `_BUDGET` segments; knots[-1] is the last C it covers.  knots,
+    a and b are read-only and never change.
     """
 
     def __init__(self, K: np.ndarray):
         self._K = K
         self._rounding = _SLOPE_TOL * K.shape[0] * float(np.abs(K).max())
-        self._side = np.full(K.shape[0], _UPPER, dtype=np.int8)
-        self._seen = {self._side.tobytes()}
-        self._knots, self._a, self._b = [0.0], [], []
-        self._events = None  # (indices, new sides) at knots[-1]
-        self._segment()
-        self._publish()
+        side = np.full(K.shape[0], _UPPER, dtype=np.int8)
+        seen = set()
+        knots, a, b = [0.0], [], []
+        while len(a) < _BUDGET and side.tobytes() not in seen:
+            seen.add(side.tobytes())
+            a_j, b_j, end, indices, to = self._segment(side, knots[-1])
+            a.append(a_j)
+            b.append(b_j)
+            knots.append(end)
+            if not np.isfinite(end):
+                break
+            new = side.copy()
+            leaving = to != _FREE
+            new[indices[leaving]] = to[leaving]
+            for i in np.sort(indices[~leaving]):
+                new[i] = _FREE
+                if not self._basic(new):
+                    new[i] = side[i]
+            side = new
+        self.knots, self.a, self.b = np.array(knots), np.array(a), np.array(b)
+        for arr in (self.knots, self.a, self.b):
+            arr.setflags(write=False)
 
     def alpha(self, j: int, C: float) -> np.ndarray:
         return np.clip(self.a[j] + C * self.b[j], 0.0, C)
-
-    def extend(self, C: float, segments: int) -> None:
-        grown = False
-        while (self._knots[-1] < C and len(self._a) < segments
-               and self._events is not None):
-            indices, sides = self._events
-            side = self._side.copy()
-            leaving = sides != _FREE
-            side[indices[leaving]] = sides[leaving]
-            for i in np.sort(indices[~leaving]):
-                side[i] = _FREE
-                if not self._basic(side):
-                    side[i] = self._side[i]
-            if side.tobytes() in self._seen:
-                self._events = None
-                break
-            self._seen.add(side.tobytes())
-            self._side = side
-            self._segment()
-            grown = True
-        if grown:
-            self._publish()
 
     def _basic(self, side: np.ndarray) -> bool:
         F = np.flatnonzero(side == _FREE)
         return numerical_rank(self._K[F][:, F]).rank == F.size
 
-    def _segment(self) -> None:
-        """Solve the current sides for (a, b) and find where the segment ends."""
-        K, side, start = self._K, self._side, self._knots[-1]
+    def _segment(self, side: np.ndarray, start: float):
+        """(a, b) of the segment from `start` with these sides, the C where
+        it ends, and the indices whose event falls there with their new
+        sides."""
+        K = self._K
         free, upper = side == _FREE, side == _UPPER
         F = np.flatnonzero(free)
         a = np.zeros(side.size)
@@ -527,21 +513,9 @@ class _RegularizationPath:
         np.divide(-a, b - 1.0, out=out[1], where=free & (b > 1.0))
         np.maximum(out, start, out=out)
         end = float(out.min())
-        self._a.append(a)
-        self._b.append(b)
-        self._knots.append(end)
-        if np.isfinite(end):
-            which, indices = np.nonzero(out == end)
-            to = np.where(which == 1, _UPPER, np.where(free[indices], _LOWER, _FREE))
-            self._events = (indices, to.astype(np.int8))
-        else:
-            self._events = None
-
-    def _publish(self) -> None:
-        self.knots = np.array(self._knots)
-        self.a, self.b = np.array(self._a), np.array(self._b)
-        for arr in (self.knots, self.a, self.b):
-            arr.setflags(write=False)
+        which, indices = np.nonzero(out == end)
+        to = np.where(which == 1, _UPPER, np.where(free[indices], _LOWER, _FREE))
+        return a, b, end, indices, to.astype(np.int8)
 
 
 def _natural_residual(K: np.ndarray, alpha: np.ndarray, C: float) -> float:
@@ -549,10 +523,8 @@ def _natural_residual(K: np.ndarray, alpha: np.ndarray, C: float) -> float:
     return float(np.abs(alpha - np.clip(alpha - grad, 0.0, C)).max())
 
 
-def solve_all_folds(instance: BhoInstance, C: float, *, tol: float = 1e-9,
-                    budget: int = _BUDGET) -> list:
-    return [lower_level_solve(instance, t, C, tol=tol, budget=budget)
-            for t in range(instance.T)]
+def solve_all_folds(instance: BhoInstance, C: float) -> list:
+    return [lower_level_solve(instance, t, C) for t in range(instance.T)]
 
 
 def assemble_feasible_point(instance: BhoInstance, C: float, alphas,

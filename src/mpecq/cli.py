@@ -8,7 +8,7 @@ Exit codes: 0 success (including an infeasible-point report), 1 a
 verdict or invariant suite failed or the package raised (an
 `MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
 generator's `RuntimeError` when it runs out of retries), 2 malformed
-input, such as a negative count, cap, budget or seed.
+input, such as a negative count, cap or seed.
 
 Tolerance resolution order: command-line flag, then MPECQ_* environment
 variable, then the built-in default.
@@ -240,13 +240,12 @@ def cmd_bho_sweep(args) -> int:
         raise InputError("--grid is empty")
     if not all(np.isfinite(grid)):
         raise InputError(f"--grid: C values must be finite, got {args.grid!r}")
-    budget = _count(args.budget, "--budget")
     rows = []
     failed = False
     for C in grid:
         entry = {"C": C}
         try:
-            alphas = bho.solve_all_folds(instance, C, budget=budget)
+            alphas = bho.solve_all_folds(instance, C)
             point, flags = bho.assemble_feasible_point(instance, C, alphas, tol)
             lp = bho.classify_lambda_psi(instance, point, tol)
             entry["validation_error"] = bho.validation_error(instance, point)
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("sweep", help="solve and report over a C grid")
     _add_split_flags(p)
     p.add_argument("--grid", required=True, help="comma-separated C values")
-    p.add_argument("--budget", type=int, default=100000)
     _add_tol_flags(p)
     p.set_defaults(func=cmd_bho_sweep)
     return parser

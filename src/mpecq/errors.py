@@ -25,12 +25,11 @@ class ConvergenceError(MpecqError):
     """A solve exhausted its budget or ended above its tolerance.
 
     The feasibility kernel raises it at its outer-iteration cap; the
-    lower-level path raises it when its breakpoint budget runs out, when
-    its read at C misses the residual tolerance, or when it stopped
-    before C.  Carries the last residual and the iterations run (for the
-    path, breakpoints below C plus the read), so callers can tell a
-    budget that was too small (iterations equal to the budget) from a
-    failure that no budget would cure.
+    lower-level path raises it when its read at C misses the residual
+    tolerance, or when it stopped before C because a side assignment
+    repeated or it reached its segment cap.  Carries the last residual
+    and the iterations run (for the path, the segments it read or
+    built).
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

@@ -33,6 +33,8 @@ FORCE_MODES = ("plain", "gh3", "gh4", "multi", "ahat0")
 _WANTED_CASE = {"plain": "no_biactive", "gh3": "single_gh3",
                 "gh4": "single_gh4", "multi": "multi_biactive",
                 "ahat0": "ahat_zero"}
+# fresh datasets gen_bho_case draws before it gives up
+_RETRIES = 80
 
 
 def random_affine_evaluation(rng: np.random.Generator, grad_f_out: list | None = None
@@ -103,8 +105,7 @@ def _licq_case(instance: bho.BhoInstance, C: float, tol: Tolerances,
     return alphas, bho.check_licq_theorem(instance, point, pattern, tol).case
 
 
-def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
-                 retries: int = 80) -> BhoCase:
+def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances) -> BhoCase:
     """Sample one solved instance whose LICQ-theorem case is the mode's.
 
     `plain` takes any point that classifies, at a random C.  The forced
@@ -122,7 +123,7 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
     if mode not in FORCE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     wanted = _WANTED_CASE[mode]
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         T = int(rng.integers(1, 3))
         m1 = int(rng.integers(1, 4))
         m2 = int(rng.integers(2, 6))
@@ -153,7 +154,7 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances,
             solved = _licq_case(instance, C, tol, clean=mode != "plain")
             if solved is not None and (mode == "plain" or solved[1] == wanted):
                 return BhoCase(instance, float(C), solved[0], dataset, split, mode)
-    raise RuntimeError(f"could not generate a '{mode}' case in {retries} tries")
+    raise RuntimeError(f"could not generate a '{mode}' case in {_RETRIES} tries")
 
 
 @dataclass

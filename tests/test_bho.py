@@ -203,24 +203,21 @@ class TestLowerLevelSolve:
             lower_level_solve(inst, 0, C)
         assert inst._paths == {}  # rejected before any path is built
 
-    def test_budget_exhaustion_raises_with_residual(self):
+    @pytest.mark.parametrize("fold", [-1, 2])
+    @pytest.mark.parametrize("C", [0.0, 1.0])
+    def test_fold_outside_the_instance_rejected(self, fold, C):
+        _, _, inst = make_instance()  # T = 2
+        with pytest.raises(InputError, match="fold"):
+            lower_level_solve(inst, fold, C)
+        assert inst._paths == {}
+
+    def test_budget_exhaustion_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(bho, "_BUDGET", 1)
         _, _, inst = make_instance()
-        with pytest.raises(ConvergenceError, match="within 1 iterations") as exc:
-            lower_level_solve(inst, 0, 1.0, budget=1)
+        with pytest.raises(ConvergenceError, match="reached 1 segments") as exc:
+            lower_level_solve(inst, 0, 1.0)
         assert exc.value.residual > 0
         assert exc.value.iterations == 1
-
-    def test_budget_bounds_the_segments_built(self):
-        # the path to C = 100 has 14 segments on this fold; a budget of
-        # one breakpoint must not build them all before it raises
-        rng = np.random.default_rng(0)
-        B = rng.normal(size=(15, 5))
-        inst = BhoInstance(1, 1, 15, 5, rng.normal(size=(1, 5)), B)
-        with pytest.raises(ConvergenceError, match="within 1 iterations"):
-            lower_level_solve(inst, 0, 100.0, budget=1)
-        assert len(inst._paths[0].a) <= 2
-        lower_level_solve(inst, 0, 100.0)
-        assert len(inst._paths[0].a) == 14
 
     def test_rounding_above_tolerance_raises_at_once(self):
         # rank-1 Gram whose range excludes 1: the solution has alpha_0 = C
@@ -229,7 +226,7 @@ class TestLowerLevelSolve:
         # at C misses tol and nothing else is tried
         inst = BhoInstance(1, 1, 2, 1, np.array([[1.0]]), np.array([[1.0], [-2.0]]))
         with pytest.raises(ConvergenceError, match="misses tolerance") as exc:
-            lower_level_solve(inst, 0, 1e16, budget=100000)
+            lower_level_solve(inst, 0, 1e16)
         assert exc.value.iterations == 2  # one breakpoint below C, one read
         assert exc.value.residual > 1e-9
 
@@ -244,7 +241,8 @@ class TestLowerLevelSolve:
         inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), rng.normal(size=(m2, p)))
         C = 10.0 ** log_c
         K = inst.fold_training_gram(0)
-        alpha = lower_level_solve(inst, 0, C, budget=25)
+        alpha = lower_level_solve(inst, 0, C)
+        assert np.searchsorted(inst._paths[0].knots, C) <= 25
         reference, converged = projected_gradient_qp(K, C)
 
         def objective(a):
@@ -340,8 +338,9 @@ class TestRegularizationPath:
         inst = BhoInstance(1, 2, m2, p, rng.normal(size=(2, p)), B)
         C = 10.0 ** log_c
         K = inst.fold_training_gram(0)
-        alpha = lower_level_solve(inst, 0, C, budget=25)
+        alpha = lower_level_solve(inst, 0, C)
         assert C <= inst._paths[0].knots[-1]  # the path covers C
+        assert np.searchsorted(inst._paths[0].knots, C) <= 25
         reference, converged = projected_gradient_qp(K, C)
         assert natural_residual(K, alpha, C) <= 1e-9
         assert alpha.min() >= 0.0 and alpha.max() <= C
@@ -368,9 +367,9 @@ class TestRegularizationPath:
             K = inst.fold_training_gram(0)
             for C in grid or 10.0 ** rng.uniform(-2.0, 2.0, size=3):
                 alpha = lower_level_solve(inst, 0, C)
-                assert C <= inst._paths[0].knots[-1]
                 assert natural_residual(K, alpha, C) <= 1e-9
                 solves += 1
+            assert inst._paths[0].knots[-1] == np.inf  # the whole path
         assert solves >= 2 * len(seeds)
 
     def test_two_sample_breakpoints_by_hand(self):
@@ -419,7 +418,7 @@ class TestRegularizationPath:
         arrays = (path.knots, path.a, path.b)
         for arr in arrays:
             assert not arr.flags.writeable
-        # a C inside the built range reads the same path, grown by nothing
+        # a second read reuses the same path and arrays
         lower_level_solve(inst, 0, 0.5)
         assert inst._paths[0] is path
         assert all(x is y for x, y in zip(arrays, (path.knots, path.a, path.b)))
@@ -439,14 +438,30 @@ class TestRegularizationPath:
         with pytest.raises(InputError):
             fold_knots(inst, 1)
 
-    def test_fold_knots_raise_past_the_budget(self, monkeypatch):
+    def test_first_read_builds_the_whole_path(self):
+        # a read below the first knot (1/7) already builds to C = inf;
+        # fold_knots then reads the same arrays, with nothing rebuilt
         inst = BhoInstance(1, 1, 2, 2, np.array([[1.0, 0.0]]),
                            np.array([[2.0, 0.0], [1.0, 2.0]]))
+        lower_level_solve(inst, 0, 0.1)
+        path = inst._paths[0]
+        knots = path.knots
+        assert knots[-1] == np.inf and len(path.a) == 3
+        inner = fold_knots(inst, 0)
+        assert inst._paths[0] is path and path.knots is knots
+        assert inner.base is knots
+        np.testing.assert_array_equal(inner, knots[1:-1])
+
+    def test_fold_knots_raise_past_the_budget(self, monkeypatch):
+        def two_sample():
+            return BhoInstance(1, 1, 2, 2, np.array([[1.0, 0.0]]),
+                               np.array([[2.0, 0.0], [1.0, 2.0]]))
+
         monkeypatch.setattr(bho, "_BUDGET", 2)  # the path has 3 segments
-        with pytest.raises(ConvergenceError):
-            fold_knots(inst, 0)
+        with pytest.raises(ConvergenceError, match="reached 2 segments"):
+            fold_knots(two_sample(), 0)
         monkeypatch.setattr(bho, "_BUDGET", 3)
-        np.testing.assert_allclose(fold_knots(inst, 0), [1 / 7, 3 / 16], rtol=1e-15)
+        np.testing.assert_allclose(fold_knots(two_sample(), 0), [1 / 7, 3 / 16], rtol=1e-15)
 
 
 class TestAssembly:

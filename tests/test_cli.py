@@ -187,16 +187,6 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["stationarity", "--input", path])
         assert (code, out) == (2, "") and "MPECQ_CAP_GH" in err
 
-    def test_negative_budget(self, capsys, tmp_path, monkeypatch):
-        csv = tmp_path / "data.csv"
-        csv.write_text(CSV_TEXT)
-        monkeypatch.setattr("mpecq.bho.solve_all_folds",
-                            lambda *a, **kw: pytest.fail("solved a grid C"))
-        code, out, err = run_cli(capsys, [
-            "bho", "sweep", "--csv", str(csv), "--T", "1", "--m1", "1",
-            "--m2", "2", "--grid", "1.0", "--budget", "-1"])
-        assert (code, out) == (2, "") and "--budget" in err
-
     def test_removed_margin_flag_is_unknown(self, capsys, tmp_path):
         path = write_json(tmp_path, "e2.json", e2_record())
         with pytest.raises(SystemExit) as exc:
