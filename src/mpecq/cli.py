@@ -88,8 +88,7 @@ def _resolve_int(flag_value, flag: str, env_name: str, default: int) -> int:
 def _emit(payload: dict, timing_started: float | None):
     if timing_started is not None:
         payload = dict(payload, timing_seconds=time.perf_counter() - timing_started)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path: str) -> dict:

@@ -131,9 +131,9 @@ def determined_pairs(ev: PointEvaluation, pattern: ActivePattern,
     bundle = gradient_bundle_tnlp(ev, pattern)
     basis = numerical_rank(bundle.rows, tol.rank_rel_tol).null_basis
     cutoff = tol.rank_rel_tol * max(bundle.rows.shape)
-    fixed = {pv for pv, row in zip(bundle.provenance, basis)
-             if np.abs(row).max(initial=0.0) <= cutoff}
-    return [i for i in pattern.I_GH if {("G", i), ("H", i)} <= fixed]
+    fixed = np.abs(basis).max(axis=1, initial=0.0) <= cutoff
+    row = bundle.provenance.index
+    return [i for i in pattern.I_GH if fixed[row(("G", i))] and fixed[row(("H", i))]]
 
 
 def _null_combination(bundle: GradientBundle, tol: Tolerances):

@@ -16,11 +16,15 @@ direction question is posed through its Motzkin alternative.  Every
 system is decided by Lawson-Hanson NNLS on equilibrated rows, which
 returns either a solution that passes the residual test or a Farkas ray
 that passes `verify_farkas_ray`.
-`numerical_rank` first eliminates unit rows exactly, the free column
-singletons of presolve, so only the block they leave is factored; in a
-bilevel SVC bundle most rows are unit rows from the box on alpha.  It
-keeps its last two results, returned again for an input equal bit for
-bit at the same cutoff, each with the block factorization behind it.
+`numerical_rank` eliminates in two exact phases before it factors:
+first the unit rows, the free column singletons of presolve, then,
+round by round, every block column with a single nonzero, which leaves
+with that row.  Only the block they leave is factored; in a bilevel SVC
+bundle most rows are unit rows from the box on alpha, and the column
+phase leaves little more than the Gram block over the free support
+vectors.  It keeps its last two results, returned again for an input
+equal bit for bit at the same cutoff, each with the block factorization
+behind it.
 That is the package's one factorization memo: a multiplier system whose
 A^T is a gradient bundle just factored for a rank test costs no second
 factorization.  `LinearProgram.solve`
@@ -216,12 +220,15 @@ def _nnls(A, b, free):
 
 
 class _Presolve(NamedTuple):
-    """M split into its eliminated unit rows and the rest (`numerical_rank`).
+    """M split into its eliminated rows and the block (`numerical_rank`).
 
     Unit row `units[j]` holds `values[j]` in column `pivots[j]` and is
-    zero elsewhere.  The other rows, `dense` = M[rows], keep every
-    column; the block dense[:, cols] drops the pivot columns and is
-    factored as U S V^T, truncated at its rank.
+    zero elsewhere.  Singleton row `singles[j]`, row `single_rows[j]` of
+    M, is the only block row with a nonzero in column `heads[j]` when
+    its round, `singles[rounds[t]:rounds[t + 1]]`, is eliminated.  The
+    other rows, `dense` = M[rows], keep every column; the block
+    dense[:, cols] drops the pivot and head columns and is factored as
+    U S V^T, truncated at its rank.
     """
     rows: np.ndarray   # boolean mask of the rows left in the block
     cols: np.ndarray   # boolean mask of the columns left in the block
@@ -229,6 +236,10 @@ class _Presolve(NamedTuple):
     pivots: np.ndarray
     values: np.ndarray
     dense: np.ndarray
+    singles: np.ndarray
+    heads: np.ndarray
+    rounds: np.ndarray
+    single_rows: np.ndarray
     U: np.ndarray
     sigma: np.ndarray
     Vt: np.ndarray
@@ -236,13 +247,24 @@ class _Presolve(NamedTuple):
     def solve(self, b):
         """An x with x @ M = b when b is in the row space of M.
 
-        The block rows take the least-norm solution of the block's
-        columns, U S^-1 V^T b; each pivot column's equation then fixes
-        the sum of a x over its unit rows, which is spread over them in
-        proportion to their a (the least-norm split).
+        Each head column's equation fixes its singleton row's entry once
+        the earlier rounds' are known, so the singleton rows are solved
+        by forward substitution, one diagonal round at a time.  The
+        block rows then take the least-norm solution of the block's
+        columns, U S^-1 V^T b', with b' what the singleton rows leave of
+        b; each pivot column's equation then fixes the sum of a x over
+        its unit rows, which is spread over them in proportion to their
+        a (the least-norm split).
         """
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.rows.size)
+        xs = np.zeros(self.singles.size)
+        for lo, hi in zip(self.rounds[:-1], self.rounds[1:]):
+            heads = self.heads[lo:hi]
+            xs[lo:hi] = ((b[heads] - xs[:lo] @ self.single_rows[:lo, heads])
+                         / self.single_rows[np.arange(lo, hi), heads])
+        x[self.singles] = xs
+        b = b - xs @ self.single_rows
         x[self.rows] = self.U @ ((self.Vt @ b[self.cols]) / self.sigma)
         x[self.units] = self.spread(b[self.pivots] - x[self.rows] @ self.dense[:, self.pivots])
         return x
@@ -271,40 +293,55 @@ class RankResult:
 
 
 def numerical_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
-    """Rank with a relative threshold, after exact unit-row elimination,
-    plus a row-dependence witness.
+    """Rank with a relative threshold, after exact elimination of unit
+    rows and column singletons, plus a row-dependence witness.
 
     A unit row, one nonzero a in column c, is a free column singleton
     (Andersen & Andersen, Math. Programming 71, 1995).  Row operations
     with it clear column c from every other row, so the unit rows on c
     add exactly 1 to the rank, and those rows and column c are dropped;
-    the unit rows on c beyond the first are exact multiples of it.
-    Only the reduced block that remains is factored by SVD:
+    the unit rows on c beyond the first are exact multiples of it.  In
+    the block left, a column with one nonzero a, in row r, is a column
+    singleton: no vanishing combination of the block rows can weigh
+    row r, so row r and that column leave and add exactly 1 to the
+    rank, with no fill-in.  That repeats, round by round, until no
+    block column has a single nonzero.  Only the reduced block that
+    remains is factored by SVD:
 
-        rank = #pivot columns + #{sigma(block) > thresh},
+        rank = #pivot columns + #singleton rows + #{sigma(block) > thresh},
         thresh = rank_rel_tol * max(rows, cols) * s,
 
     with rows, cols those of the full matrix and s the larger of
-    sigma_max(block) and the largest 2-norm of a pivot column of M,
-    which holds the dense rows' entries on it as well as the unit rows'
-    a.  Every column of M is a pivot column or a column of the block
-    padded with zeros, so sigma_max(M) / sqrt(1 + #pivot columns) <= s
-    <= sigma_max(M): the cutoff stays relative to the whole matrix.
-    A column is eliminated only while one of its unit rows has |a| >
-    thresh and |a| >= _PIVOT_SHARE * ||M[:, c]|| (threshold pivoting, as
-    in sparse LU), so clearing it adds at most 1 / _PIVOT_SHARE times a
-    unit row to any other row; any other pivot column goes back into
-    the block, which is factored again.
+    sigma_max(block) and the largest 2-norm of a column of M.  Both are
+    at most sigma_max(M), and ||M||_F <= sqrt(cols) s, so sigma_max(M) /
+    sqrt(cols) <= s <= sigma_max(M): the cutoff stays relative to the
+    whole matrix.  With
+    no singleton eliminated, every other column of M is a block column
+    padded with zeros, s is the larger of sigma_max(block) and the
+    largest pivot column norm, and sigma_max(M) / sqrt(1 + #pivot
+    columns) <= s.
 
-    The null basis is orthonormal.  Each left-null vector z of the
-    block is extended to the unit rows by back-substitution, y_u =
-    -a_u (z . M[block rows, c]) / (sum of a^2 over the unit rows on c),
-    and the extensions are re-orthonormalized; each pivot column with
-    several unit rows adds an orthonormal basis of a^perp over them.
-    Row j of the basis is zero exactly when row j of M lies outside the
-    span of the other rows.  When the rows are dependent, the witness is
-    the first basis column scaled to unit 1-norm and a positive leading
-    entry, and ||w.M||_inf is verified below thresh.
+    Both phases pivot on thresholds, as in sparse LU.  A unit row is
+    eliminated only while |a| > thresh and |a| >= _PIVOT_SHARE *
+    ||M[:, c]||, so clearing its column adds at most 1 / _PIVOT_SHARE
+    times a unit row to any other row.  A column singleton is
+    eliminated only while |a| > thresh and the product over rounds of
+    each round's largest ||row r over the block columns|| / |a| stays at
+    most 1 / _PIVOT_SHARE, which caps the growth of the column
+    operations that clear the singleton rows' entries on the block
+    columns.  Any other pivot goes back into the block, which is
+    factored again.
+
+    The null basis is orthonormal, and exactly zero on the singleton
+    rows.  Each left-null vector z of the block is extended to the unit
+    rows by back-substitution, y_u = -a_u (z . M[block rows, c]) / (sum
+    of a^2 over the unit rows on c), and the extensions are
+    re-orthonormalized; each pivot column with several unit rows adds an
+    orthonormal basis of a^perp over them.  Row j of the basis is zero
+    exactly when row j of M lies outside the span of the other rows.
+    When the rows are dependent, the witness is the first basis column
+    scaled to unit 1-norm and a positive leading entry, and ||w.M||_inf
+    is verified below thresh.
 
     The last two results are kept with their inputs: an input equal to
     one of those bit for bit, at the same tolerance, gets the kept
@@ -328,37 +365,41 @@ def _presolved_rank(M, rank_rel_tol):
     """`numerical_rank` of the 2-D float array M, computed afresh."""
     k, n = M.shape
     nonzero = M != 0.0
-    rows = nonzero.sum(axis=1) != 1  # the rows left in the block
-    units = (~rows).nonzero()[0]
+    units = (nonzero.sum(axis=1) == 1).nonzero()[0]
     pivots = nonzero[units].argmax(axis=1) if units.size else units  # no argmax over 0 columns
     values = M[units, pivots]
     size = np.abs(values)
-    scale = rank_rel_tol * max(k, n)
     column_norms = np.sqrt(np.einsum("ij,ij->j", M, M))
+    largest = column_norms.max(initial=0.0)
+    scale = rank_rel_tol * max(k, n)
     keep = size >= _PIVOT_SHARE * column_norms[pivots]
+    barred = np.zeros(n, dtype=bool)  # columns no singleton row is eliminated on
     while True:
         # a column stays eliminated while one of its unit rows is kept
         if not keep.all():
             kept = np.isin(pivots, pivots[keep])
-            rows[units[~kept]] = True
             units, pivots, values, size = units[kept], pivots[kept], values[kept], size[kept]
+        rows = np.ones(k, dtype=bool)  # the rows left in the block
+        rows[units] = False
         cols = np.ones(n, dtype=bool)
         cols[pivots] = False
+        singles, heads, rounds = _column_singletons(M, nonzero, rows, cols,
+                                                    scale * largest, barred)
         dense = M[rows]
-        block = dense[:, cols]
-        U, sigma, Vt = np.linalg.svd(block)
-        thresh = scale * max(column_norms[pivots].max(initial=0.0),
-                             sigma[0] if sigma.size else 0.0)
+        U, sigma, Vt = np.linalg.svd(dense[:, cols])
+        thresh = scale * max(largest, sigma[0] if sigma.size else 0.0)
         keep = size > thresh
-        if keep.all() or np.isin(pivots, pivots[keep]).all():
+        small = np.abs(M[singles, heads]) <= thresh
+        barred[heads[small]] = True
+        if not small.any() and (keep.all() or np.isin(pivots, pivots[keep]).all()):
             break
     block_rank = int((sigma > thresh).sum())
-    presolve = _Presolve(rows, cols, units, pivots, values, dense,
-                         U[:, :block_rank], sigma[:block_rank], Vt[:block_rank])
+    presolve = _Presolve(rows, cols, units, pivots, values, dense, singles, heads, rounds,
+                         M[singles], U[:, :block_rank], sigma[:block_rank], Vt[:block_rank])
     for arr in presolve:
         arr.setflags(write=False)
-    pivot_count = n - int(cols.sum())
-    rank = pivot_count + block_rank
+    pivot_count = n - int(cols.sum()) - singles.size
+    rank = pivot_count + singles.size + block_rank
     if rank == k:
         return RankResult(rank, None, np.zeros((k, 0)), presolve)
 
@@ -388,6 +429,55 @@ def _presolved_rank(M, rank_rel_tol):
         raise WitnessVerificationError(
             f"null witness residual {resid:.3e} exceeds threshold {thresh:.3e}")
     return RankResult(rank, w, basis, presolve)
+
+
+def _column_singletons(M, nonzero, rows, cols, floor, barred):
+    """Eliminate the block's column singletons of M, round by round.
+
+    A round takes every block column, off the boolean mask `barred`,
+    with exactly one nonzero a among the block rows, one column per row
+    (its largest |a|), and clears those rows and columns from the masks
+    `rows` and `cols` in place.  A pivot is taken only when |a| > floor,
+    a lower bound of the rank cutoff, and the product over rounds of
+    each round's largest ||row over the block columns|| / |a| stays at
+    most 1 / _PIVOT_SHARE.  Returns (singles, heads, rounds) as
+    `_Presolve` holds them.
+    """
+    singles, heads, rounds = [_NO_ROWS], [_NO_ROWS], [0]
+    if not rows.any():  # only unit rows, as in every biactive record
+        return _NO_ROWS, _NO_ROWS, _ONE_ROUND
+    growth = 1.0
+    count = nonzero[rows].sum(axis=0)
+    while True:
+        found = (cols & ~barred & (count == 1)).nonzero()[0]
+        if not found.size:
+            break
+        row = (nonzero[:, found] & rows[:, None]).argmax(axis=0)
+        size = np.abs(M[row, found])
+        order = np.argsort(-size, kind="stable")
+        order = order[np.unique(row[order], return_index=True)[1]]
+        row, found, size = row[order], found[order], size[order]
+        on_block = M[row][:, cols]
+        ratio = np.sqrt(np.einsum("ij,ij->i", on_block, on_block)) / size
+        take = (size > floor) & (growth * ratio * _PIVOT_SHARE <= 1.0)
+        if not take.any():
+            break
+        growth *= ratio[take].max()
+        row, found = row[take], found[take]
+        rows[row] = False
+        cols[found] = False
+        count -= nonzero[row].sum(axis=0)
+        singles.append(row)
+        heads.append(found)
+        rounds.append(rounds[-1] + row.size)
+    return np.concatenate(singles), np.concatenate(heads), np.array(rounds)
+
+
+# the elimination of a block without rows, read-only and shared
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_ONE_ROUND = np.zeros(1, dtype=np.intp)
+for _arr in (_NO_ROWS, _ONE_ROUND):
+    _arr.setflags(write=False)
 
 
 def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:

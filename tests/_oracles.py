@@ -74,7 +74,7 @@ def _full_svd(shape, data):
 
 
 def svd_rank(matrix, rank_rel_tol: float = 1e-12) -> RankResult:
-    """`numerical_rank` without the unit-row presolve: one full SVD of M.
+    """`numerical_rank` without the presolve: one full SVD of M.
 
     rank = #{sigma > rank_rel_tol * sigma_max * max(rows, cols)}, the null
     basis holds the left singular vectors past the rank, and the witness

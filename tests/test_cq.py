@@ -1,13 +1,18 @@
 """Constraint-qualification checker tests against the frozen fixtures."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from mpecq import (CQ_NAMES, CqVerdict, Tolerances, audit_implications,
                    check_acq_affine, check_mpec_gmfcq, check_mpec_licq,
                    check_mpec_mfcq_r, check_mpec_mfcq_t, check_nnamcq,
-                   classify_active, run_all_checks)
+                   classify_active, cli, cq, gradient_bundle_tnlp, numerical_rank,
+                   run_all_checks)
 from mpecq.fixtures import fixture_e1, fixture_e2, fixture_e3
+from test_branch_search import biactive_point
 
 TOL = Tolerances()
 
@@ -165,3 +170,41 @@ class TestRelaxedOrientation:
                               np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0]]))
         pattern2 = classify_active(ev2, TOL)
         assert check_mpec_mfcq_r(ev2, pattern2, TOL).status == "fails"
+
+
+class TestDeterminedPairs:
+    """`cq.determined_pairs` reads the null basis's row maxima at the G and
+    H rows of each biactive pair; the rule it replaced tested every
+    bundle row and compared provenance sets."""
+
+    @staticmethod
+    def per_row_rule(ev, pattern):
+        bundle = gradient_bundle_tnlp(ev, pattern)
+        basis = numerical_rank(bundle.rows, TOL.rank_rel_tol).null_basis
+        cutoff = TOL.rank_rel_tol * max(bundle.rows.shape)
+        fixed = {pv for pv, row in zip(bundle.provenance, basis)
+                 if np.abs(row).max(initial=0.0) <= cutoff}
+        return [i for i in pattern.I_GH if {("G", i), ("H", i)} <= fixed]
+
+    @pytest.mark.parametrize("family", ["holds", "fails"])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_biactive_records(self, k, family):
+        ev, _ = biactive_point(k, family, np.random.default_rng(k))
+        pattern = classify_active(ev, TOL)
+        pairs = cq.determined_pairs(ev, pattern, TOL)
+        assert pairs == self.per_row_rule(ev, pattern)
+        # grad H_0 = -grad G_0 ties pair 0 in `fails`; the rest are unit rows
+        assert pairs == list(range(family == "fails", k))
+
+    @pytest.mark.parametrize("make", [fixture_e1, fixture_e2, fixture_e3])
+    def test_fixtures(self, make):
+        ev = make().evaluation
+        pattern = classify_active(ev, TOL)
+        assert cq.determined_pairs(ev, pattern, TOL) == self.per_row_rule(ev, pattern)
+
+    def test_fold_knot(self):
+        path = pathlib.Path(__file__).parent / "golden" / "cli" / "fold_knot.input.json"
+        ev, _, _ = cli._dispatch_input(json.loads(path.read_text()))
+        pattern = classify_active(ev, TOL)
+        assert len(pattern.I_GH) == 1
+        assert cq.determined_pairs(ev, pattern, TOL) == self.per_row_rule(ev, pattern)

@@ -127,15 +127,25 @@ class TestRankMemo:
             assert len(kernels._recent_results) <= 2
 
 
-def mixed_matrix(rng, rows, cols, units):
-    """Integer dense rows with `units` unit rows shuffled in.
+def mixed_matrix(rng, rows, cols, units, singletons=0):
+    """Integer dense rows with `units` unit rows shuffled in, and
+    `singletons` more columns that plant a chain of column singletons.
 
     The unit rows' columns are drawn with replacement, so some columns
     carry two or three unit rows, with entries of either sign; the dense
-    rows use every column, the unit rows' columns included.
+    rows use every column, the unit rows' columns included.  Planted
+    column j is nonzero on one dense row and, past the first, on the
+    dense row of column j - 1 as well, so it becomes a column singleton
+    once that row is eliminated.
     """
     M = int_matrix(rng, rows, cols, -3, 3)
-    unit = np.zeros((units, cols))
+    if rows and singletons:
+        chain = rng.integers(0, rows, size=singletons)
+        planted = np.zeros((rows, singletons))
+        planted[chain, np.arange(singletons)] = rng.integers(1, 4, size=singletons)
+        planted[chain[:-1], np.arange(1, singletons)] = rng.integers(-3, 4, size=singletons - 1)
+        M = np.hstack([M, planted])
+    unit = np.zeros((units, M.shape[1]))
     unit[np.arange(units), rng.integers(0, cols, size=units)] = (
         rng.integers(1, 4, size=units) * rng.choice([-1.0, 1.0], size=units))
     return rng.permutation(np.vstack([M, unit]))
@@ -162,11 +172,12 @@ class TestUnitRowPresolve:
         assert w[np.flatnonzero(np.abs(w) > 1e-12)[0]] > 0
         assert np.abs(w @ M).max() <= cutoff
 
-    @given(st.integers(0, 6), st.integers(1, 7), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+    @given(st.integers(0, 6), st.integers(1, 7), st.integers(1, 6), st.integers(0, 3),
+           st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_matches_rational_oracle(self, rows, cols, units, seed):
+    def test_matches_rational_oracle(self, rows, cols, units, singletons, seed):
         rng = np.random.default_rng(seed)
-        M = mixed_matrix(rng, rows, cols, units)
+        M = mixed_matrix(rng, rows, cols, units, singletons)
         res = numerical_rank(M)
         assert res.rank == rational_rank(M) == svd_rank(M).rank
         assert res.presolve.rows.sum() <= rows  # every unit row is eliminated
@@ -250,6 +261,55 @@ class TestUnitRowPresolve:
         M[1, 1] = 4.5
         assert numerical_rank(M).rank == 3
         assert len(factorizations) == count + 3
+
+
+class TestColumnSingletonPresolve:
+    """After the unit rows, `numerical_rank` eliminates the block's column
+    singletons round by round; checked against `_oracles.svd_rank` and
+    the rational oracle."""
+
+    def test_planted_chain_leaves_in_three_rounds(self):
+        # column 0 is row 0's alone; once row 0 leaves, column 1 is row
+        # 1's, then column 2 is row 2's.  Rows 3..5 hold one dependence
+        # (row 5 = row 3 - row 4) and row 6 is a unit row on column 6,
+        # which rows 0 and 3 also use.
+        M = np.array([[4.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+                      [0.0, 3.0, -1.0, 1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0, 2.0, -1.0, 2.0],
+                      [0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0],
+                      [0.0, 0.0, 0.0, -1.0, 1.0, -2.0, 2.0],
+                      [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0]])
+        res = numerical_rank(M)
+        assert res.rank == svd_rank(M).rank == rational_rank(M) == 6
+        presolve = res.presolve
+        assert presolve.singles.tolist() == [0, 1, 2]
+        assert presolve.heads.tolist() == [0, 1, 2]
+        assert presolve.rounds.tolist() == [0, 1, 2, 3]
+        assert presolve.rows.tolist() == [False] * 3 + [True] * 3 + [False]
+        assert not res.null_basis[presolve.singles].any()  # exactly zero
+        TestUnitRowPresolve.check_null_space(M, res)
+        b = np.array([1.0, -2.0, 3.0, 0.5, 0.0, 0.0, 1.0]) @ M
+        assert np.abs(presolve.solve(b) @ M - b).max() < 1e-9
+
+    def test_singleton_below_the_cutoff_stays_in_the_block(self):
+        # row 1 is a unit row; the 1e-20 left in column 0 is no pivot
+        M = np.array([[1e-20, 1.0], [0.0, 1.0]])
+        res = numerical_rank(M)
+        assert res.rank == svd_rank(M).rank == 1
+        assert res.presolve.rows[0] and not res.presolve.singles.size
+        TestUnitRowPresolve.check_null_space(M, res)
+
+    def test_compounded_growth_stops_the_chain(self):
+        # each round of this chain grows the rows by 999; a second round
+        # would pass 1 / _PIVOT_SHARE, so the block keeps rows 1..5.  The
+        # full SVD sees rank 5; eliminating the whole chain would give
+        # the exact rank, 6.
+        M = np.eye(6) + 999.0 * np.eye(6, k=1)
+        res = numerical_rank(M)
+        assert 999.0 ** 2 * kernels._PIVOT_SHARE > 1.0
+        assert res.presolve.singles.tolist() == [0]
+        assert res.rank == svd_rank(M).rank == rational_rank(M) - 1 == 5
 
 
 class TestPositiveDefinite:

@@ -200,11 +200,24 @@ class TestOneFactorizationPerSvcPoint:
         assert lstsq_calls == []
         (A,) = systems
         rows = gradient_bundle_tnlp(ev, pattern).rows
-        # the factored block is what the unit rows leave, not the bundle
-        assert kernels.numerical_rank(rows).presolve.rows.sum() < 120
+        assert self.block_is_smaller(rows)
         assert len(factorizations) == 1
         assert A.T.shape == rows.shape
         assert np.ascontiguousarray(A.T).tobytes() == rows.tobytes()
+        # at C = 100 the non-unit rows are the fold Gram blocks over the
+        # free support vectors alone, which have no column singleton
+        inst = svc_instance(9)
+        assert [self.block_is_smaller(gradient_bundle_tnlp(*svc_point(9, C, inst)[:2]).rows)
+                for C in C_GRID] == [True] * 8 + [False]
+
+    @staticmethod
+    def block_is_smaller(rows):
+        """Whether the factored block has fewer rows than the bundle has
+        non-unit rows; no column singleton is left in it either way."""
+        presolve = kernels.numerical_rank(rows).presolve
+        block = rows[presolve.rows][:, presolve.cols]
+        assert ((block != 0.0).sum(axis=0) != 1).all()
+        return len(block) < ((rows != 0.0).sum(axis=1) != 1).sum()
 
     def test_a_looser_rank_cutoff_still_factors_once(self, factorizations):
         # the weak system reads its candidate off the rank result kept at
@@ -252,9 +265,10 @@ class TestOneFactorizationPerSvcPoint:
 
 
 class TestPresolveAgainstFullSvd:
-    """The unit-row presolve against `_oracles.svd_rank`, one full SVD
-    per rank question, at every `C_GRID` point and every fold knot below
-    C = 100 of three benchmark datasets (267 knots in all)."""
+    """The presolve (unit rows, then column singletons) against
+    `_oracles.svd_rank`, one full SVD per rank question, at every
+    `C_GRID` point and every fold knot below C = 100 of three benchmark
+    datasets (267 knots in all)."""
 
     @staticmethod
     def outcome(ev, pattern, gf):
