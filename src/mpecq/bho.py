@@ -31,7 +31,7 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
 from .kernels import is_positive_definite, numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
-                    check_feasibility)
+                    check_feasibility, gradient_bundle_tnlp)
 
 
 @dataclass(frozen=True)
@@ -783,12 +783,7 @@ def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
 def gamma_matches_generic(gamma: GammaMatrix, ev: PointEvaluation,
                           pattern: ActivePattern) -> bool:
     """Row-multiset equality of Gamma against the generic active bundle."""
-    rows = []
-    for i in sorted(set(pattern.I_G) | set(pattern.I_GH)):
-        rows.append(ev.G_grads[i])
-    for i in sorted(set(pattern.I_H) | set(pattern.I_GH)):
-        rows.append(ev.H_grads[i])
-    generic = np.vstack(rows) if rows else np.zeros((0, ev.dims.n))
+    generic = gradient_bundle_tnlp(ev, pattern).rows
     if generic.shape != gamma.matrix.shape:
         return False
     return bool(np.allclose(_sorted_rows(generic), _sorted_rows(gamma.matrix),

@@ -7,12 +7,16 @@ family (random Gaussian datasets solved to optimality, at a random C or
 at a C read off the exact regularization path that lands the point in
 one closed-form branch).
 
-Every generated point is pushed through cross-checks that must hold by
-construction: the implication lattice, tightened/relaxed agreement
-without biactive pairs, rank-vs-theorem agreement, index-set charts,
-active-matrix assembly, stationarity monotonicity, the multiplier-form
-equivalence for strong stationarity, and the validation-error count.
-Any failure is recorded with enough provenance to replay it.
+Every generated point, affine or SVC, runs one suite of generic
+invariants (`_check_point`): the implication lattice, tightened/relaxed
+agreement without biactive pairs, stationarity class nesting, witness
+monotonicity and the multiplier-form equivalence for strong
+stationarity; in the 1000-point acceptance corpus that is all 1750
+points.  An SVC point, solved and classified once by its generator,
+then runs its family's checks: LICQ against tightened MFCQ, the index
+charts, active-matrix assembly, the validation-error count and both
+closed-form theorems.  Any failure is recorded with enough provenance
+to replay it.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ _WANTED_CASE = {"plain": "no_biactive", "gh3": "single_gh3",
 _RETRIES = 80
 
 
-def random_affine_evaluation(rng: np.random.Generator, grad_f_out: list | None = None
-                             ) -> PointEvaluation:
-    """Feasible-by-construction affine instance at the origin.
+def random_affine_evaluation(rng: np.random.Generator
+                             ) -> tuple[PointEvaluation, np.ndarray]:
+    """(ev, grad_f) of a feasible-by-construction affine instance at the
+    origin.
 
     Small integer gradients, dimensions n in 2..5, up to 2 inequality
     and 1 equality rows, 1..3 complementarity pairs with the activity
@@ -64,9 +69,7 @@ def random_affine_evaluation(rng: np.random.Generator, grad_f_out: list | None =
     ev = PointEvaluation(MpecDimensions(n, m, p, l), np.zeros(n),
                          g_vals, np.zeros(p), G_vals, H_vals,
                          grads(m), grads(p), grads(l), grads(l))
-    if grad_f_out is not None:
-        grad_f_out.append(rng.integers(-3, 4, size=n).astype(float))
-    return ev
+    return ev, rng.integers(-3, 4, size=n).astype(float)
 
 
 def _random_dataset(rng: np.random.Generator, T: int, m1: int, m2: int,
@@ -79,30 +82,31 @@ def _random_dataset(rng: np.random.Generator, T: int, m1: int, m2: int,
 
 @dataclass
 class BhoCase:
+    """A solved instance at C: the feasible point, its Lambda/Psi classes
+    and its LICQ-theorem verdict, as generated."""
+
     instance: bho.BhoInstance
     C: float
     alphas: list
     dataset: bho.Dataset
     split: bho.FoldSplit
     mode: str
+    point: bho.BhoPoint
+    classes: bho.LambdaPsiPattern
+    licq: bho.TheoremVerdict
 
 
-def _licq_case(instance: bho.BhoInstance, C: float, tol: Tolerances,
-               clean: bool):
-    """(alphas, LICQ-theorem case or None if flagged) of the instance at C;
-    None if the point fails to solve or classify, or if `clean` and a
-    validation margin is flagged."""
+def _solve_case(instance: bho.BhoInstance, C: float, tol: Tolerances):
+    """(alphas, point, classes, LICQ-theorem verdict) of the instance at
+    C, or None if the point fails to solve or classify.  A flagged point
+    has theorem case None."""
     try:
         alphas = bho.solve_all_folds(instance, C)
-        point, flags = bho.assemble_feasible_point(instance, C, alphas, tol)
-        if clean and flags:
-            return None
-        pattern = bho.classify_lambda_psi(instance, point, tol)
+        point, _ = bho.assemble_feasible_point(instance, C, alphas, tol)
+        classes = bho.classify_lambda_psi(instance, point, tol)
     except (ConvergenceError, InfeasiblePointError, ClassificationError):
         return None
-    if pattern.assumption_flags:
-        return alphas, None
-    return alphas, bho.check_licq_theorem(instance, point, pattern, tol).case
+    return alphas, point, classes, bho.check_licq_theorem(instance, point, classes, tol)
 
 
 def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances) -> BhoCase:
@@ -151,9 +155,11 @@ def gen_bho_case(rng: np.random.Generator, mode: str, tol: Tolerances) -> BhoCas
                 knots = 2.0 * np.sort(knots)[-1:]
             candidates = rng.permutation(knots)
         for C in candidates:
-            solved = _licq_case(instance, C, tol, clean=mode != "plain")
-            if solved is not None and (mode == "plain" or solved[1] == wanted):
-                return BhoCase(instance, float(C), solved[0], dataset, split, mode)
+            solved = _solve_case(instance, C, tol)
+            if solved is not None and (mode == "plain" or solved[3].case == wanted):
+                alphas, point, classes, licq = solved
+                return BhoCase(instance, float(C), alphas, dataset, split, mode,
+                               point, classes, licq)
     raise RuntimeError(f"could not generate a '{mode}' case in {_RETRIES} tries")
 
 
@@ -182,18 +188,22 @@ class FuzzSummary:
                 "violations": self.violations, "ok": self.ok()}
 
 
-def _check_affine_point(ev, grad_f, tol, cap, where, summary):
+def _check_point(ev, grad_f, tol, cap, where, summary):
+    """The generic invariants of one feasible point: the implication
+    lattice, tightened = relaxed MFCQ without biactive pairs, class
+    nesting, witness monotonicity and strong stationarity = KKT.
+    Returns (verdict status by name, active pattern)."""
     pattern = classify_active(ev, tol)
     report = run_all_checks(ev, pattern, tol, cap=cap, is_affine=True)
-    summary.bump("affine_points")
+    verdicts = {name: v.status for name, v in report.verdicts.items()}
     if report.implication_violations:
         summary.flag("lattice", where, str(report.implication_violations))
     if not pattern.I_GH:
         summary.bump("tnlp_equals_rnlp_checked")
-        by_name = {name: v.status for name, v in report.verdicts.items()}
-        if by_name["MPEC_MFCQ_TNLP"] != by_name["MPEC_MFCQ_RNLP"]:
+        if verdicts["MPEC_MFCQ_TNLP"] != verdicts["MPEC_MFCQ_RNLP"]:
             summary.flag("tnlp_rnlp_mismatch", where,
-                         f"T={by_name['MPEC_MFCQ_TNLP']} R={by_name['MPEC_MFCQ_RNLP']}")
+                         f"T={verdicts['MPEC_MFCQ_TNLP']} "
+                         f"R={verdicts['MPEC_MFCQ_RNLP']}")
     stat = classify_stationarity(ev, pattern, grad_f, tol, cap=cap)
     summary.bump("stationarity_checked")
     for i in range(len(CLASS_ORDER) - 1):
@@ -212,42 +222,32 @@ def _check_affine_point(ev, grad_f, tol, cap, where, summary):
     summary.bump("kkt_checked")
     if not kkt["agree"]:
         summary.flag("kkt_equivalence", where, str(kkt))
+    return verdicts, pattern
 
 
 def _check_bho_case(case: BhoCase, tol, cap, where, summary):
-    instance = case.instance
-    point, flags = bho.assemble_feasible_point(instance, case.C, case.alphas, tol)
+    """The generic invariants, then the family's: LICQ = tightened MFCQ,
+    the index charts, Gamma, the validation error and both theorems."""
+    instance, point, classes = case.instance, case.point, case.classes
     ev = bho.to_evaluation(instance, point)
     where = dict(where, digest=digest(ev.to_dict()))
-    pattern = classify_active(ev, tol)
     summary.bump("bho_points")
-
-    report = run_all_checks(ev, pattern, tol, cap=cap, is_affine=True)
-    verdicts = {name: v.status for name, v in report.verdicts.items()}
-    if report.implication_violations:
-        summary.flag("lattice", where, str(report.implication_violations))
-    if not pattern.I_GH:
-        summary.bump("tnlp_equals_rnlp_checked")
-        if verdicts["MPEC_MFCQ_TNLP"] != verdicts["MPEC_MFCQ_RNLP"]:
-            summary.flag("tnlp_rnlp_mismatch", where,
-                         f"T={verdicts['MPEC_MFCQ_TNLP']} "
-                         f"R={verdicts['MPEC_MFCQ_RNLP']}")
+    verdicts, pattern = _check_point(ev, instance.grad_f, tol, cap, where, summary)
     licq_status = verdicts["MPEC_LICQ"]
     summary.bump("bho_tnlp_licq_checked")
     if licq_status != verdicts["MPEC_MFCQ_TNLP"]:
         summary.flag("bho_tnlp_licq", where,
                      f"LICQ={licq_status} TNLP={verdicts['MPEC_MFCQ_TNLP']}")
 
-    lp_pattern = bho.classify_lambda_psi(instance, point, tol)
-    if not lp_pattern.assumption_flags:
-        sets = bho.structured_index_sets(instance, lp_pattern)
+    if not classes.assumption_flags:
+        sets = bho.structured_index_sets(instance, classes)
         summary.bump("index_sets_checked")
         if (sets["I_G"] != pattern.I_G or sets["I_H"] != pattern.I_H
                 or sets["I_GH"] != pattern.I_GH):
             summary.flag("index_sets", where,
                          f"structured={sets} generic=(I_G={pattern.I_G}, "
                          f"I_H={pattern.I_H}, I_GH={pattern.I_GH})")
-        gm = bho.assemble_gamma(instance, lp_pattern)
+        gm = bho.assemble_gamma(instance, classes)
         summary.bump("gamma_checked")
         if not gm.identity_ok:
             summary.flag("gamma_row_count", where, str(gm.notes))
@@ -262,7 +262,7 @@ def _check_bho_case(case: BhoCase, tol, cap, where, summary):
     else:
         summary.bump("bho_flagged_points")
 
-    thm = bho.check_licq_theorem(instance, point, lp_pattern, tol)
+    thm = case.licq
     if thm.case is not None:
         summary.hit(thm.case)
     if thm.status in ("holds", "fails"):
@@ -270,7 +270,7 @@ def _check_bho_case(case: BhoCase, tol, cap, where, summary):
         if thm.status != licq_status:
             summary.flag("licq_theorem_vs_generic", where,
                          f"theorem={thm.status}/{thm.case} generic={licq_status}")
-    mfr = bho.check_mfcq_r_theorem(instance, point, lp_pattern, tol)
+    mfr = bho.check_mfcq_r_theorem(instance, point, classes, tol)
     if mfr.status == "holds":
         summary.bump("mfcqr_theorem_confirmable")
         if thm.case == "multi_biactive":
@@ -295,11 +295,10 @@ def run_fuzz(n_points: int, seed: int, tol: Tolerances | None = None,
 
     children = affine_ss.spawn(n_points)
     for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        out: list = []
-        ev = random_affine_evaluation(rng, out)
+        ev, grad_f = random_affine_evaluation(np.random.default_rng(child))
+        summary.bump("affine_points")
         where = {"corpus": "affine", "index": i, "digest": digest(ev.to_dict())}
-        _check_affine_point(ev, out[0], tol, cap, where, summary)
+        _check_point(ev, grad_f, tol, cap, where, summary)
 
     n_plain = n_points // 2
     children = plain_ss.spawn(max(n_plain, 1))

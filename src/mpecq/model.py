@@ -13,6 +13,7 @@ is a statement about those finitely many rows.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -153,24 +154,10 @@ class FeasibilityReport:
 
 def check_feasibility(ev: PointEvaluation, tol: Tolerances) -> FeasibilityReport:
     """Residual test of every constraint family at the evaluated point."""
-    eps = tol.feas_eps
-    violations = []
-    for i, val in enumerate(ev.g_vals):
-        if val > eps:
-            violations.append(("g", i, float(val)))
-    for i, val in enumerate(ev.h_vals):
-        if abs(val) > eps:
-            violations.append(("h", i, float(abs(val))))
-    for i, val in enumerate(ev.G_vals):
-        if val < -eps:
-            violations.append(("G", i, float(-val)))
-    for i, val in enumerate(ev.H_vals):
-        if val < -eps:
-            violations.append(("H", i, float(-val)))
-    prods = ev.G_vals * ev.H_vals
-    for i, val in enumerate(prods):
-        if abs(val) > eps:
-            violations.append(("GH", i, float(abs(val))))
+    table = (("g", ev.g_vals), ("h", abs(ev.h_vals)), ("G", -ev.G_vals),
+             ("H", -ev.H_vals), ("GH", abs(ev.G_vals * ev.H_vals)))
+    violations = [(family, i, float(residual[i])) for family, residual in table
+                  for i in (residual > tol.feas_eps).nonzero()[0].tolist()]
     worst = max((v[2] for v in violations), default=0.0)
     return FeasibilityReport(not violations, worst, tuple(violations))
 
@@ -187,6 +174,16 @@ class ActivePattern:
     I_G: tuple
     I_H: tuple
     I_GH: tuple
+
+    @functools.cached_property
+    def G_active(self) -> tuple:
+        """Pairs whose G is active: I_G and I_GH, ascending."""
+        return tuple(sorted(set(self.I_G) | set(self.I_GH)))
+
+    @functools.cached_property
+    def H_active(self) -> tuple:
+        """Pairs whose H is active: I_H and I_GH, ascending."""
+        return tuple(sorted(set(self.I_H) | set(self.I_GH)))
 
     def to_dict(self) -> dict:
         return {"I_g": list(self.I_g), "I_G": list(self.I_G),
@@ -264,8 +261,7 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
     drops the row.  Every pair 'nonneg' gives the relaxed NLP, whose
     signed G and H rows are the inward normals of G >= 0 and H >= 0.
     """
-    G_idx = sorted(set(pattern.I_G) | set(pattern.I_GH))
-    H_idx = sorted(set(pattern.I_H) | set(pattern.I_GH))
+    G_idx, H_idx = pattern.G_active, pattern.H_active
     rows = np.concatenate([ev.g_grads.take(pattern.I_g, axis=0), ev.h_grads,
                            ev.G_grads.take(G_idx, axis=0), ev.H_grads.take(H_idx, axis=0)])
     provenance = [(family, i) for family, idx in (("g", pattern.I_g), ("h", range(ev.dims.p)),

@@ -84,8 +84,8 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
 
     multipliers = {
         "lambda_g": {}, "mu": {},
-        "gamma": {str(i): 0.0 for i in sorted(set(pattern.I_G) | set(pattern.I_GH))},
-        "nu": {str(i): 0.0 for i in sorted(set(pattern.I_H) | set(pattern.I_GH))},
+        "gamma": {str(i): 0.0 for i in pattern.G_active},
+        "nu": {str(i): 0.0 for i in pattern.H_active},
     }
     for (family, i), value in zip(bundle.provenance, values * bundle.signs):
         multipliers[_MULTIPLIER[family]][str(i)] = float(value)
@@ -238,8 +238,6 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     strong_ok = _solve_system(ev, pattern, grad_f, tol, dict.fromkeys(
         pattern.I_GH, ("nonneg", "nonneg"))) is not None
 
-    active_G = sorted(set(pattern.I_G) | set(pattern.I_GH))
-    active_H = sorted(set(pattern.I_H) | set(pattern.I_GH))
     # product-constraint gradient H_i grad G_i + G_i grad H_i vanishes on
     # the biactive set, so tau is only introduced where it can act
     tau = sorted(set(pattern.I_G) | set(pattern.I_H))
@@ -247,7 +245,8 @@ def verify_kkt_equivalence(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                   + ev.G_vals[tau, None] * ev.H_grads[tau])
     # columns: lambda >= 0, mu free, u >= 0 on active G, w >= 0 on active H, tau free
     A = np.column_stack([ev.g_grads[list(pattern.I_g)].T, ev.h_grads.T,
-                         -ev.G_grads[active_G].T, -ev.H_grads[active_H].T,
+                         -ev.G_grads.take(pattern.G_active, axis=0).T,
+                         -ev.H_grads.take(pattern.H_active, axis=0).T,
                          prod_grads.T])
     ng, ncols = len(pattern.I_g), A.shape[1]
     free = [*range(ng, ng + ev.dims.p), *range(ncols - len(tau), ncols)]

@@ -25,7 +25,7 @@ def violations_of(summary, *kinds):
 def test_corpus_digest_is_pinned(fuzz_summary):
     # the corpus's counts, branch hits and violations: a change that
     # moves any of them moves the digest
-    assert digest(fuzz_summary.to_dict()) == "7a0199f840a5203d"
+    assert digest(fuzz_summary.to_dict()) == "e5981adde919be29"
 
 
 def test_criterion_01_counterexample_fidelity(acceptance):
@@ -115,14 +115,16 @@ def test_criterion_08_stationarity(acceptance, fuzz_summary):
     strong_ok = (report.strongest == "strong" and report.witness is not None
                  and report.witness["residual"] <= 1e-6)
     counts = fuzz_summary.counts
-    mono_ok = (counts.get("stationarity_checked", 0) >= 1000
+    # every corpus point, affine and SVC, runs both checks
+    points = counts.get("affine_points", 0) + counts.get("bho_points", 0)
+    mono_ok = (counts.get("stationarity_checked", 0) == points >= 1000
                and not violations_of(fuzz_summary, "stationarity_monotonicity",
                                      "witness_monotonicity"))
-    kkt_ok = (counts.get("kkt_checked", 0) >= 100
+    kkt_ok = (counts.get("kkt_checked", 0) == points
               and not violations_of(fuzz_summary, "kkt_equivalence"))
     acceptance(8, "strong-stationarity witness verified at residual <= 1e-6; "
-                  "class nesting and multiplier-form agreement clean on the "
-                  "corpus", strong_ok and mono_ok and kkt_ok)
+                  "class nesting and multiplier-form agreement clean on all "
+                  f"{points} corpus points", strong_ok and mono_ok and kkt_ok)
 
 
 def test_criterion_09_kernel_soundness(acceptance):

@@ -621,6 +621,16 @@ class TestTheorems:
             generic = check_mpec_licq(ev, classify_active(ev, TOL), TOL)
             assert generic.status == thm.status
 
+    @pytest.mark.parametrize("mode,seed", [
+        ("plain", 101), ("gh3", 102), ("gh4", 103), ("multi", 104), ("ahat0", 105)])
+    def test_case_carries_what_a_fresh_solve_computes(self, mode, seed):
+        case = gen_bho_case(np.random.default_rng(seed), mode, TOL)
+        point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, TOL)
+        classes = classify_lambda_psi(case.instance, point, TOL)
+        assert case.point.to_dict() == point.to_dict()
+        assert case.classes == classes
+        assert case.licq == check_licq_theorem(case.instance, point, classes, TOL)
+
     @pytest.mark.parametrize("mode", ["gh3", "gh4", "multi", "ahat0"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_forced_cases_keep_their_data(self, mode, seed):

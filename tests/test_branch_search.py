@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpecq import (BhoInstance, BhoPoint, MpecDimensions, PointEvaluation,
-                   Tolerances, assemble_feasible_point, check_mpec_gmfcq, check_nnamcq,
+                   Tolerances, check_mpec_gmfcq, check_nnamcq,
                    classify_active, classify_stationarity, cq, gen_bho_case,
                    kernels, run_all_checks, stationarity, to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
@@ -316,8 +316,7 @@ def forced_corpus_points(mode):
     children = np.random.SeedSequence(FUZZ_SEED).spawn(3)[2].spawn(n_forced)
     for child in children[first:first + takes[FORCE_MODES.index(mode)]]:
         case = gen_bho_case(np.random.default_rng(child), mode, PINNED_TOL)
-        point, _ = assemble_feasible_point(case.instance, case.C, case.alphas, PINNED_TOL)
-        yield to_evaluation(case.instance, point), case.instance.grad_f
+        yield to_evaluation(case.instance, case.point), case.instance.grad_f
 
 
 @pytest.mark.parametrize("mode", ["gh3", "gh4", "multi", "ahat0"])

@@ -94,6 +94,16 @@ class TestFeasibility:
         assert not rep.feasible
         assert any(v[0] == "GH" for v in rep.violations)
 
+    def test_every_family_violated_at_once(self):
+        # families in table order, indices ascending within each
+        rep = check_feasibility(PointEvaluation.from_dict(record(
+            g_vals=[0.5, -1.0], h_vals=[-0.25], G_vals=[-0.125, 2.0],
+            H_vals=[1.0, -0.5])), Tolerances())
+        assert rep.violations == (("g", 0, 0.5), ("h", 0, 0.25), ("G", 0, 0.125),
+                                  ("H", 1, 0.5), ("GH", 0, 0.125), ("GH", 1, 1.0))
+        assert all(type(i) is int and type(r) is float for _, i, r in rep.violations)
+        assert not rep.feasible and rep.max_violation == 1.0
+
     def test_tolerance_band(self):
         rep = check_feasibility(
             PointEvaluation.from_dict(record(g_vals=[1e-7, -1.0])),
@@ -102,6 +112,11 @@ class TestFeasibility:
 
 
 class TestClassifyActive:
+    def test_active_sides(self):
+        pattern = ActivePattern((), (2,), (0,), (1, 3))
+        assert pattern.G_active == (1, 2, 3)
+        assert pattern.H_active == (0, 1, 3)
+
     def test_index_sets(self):
         pattern = classify_active(PointEvaluation.from_dict(record()), Tolerances())
         assert pattern.I_g == (0,)
