@@ -31,7 +31,7 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
 from .kernels import is_positive_definite, numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
-                    check_feasibility, gradient_bundle_tnlp)
+                    feasibility_of, gradient_bundle_tnlp)
 
 
 @dataclass(frozen=True)
@@ -345,15 +345,12 @@ def misclassification_oracle(dataset: Dataset, split: FoldSplit, alphas) -> floa
     samples and counts validation samples with negative margin; shares
     no code with the matrix route.
     """
+    X, y = dataset.features, dataset.labels
     wrong = 0
     for t in range(split.T):
-        w = np.zeros(dataset.n_features)
-        for r, k in enumerate(split.training[t]):
-            w += alphas[t][r] * dataset.labels[k] * dataset.features[k]
-        for k in split.validation[t]:
-            margin = dataset.labels[k] * float(dataset.features[k] @ w)
-            if margin < 0:
-                wrong += 1
+        train, val = list(split.training[t]), list(split.validation[t])
+        w = (np.asarray(alphas[t], dtype=float) * y[train]) @ X[train]
+        wrong += int(np.count_nonzero(y[val] * (X[val] @ w) < 0))
     return wrong / (split.T * split.m1)
 
 
@@ -546,7 +543,11 @@ def assemble_feasible_point(instance: BhoInstance, C: float, alphas,
     z = np.maximum(0.0, -margins)
     zeta = (margins < -tol.activity_eps).astype(float)
     point = BhoPoint(float(C), zeta, z, alpha, xi)
-    report = check_feasibility(to_evaluation(instance, point), tol)
+    # `check_feasibility` of `to_evaluation(instance, point)`, without the
+    # evaluation: G = P v + a and H = Q v, with g and h empty
+    P, a, Q = instance.constraint_matrices()
+    v = point.to_vector()
+    report = feasibility_of(np.zeros(0), np.zeros(0), P @ v + a, Q @ v, tol)
     if not report.feasible:
         raise InfeasiblePointError(
             f"assembled point violates feasibility by {report.max_violation:.3e}; "

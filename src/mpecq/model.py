@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import ClassificationError, InputError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric thresholds shared across all checks; all strictly positive.
+    """Numeric thresholds shared across all checks; all finite and
+    strictly positive.
 
     activity_eps    absolute activity threshold |value| <= eps
     rank_rel_tol    relative SVD cutoff for numerical rank
@@ -41,8 +43,9 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise InputError(f"tolerance {f.name} must be strictly positive")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0)):
+                raise InputError(f"tolerance {f.name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,13 @@ class MpecDimensions:
 
 
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+    # a read-only float64 array that owns its buffer (the BHO instance's P
+    # and Q) cannot change under the evaluation, so it is shared, not copied
+    if (type(value) is np.ndarray and value.dtype == np.float64
+            and not value.flags.writeable and value.flags.owndata):
+        arr = value
+    else:
+        arr = np.array(value, dtype=float)
     if rows == 0:
         arr = arr.reshape(0, cols)
     if arr.ndim == 1 and rows == 1:
@@ -87,7 +96,12 @@ def _as_vector(value, length: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """Values and gradients of all constraint functions at one point."""
+    """Values and gradients of all constraint functions at one point.
+
+    Every array is read-only.  The evaluation also keeps the tightened
+    bundle that `gradient_bundle_tnlp` last built for it without modes,
+    for one pattern.
+    """
 
     dims: MpecDimensions
     point: np.ndarray
@@ -111,6 +125,8 @@ class PointEvaluation:
         object.__setattr__(self, "h_grads", _as_matrix(self.h_grads, d.p, d.n, "h_grads"))
         object.__setattr__(self, "G_grads", _as_matrix(self.G_grads, d.l, d.n, "G_grads"))
         object.__setattr__(self, "H_grads", _as_matrix(self.H_grads, d.l, d.n, "H_grads"))
+        # (pattern, bundle) of the last no-modes `gradient_bundle_tnlp` call
+        object.__setattr__(self, "_tnlp_bundle", None)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointEvaluation":
@@ -154,8 +170,13 @@ class FeasibilityReport:
 
 def check_feasibility(ev: PointEvaluation, tol: Tolerances) -> FeasibilityReport:
     """Residual test of every constraint family at the evaluated point."""
-    table = (("g", ev.g_vals), ("h", abs(ev.h_vals)), ("G", -ev.G_vals),
-             ("H", -ev.H_vals), ("GH", abs(ev.G_vals * ev.H_vals)))
+    return feasibility_of(ev.g_vals, ev.h_vals, ev.G_vals, ev.H_vals, tol)
+
+
+def feasibility_of(g_vals, h_vals, G_vals, H_vals, tol: Tolerances) -> FeasibilityReport:
+    """`check_feasibility` on constraint values given without an evaluation."""
+    table = (("g", g_vals), ("h", abs(h_vals)), ("G", -G_vals),
+             ("H", -H_vals), ("GH", abs(G_vals * H_vals)))
     violations = [(family, i, float(residual[i])) for family, residual in table
                   for i in (residual > tol.feas_eps).nonzero()[0].tolist()]
     worst = max((v[2] for v in violations), default=0.0)
@@ -260,7 +281,16 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
     -grad as a signed row, 'nonpos' +grad as a signed row, and 'zero'
     drops the row.  Every pair 'nonneg' gives the relaxed NLP, whose
     signed G and H rows are the inward normals of G >= 0 and H >= 0.
+
+    Without modes the bundle is built once per evaluation: its arrays
+    are read-only, and `ev` keeps it for the pattern it was built for,
+    so the CQ checks and the stationarity classifier at one point share
+    it.  A call with modes always builds its own.
     """
+    if not modes:
+        kept = ev._tnlp_bundle
+        if kept is not None and kept[0] == pattern:
+            return kept[1]
     G_idx, H_idx = pattern.G_active, pattern.H_active
     rows = np.concatenate([ev.g_grads.take(pattern.I_g, axis=0), ev.h_grads,
                            ev.G_grads.take(G_idx, axis=0), ev.H_grads.take(H_idx, axis=0)])
@@ -289,7 +319,12 @@ def gradient_bundle_tnlp(ev: PointEvaluation, pattern: ActivePattern,
         keep[dropped] = False
         rows, signed, signs = rows[keep], signed[keep], signs[keep]
         provenance = [pv for pv, kept in zip(provenance, keep) if kept]
-    return GradientBundle(rows, signed, tuple(provenance), signs)
+    bundle = GradientBundle(rows, signed, tuple(provenance), signs)
+    if not modes:
+        for arr in (rows, signed, signs):
+            arr.setflags(write=False)
+        object.__setattr__(ev, "_tnlp_bundle", (pattern, bundle))
+    return bundle
 
 
 def canonical_json(obj) -> str:

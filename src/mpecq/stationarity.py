@@ -127,23 +127,32 @@ def witness_satisfies(ev: PointEvaluation, pattern: ActivePattern, grad_f,
 
 def _signs_satisfy(pattern: ActivePattern, multipliers: dict, cls: str,
                    tol: Tolerances) -> bool:
-    """The sign conditions of `witness_satisfies`, without the residual."""
-    if any(v < -tol.activity_eps for v in multipliers["lambda_g"].values()):
-        return False
+    """The sign conditions of `witness_satisfies`, without the residual.
+
+    A magnitude at or below activity_eps counts as exactly 0, and then
+    each class's exact rule applies, so the accepted sets nest: strong
+    within M within C within weak.
+    """
     eps = tol.activity_eps
+
+    def sign(value):
+        return 0 if abs(value) <= eps else 1 if value > 0 else -1
+
+    if any(sign(v) < 0 for v in multipliers["lambda_g"].values()):
+        return False
+    if cls == "weak":
+        return True
     for i in pattern.I_GH:
-        gamma = multipliers["gamma"][str(i)]
-        nu = multipliers["nu"][str(i)]
-        if cls == "weak":
-            continue
+        gamma = sign(multipliers["gamma"][str(i)])
+        nu = sign(multipliers["nu"][str(i)])
         if cls == "C":
-            if gamma * nu < -eps * eps:
+            if gamma * nu < 0:
                 return False
         elif cls == "M":
-            if not ((gamma > eps and nu > eps) or abs(gamma) <= eps or abs(nu) <= eps):
+            if not ((gamma > 0 and nu > 0) or gamma == 0 or nu == 0):
                 return False
         elif cls == "strong":
-            if gamma < -eps or nu < -eps:
+            if gamma < 0 or nu < 0:
                 return False
     return True
 

@@ -371,3 +371,24 @@ def face_projected_gradient_qp(K, C, tol=1e-9, budget=100000):
             raise RuntimeError("face-step projected gradient stalled above tol")
         alpha, obj = new, new_obj
     raise RuntimeError(f"face-step projected gradient used its budget of {budget}")
+
+
+# ------------------------------------------------------------------
+# Misclassification count one sample at a time, the package's oracle
+# before it took one product per fold.
+
+
+def loop_misclassification(dataset, split, alphas) -> float:
+    """Share of validation samples with negative margin under each fold's
+    primal normal vector, accumulated from the training samples one at a
+    time."""
+    wrong = 0
+    for t in range(split.T):
+        w = np.zeros(dataset.n_features)
+        for r, k in enumerate(split.training[t]):
+            w += alphas[t][r] * dataset.labels[k] * dataset.features[k]
+        for k in split.validation[t]:
+            margin = dataset.labels[k] * float(dataset.features[k] @ w)
+            if margin < 0:
+                wrong += 1
+    return wrong / (split.T * split.m1)

@@ -17,7 +17,8 @@ from mpecq import (BhoInstance, BhoPoint, ClassificationError,
                    misclassification_oracle, solve_all_folds, split_folds,
                    structured_index_sets, to_evaluation, validation_error)
 from mpecq.fuzz import gen_bho_case
-from _oracles import face_projected_gradient_qp, projected_gradient_qp
+from _oracles import (face_projected_gradient_qp, loop_misclassification,
+                      projected_gradient_qp)
 from conftest import PINNED_TOL
 
 TOL = Tolerances()
@@ -159,6 +160,9 @@ class TestInstanceAssembly:
         for first, second in zip((P, a, Q), again):
             assert first is second
             assert not first.flags.writeable
+        # and shared, not copied, by every evaluation
+        for grads, matrix in ((ev.G_grads, P), (ev.H_grads, Q)):
+            assert np.shares_memory(grads, matrix) and not grads.flags.writeable
 
     def test_round_trip(self):
         _, _, inst = make_instance()
@@ -726,3 +730,25 @@ class TestValidationError:
             pytest.skip("flagged margins")
         assert validation_error(inst, point) == misclassification_oracle(
             dataset, split, alphas)
+
+    @staticmethod
+    def splits(dataset):
+        """Random splits, one with a training sample repeated in a fold
+        (a tie) and one with a whole fold repeated."""
+        for seed in range(4):
+            yield split_folds(dataset, 2, 2, 3, seed)
+        base = split_folds(dataset, 2, 2, 3, 9)
+        training = (base.training[0][:2] + base.training[0][:1], base.training[1])
+        yield FoldSplit(2, 2, 3, base.validation, training, 9)
+        yield FoldSplit(2, 2, 3, base.validation[:1] * 2, base.training[:1] * 2, 9)
+
+    def test_equals_the_per_sample_loop(self):
+        dataset, _, _ = make_instance(seed=6, extra=4)
+        rng = np.random.default_rng(1)
+        for split in self.splits(dataset):
+            inst = BhoInstance.from_dataset(dataset, split)
+            draws = [solve_all_folds(inst, C) for C in (0.0, 0.3, 1.0, 30.0)]
+            draws += [list(rng.uniform(0.0, 2.0, size=(2, 3))) for _ in range(4)]
+            for alphas in draws:
+                assert misclassification_oracle(dataset, split, alphas) == \
+                    loop_misclassification(dataset, split, alphas)

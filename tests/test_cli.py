@@ -172,6 +172,18 @@ class TestExitCodes:
                                       "--tol-activity", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, env, value", [
+        ("--tol-rank", "MPECQ_TOL_RANK", "inf"),
+        ("--tol-activity", "MPECQ_TOL_ACTIVITY", "inf"),
+        ("--tol-feas", "MPECQ_TOL_FEAS", "nan")])
+    def test_non_finite_tolerance(self, capsys, tmp_path, monkeypatch, flag, env, value):
+        path = write_json(tmp_path, "e2.json", e2_record())
+        code, out, err = run_cli(capsys, ["check", "--input", path, flag, value])
+        assert code == 2 and out == "" and "finite" in err
+        monkeypatch.setenv(env, value)
+        code, out, err = run_cli(capsys, ["check", "--input", path])
+        assert code == 2 and out == "" and "finite" in err
+
     def test_negative_point_count(self, capsys):
         code, out, err = run_cli(capsys, ["fuzz", "--points", "-1"])
         assert (code, out) == (2, "") and "--points" in err

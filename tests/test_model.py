@@ -51,6 +51,24 @@ class TestPointEvaluation:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             PointEvaluation.from_dict(record(g_vals=[float("nan"), -1.0]))
+        # a read-only array that owns its data is shared, and still checked
+        grads = np.array(record()["G_grads"], dtype=float)
+        grads[1, 2] = np.nan
+        grads.setflags(write=False)
+        with pytest.raises(InputError):
+            PointEvaluation.from_dict(record(G_grads=grads))
+
+    def test_an_array_that_can_still_change_is_copied(self):
+        writable = np.array(record()["G_grads"], dtype=float)
+        base = writable.copy()
+        view = base[:]
+        view.setflags(write=False)  # read-only, but its base is not
+        for grads, owner in ((writable, writable), (view, base)):
+            ev = PointEvaluation.from_dict(record(G_grads=grads))
+            owner[0, 0] = 7.0
+            assert ev.G_grads.tolist() == record()["G_grads"]
+            assert not np.shares_memory(ev.G_grads, owner)
+            assert not ev.G_grads.flags.writeable
 
 
 class TestTolerances:
@@ -66,6 +84,13 @@ class TestTolerances:
     def test_nonpositive_rejected(self, field):
         with pytest.raises(InputError):
             Tolerances(**{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol",
+                                       "pd_eps", "feas_eps"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), True])
+    def test_non_finite_or_boolean_rejected(self, field, value):
+        with pytest.raises(InputError):
+            Tolerances(**{field: value})
 
 
 class TestFeasibility:
@@ -240,6 +265,49 @@ class TestGradientBundles:
             b = gradient_bundle_tnlp(ev, empty, modes)
             assert b.rows.shape == (0, 3) and b.provenance == ()
             assert b.signed.shape == b.signs.shape == (0,)
+
+
+class TestBundleStore:
+    """The no-modes tightened bundle is built once per evaluation."""
+
+    def test_stored_bundle_is_read_only_and_shared(self):
+        ev, pattern = TestGradientBundles.two_pair_point()
+        b = gradient_bundle_tnlp(ev, pattern)
+        assert gradient_bundle_tnlp(ev, pattern) is b
+        equal = ActivePattern(pattern.I_g, pattern.I_G, pattern.I_H, pattern.I_GH)
+        assert gradient_bundle_tnlp(ev, equal) is b
+        for arr in (b.rows, b.signed, b.signs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @staticmethod
+    def same(a, b):
+        return (a.rows.tobytes() == b.rows.tobytes() and a.rows.shape == b.rows.shape
+                and a.signed.tolist() == b.signed.tolist()
+                and a.signs.tolist() == b.signs.tolist() and a.provenance == b.provenance)
+
+    def test_another_pattern_gets_a_fresh_bundle(self):
+        ev, pattern = TestGradientBundles.two_pair_point()
+        other = ActivePattern((0,), (0, 3), (1,), (2,))
+        first = gradient_bundle_tnlp(ev, pattern)
+        for p in (other, pattern, other):
+            fresh = gradient_bundle_tnlp(PointEvaluation.from_dict(ev.to_dict()), p)
+            b = gradient_bundle_tnlp(ev, p)
+            assert self.same(b, fresh)
+        assert not self.same(b, first) and self.same(gradient_bundle_tnlp(ev, pattern), first)
+
+    def test_a_call_with_modes_is_built_afresh(self):
+        ev, pattern = TestGradientBundles.two_pair_point()
+        stored = gradient_bundle_tnlp(ev, pattern)
+        # 'free' on both rows is the tightened bundle itself
+        modes = dict.fromkeys(pattern.I_GH, ("free", "free"))
+        b = gradient_bundle_tnlp(ev, pattern, modes)
+        assert b is not stored and b.rows.flags.writeable and self.same(b, stored)
+        assert gradient_bundle_tnlp(ev, pattern) is stored
+        # a call with modes reads nothing from the store
+        object.__setattr__(ev, "_tnlp_bundle", (pattern, None))
+        assert self.same(gradient_bundle_tnlp(ev, pattern, modes), stored)
 
 
 class TestCanonicalJson:

@@ -1,14 +1,17 @@
 """Stationarity classification and multiplier-form equivalence tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
-                   Tolerances, assemble_feasible_point, classify_active, cq,
+                   Tolerances, assemble_feasible_point, classify_active, cq, model,
                    classify_stationarity, fold_knots, gradient_bundle_tnlp, kernels,
                    run_all_checks, solve_all_folds, split_folds, to_evaluation,
                    verify_kkt_equivalence, witness_residual, witness_satisfies)
 from mpecq.fixtures import all_fixtures, fixture_e1, fixture_e2, fixture_e3
+from mpecq.stationarity import CLASS_ORDER
 from _oracles import svd_rank
 from test_branch_search import biactive_point
 
@@ -210,6 +213,16 @@ class TestOneFactorizationPerSvcPoint:
         assert [self.block_is_smaller(gradient_bundle_tnlp(*svc_point(9, C, inst)[:2]).rows)
                 for C in C_GRID] == [True] * 8 + [False]
 
+    def test_checks_and_classifier_build_one_bundle(self, monkeypatch):
+        ev, pattern, gf = svc_point(9, C_GRID[3])
+        builds = []
+        bundle = model.GradientBundle
+        monkeypatch.setattr(model, "GradientBundle",
+                            lambda *args: builds.append(1) or bundle(*args))
+        run_all_checks(ev, pattern, TOL, is_affine=True)
+        classify_stationarity(ev, pattern, gf, TOL)
+        assert len(builds) == 1
+
     @staticmethod
     def block_is_smaller(rows):
         """Whether the factored block has fewer rows than the bundle has
@@ -348,6 +361,18 @@ class TestWitnessChecks:
         for cls in ("strong", "M", "C", "weak"):
             assert witness_satisfies(ev, pattern, gf, report.witness, cls, TOL)
 
+    def test_class_predicates_nest_near_zero(self):
+        # a magnitude at or below activity_eps counts as 0 in every class,
+        # so each sign pattern satisfies a class and every weaker one
+        eps = TOL.activity_eps
+        values = (0.0, eps / 2, -eps / 2, eps, -eps, 2 * eps, -2 * eps, 1.0, -1.0)
+        for gamma, nu in itertools.product(values, repeat=2):
+            ev, pattern, gf = one_pair_point([gamma, nu])  # residual exactly 0
+            witness = {"lambda_g": {}, "mu": {}, "gamma": {"0": gamma}, "nu": {"0": nu}}
+            held = [witness_satisfies(ev, pattern, gf, witness, cls, TOL)
+                    for cls in CLASS_ORDER]
+            assert held == sorted(held) and held[-1], (gamma, nu, held)
+
     def test_corrupted_witness_fails_predicate(self):
         ev, pattern, gf = one_pair_point([2.0, 3.0])
         report = classify_stationarity(ev, pattern, gf, TOL)
@@ -405,8 +430,9 @@ class TestKktEquivalence:
 
 def test_kept_results_never_change_a_report():
     # the rank kernel's and the LP kernel's kept results live for the
-    # whole process: every report must read the same whether they are
-    # cleared before each point or still hold the previous point's
+    # whole process, and an evaluation keeps its tightened bundle: every
+    # report must read the same whether they are cleared before each
+    # point or still hold the previous point's
     points = [(fx.evaluation, fx.grad_f, fx.is_affine) for fx in all_fixtures()]
     points += [(*biactive_point(k, family, np.random.default_rng([k, 5])), True)
                for family in ("holds", "fails") for k in range(1, 8)]
@@ -422,6 +448,7 @@ def test_kept_results_never_change_a_report():
             if cold:
                 kernels._recent_results.clear()
                 kernels._recent_answers.clear()
+                ev = PointEvaluation.from_dict(ev.to_dict())  # no bundle kept
             pattern = classify_active(ev, TOL)
             out.append((run_all_checks(ev, pattern, TOL, is_affine=affine).to_dict(),
                         classify_stationarity(ev, pattern, grad_f, TOL).to_dict()))
