@@ -11,7 +11,7 @@ machinery.  All indices are 0-based throughout.
 from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError, MpecqError,
                      WitnessVerificationError)
-from .kernels import RankResult, is_positive_definite, numerical_rank
+from .kernels import RankResult, numerical_rank
 from .model import (ActivePattern, FeasibilityReport, GradientBundle,
                     MpecDimensions, PointEvaluation, Tolerances,
                     canonical_json, check_feasibility, classify_active,
@@ -50,7 +50,7 @@ __all__ = [
     "check_mpec_mfcq_r", "check_mpec_mfcq_t", "check_nnamcq",
     "classify_active", "classify_lambda_psi", "classify_stationarity",
     "digest", "fold_knots", "gamma_matches_generic", "gen_bho_case",
-    "gradient_bundle_tnlp", "is_positive_definite", "load_dataset_csv",
+    "gradient_bundle_tnlp", "load_dataset_csv",
     "lower_level_solve", "misclassification_oracle", "numerical_rank",
     "run_all_checks", "run_fixture_suite", "run_fuzz", "solve_all_folds",
     "split_folds", "structured_index_sets", "to_evaluation",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
-from .kernels import is_positive_definite, numerical_rank
+from .kernels import numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
                     feasibility_of, gradient_bundle_tnlp)
 
@@ -810,7 +810,9 @@ def check_mfcq_r_theorem(instance: BhoInstance, point: BhoPoint,
 
     Positive definiteness of the training Gram restricted to
     lam1 + lam3 implies the CQ holds; the test is one-directional, so a
-    failed hypothesis yields undecided, never fails.
+    failed hypothesis yields undecided, never fails.  A Gram block is
+    positive semidefinite, so it is positive definite exactly when it
+    has full numerical rank at the rank cutoff; an empty block does.
     """
     name = "MFCQ_RNLP_THEOREM"
     if pattern.assumption_flags:
@@ -818,7 +820,7 @@ def check_mfcq_r_theorem(instance: BhoInstance, point: BhoPoint,
                               ("distinct-classification flags present",))
     S = sorted(set(pattern.lam1) | set(pattern.lam3))
     block = instance.BBt[np.ix_(S, S)]
-    if is_positive_definite(block, tol.pd_eps):
+    if numerical_rank(block, tol.rank_rel_tol).rank == len(S):
         return TheoremVerdict(name, "holds", "gram_pd",
                               {"block_indices": [int(i) for i in S]})
     return TheoremVerdict(name, "undecided", None,
@@ -832,9 +834,10 @@ def check_licq_theorem(instance: BhoInstance, point: BhoPoint,
     """Closed-form LICQ ladder over the biactive counts.
 
     Standing hypothesis: the interior-support Gram block
-    (BB^T)_{(lam3_plus, lam3_plus)} is positive definite (an empty block
-    qualifies); without it every branch except the unconditional
-    multi-biactive failure is undecided.  Branches:
+    (BB^T)_{(lam3_plus, lam3_plus)} is positive definite, which for a
+    Gram block is full numerical rank (an empty block qualifies);
+    without it every branch except the unconditional multi-biactive
+    failure is undecided.  Branches:
 
       multi_biactive  |I_GH| > 1: more active rows than columns, fails
       no_biactive     |I_GH| = 0: holds
@@ -852,7 +855,7 @@ def check_licq_theorem(instance: BhoInstance, point: BhoPoint,
                               {"biactive_family3": k3, "biactive_family4": k4})
     lam3p = sorted(pattern.lam3_plus)
     block = instance.BBt[np.ix_(lam3p, lam3p)]
-    if not is_positive_definite(block, tol.pd_eps):
+    if numerical_rank(block, tol.rank_rel_tol).rank < len(lam3p):
         return TheoremVerdict(name, "undecided", None,
                               {"lam3_plus": [int(i) for i in lam3p]},
                               ("standing positive-definiteness assumption "

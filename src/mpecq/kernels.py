@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: rank, definiteness and linear feasibility.
+"""Deterministic numeric kernels: rank and linear feasibility.
 
 Every qualification and stationarity test in this package reduces to a
 question about a finite collection of gradient rows: is the collection
@@ -478,26 +478,6 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 _ONE_ROUND = np.zeros(1, dtype=np.intp)
 for _arr in (_NO_ROWS, _ONE_ROUND):
     _arr.setflags(write=False)
-
-
-def is_positive_definite(matrix, pd_eps: float = 1e-10) -> bool:
-    """Symmetric positive definiteness with a relative eigenvalue floor.
-
-    The empty 0x0 matrix counts as positive definite.  Asymmetry beyond
-    slack is a structural error, not a numeric verdict.
-    """
-    M = np.array(matrix, dtype=float, ndmin=2)
-    if M.size == 0:
-        return True
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("definiteness is only defined for square matrices")
-    scale = np.abs(M).max()
-    if np.abs(M - M.T).max() > 1e-8 * (1.0 + scale):
-        raise ValueError("matrix is not symmetric within slack")
-    S = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(S)
-    k = M.shape[0]
-    return bool(eigs[0] > pd_eps * (1.0 + np.trace(S) / k))
 
 
 def cone_combination(rows, free, mass):

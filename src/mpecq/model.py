@@ -30,14 +30,13 @@ class Tolerances:
     strictly positive.
 
     activity_eps    absolute activity threshold |value| <= eps
-    rank_rel_tol    relative SVD cutoff for numerical rank
-    pd_eps          relative eigenvalue floor for definiteness
+    rank_rel_tol    relative SVD cutoff for numerical rank, which also
+                    decides a Gram block's definiteness (full rank)
     feas_eps        feasibility residual tolerance
     """
 
     activity_eps: float = 1e-8
     rank_rel_tol: float = 1e-12
-    pd_eps: float = 1e-10
     feas_eps: float = 1e-6
 
     def __post_init__(self):

@@ -8,8 +8,7 @@ from mpecq import Tolerances, kernels
 from mpecq.fuzz import run_fuzz
 
 # pinned for the acceptance gate; every threshold is explicit
-PINNED_TOL = Tolerances(activity_eps=1e-8, rank_rel_tol=1e-12, pd_eps=1e-10,
-                        feas_eps=1e-6)
+PINNED_TOL = Tolerances(activity_eps=1e-8, rank_rel_tol=1e-12, feas_eps=1e-6)
 
 FUZZ_POINTS = 1000
 FUZZ_SEED = 20240817

@@ -607,6 +607,22 @@ class TestIndexCharts:
         assert not assemble_gamma(inst, lp).identity_ok
 
 
+def solved_point(seed, C):
+    """A solved point of `make_instance(seed)` at C, with its classes."""
+    _, _, inst = make_instance(seed=seed)
+    point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
+    return inst, point, classify_lambda_psi(inst, point, TOL)
+
+
+def scaled_copy(inst, scale, B=None):
+    """The instance with every feature times `scale` (B replaced if given)."""
+    B = inst.B if B is None else B
+    return BhoInstance(inst.T, inst.m1, inst.m2, inst.p, scale * inst.A, scale * B)
+
+
+THEOREMS = (check_licq_theorem, check_mfcq_r_theorem)
+
+
 class TestTheorems:
     @pytest.mark.parametrize("mode,case,seed", [
         ("plain", "no_biactive", 101), ("gh3", "single_gh3", 102),
@@ -692,6 +708,36 @@ class TestTheorems:
         pattern = classify_active(ev, PINNED_TOL)
         assert len(pattern.I_GH) == (2 if case == "multi_biactive" else 1)
         assert check_mpec_mfcq_r(ev, pattern, PINNED_TOL).status == "holds"
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_gram_hypothesis_ignores_feature_scale(self, theorem):
+        # a Gram block is positive definite exactly when it has full
+        # rank, and the rank cutoff is relative: scaling the features
+        # by 1e-6 scales the block by 1e-12 and moves no verdict
+        inst, point, lp = solved_point(0, 1.0)
+        assert lp.lam3_plus and not (lp.lam1 or lp.lam3_c)  # k = 0
+        base = theorem(inst, point, lp, TOL)
+        small = theorem(scaled_copy(inst, 1e-6), point, lp, TOL)
+        assert base.status == "holds"
+        assert (small.status, small.case) == (base.status, base.case)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_tied_gram_block_is_undecided(self, scale):
+        inst, point, lp = solved_point(0, 1.0)
+        assert {0, 1} <= set(lp.lam3_plus)
+        B = inst.B.copy()
+        B[1] = B[0]  # training rows 0 and 1 of fold 0 tie
+        tied = scaled_copy(inst, scale, B)
+        for theorem in THEOREMS:
+            assert theorem(tied, point, lp, TOL).status == "undecided"
+
+    def test_empty_gram_block_holds(self):
+        inst, point, lp = solved_point(0, 0.3)
+        assert not (lp.lam1 or lp.lam3)
+        assert check_licq_theorem(inst, point, lp, TOL).case == "no_biactive"
+        assert check_mfcq_r_theorem(inst, point, lp, TOL).case == "gram_pd"
+        for theorem in THEOREMS:
+            assert theorem(inst, point, lp, TOL).status == "holds"
 
     def test_flags_force_undecided(self):
         ds = Dataset(np.zeros((6, 2)), np.ones(6))

@@ -1,5 +1,7 @@
 """Command-line interface tests: JSON payloads, env overrides, exit codes."""
 
+import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -12,7 +14,7 @@ import pytest
 import mpecq
 from mpecq import (BhoInstance, Dataset, Tolerances, assemble_feasible_point,
                    kernels, solve_all_folds, split_folds)
-from mpecq.cli import build_parser, main
+from mpecq.cli import _TOL_SOURCES, build_parser, main
 from mpecq.fixtures import fixture_e2
 
 TOL = Tolerances()
@@ -206,6 +208,19 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--tol-margin" in capsys.readouterr().err
 
+    def test_removed_pd_flag_is_unknown(self, capsys, tmp_path):
+        path = write_json(tmp_path, "e2.json", e2_record())
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--input", path, "--tol-pd", "1e-10"])
+        assert exc.value.code == 2
+        assert "--tol-pd" in capsys.readouterr().err
+
+    def test_removed_pd_env_is_ignored(self, capsys, tmp_path, monkeypatch):
+        path = write_json(tmp_path, "e2.json", e2_record())
+        expected = run_cli(capsys, ["check", "--input", path])
+        monkeypatch.setenv("MPECQ_TOL_PD", "abc")  # malformed if it were read
+        assert run_cli(capsys, ["check", "--input", path]) == expected
+
 
 class TestGoldenReports:
     """`check` and `stationarity` output pinned byte for byte.
@@ -276,6 +291,17 @@ class TestBhoCommands:
         assert record["meta"]["csv"] == "data.csv"
         assert len(record["meta"]["training_indices"][0]) == 2
 
+    def test_build_takes_no_tolerance_flag(self, capsys, tmp_path):
+        # building an instance decides nothing, so it resolves no tolerance
+        csv = tmp_path / "data.csv"
+        csv.write_text(CSV_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["bho", "build", "--csv", str(csv), "--T", "1", "--m1", "1",
+                  "--m2", "2", "--out", str(tmp_path / "instance.json"),
+                  "--tol-rank", "1e-10"])
+        assert exc.value.code == 2
+        assert "--tol-rank" in capsys.readouterr().err
+
     def test_sweep_reports_grid_and_best(self, capsys, tmp_path):
         csv = tmp_path / "data.csv"
         csv.write_text(CSV_TEXT)
@@ -332,6 +358,23 @@ class TestFuzzCommand:
         assert payload["violations"] == []
         assert payload["counts"]["affine_points"] == 2
         assert payload["counts"]["bho_forced_points"] == 50
+
+
+class TestToleranceDocs:
+    def test_readme_table_lists_exactly_the_tolerances(self):
+        # field, flag, env var and default of every row of README's
+        # tolerance table, against the CLI's sources and the defaults
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.splitlines()
+        start = lines.index("| field | flag | env var | default | meaning |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        table = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:5])
+                 for row in rows]
+        defaults = Tolerances()
+        expected = [(field, "--" + attr.replace("_", "-"), env, getattr(defaults, field))
+                    for field, attr, env in _TOL_SOURCES]
+        assert [(f, flag, env, float(d)) for f, flag, env, d in table] == expected
+        assert [f.name for f in dataclasses.fields(Tolerances)] == [e[0] for e in expected]
 
 
 class TestDependencies:

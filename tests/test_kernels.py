@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import block_diag
 
-from mpecq import (WitnessVerificationError, is_positive_definite, kernels,
-                   numerical_rank)
+from mpecq import WitnessVerificationError, kernels, numerical_rank
 from mpecq.cq import _direction_exists
 from mpecq.kernels import LinearProgram, null_combination
 from _oracles import rational_rank, svd_rank
@@ -310,29 +309,6 @@ class TestColumnSingletonPresolve:
         assert 999.0 ** 2 * kernels._PIVOT_SHARE > 1.0
         assert res.presolve.singles.tolist() == [0]
         assert res.rank == svd_rank(M).rank == rational_rank(M) - 1 == 5
-
-
-class TestPositiveDefinite:
-    def test_identity(self):
-        assert is_positive_definite(np.eye(4))
-
-    def test_empty_block_counts_as_definite(self):
-        assert is_positive_definite(np.zeros((0, 0)))
-
-    def test_indefinite(self):
-        assert not is_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_singular_psd(self):
-        assert not is_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            is_positive_definite(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_gram_of_independent_rows(self):
-        rng = np.random.default_rng(2)
-        B = rng.normal(size=(3, 5))
-        assert is_positive_definite(B @ B.T)
 
 
 def highs_ds_feasible(A, b):

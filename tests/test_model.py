@@ -76,21 +76,23 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.activity_eps == 1e-8
         assert tol.rank_rel_tol == 1e-12
-        assert tol.pd_eps == 1e-10
         assert tol.feas_eps == 1e-6
 
-    @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol",
-                                       "pd_eps", "feas_eps"])
+    @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol", "feas_eps"])
     def test_nonpositive_rejected(self, field):
         with pytest.raises(InputError):
             Tolerances(**{field: 0.0})
 
-    @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol",
-                                       "pd_eps", "feas_eps"])
+    @pytest.mark.parametrize("field", ["activity_eps", "rank_rel_tol", "feas_eps"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), True])
     def test_non_finite_or_boolean_rejected(self, field, value):
         with pytest.raises(InputError):
             Tolerances(**{field: value})
+
+    def test_removed_pd_eps_is_not_a_field(self):
+        # a Gram block's definiteness is its full rank at rank_rel_tol
+        with pytest.raises(TypeError):
+            Tolerances(pd_eps=1e-10)
 
 
 class TestFeasibility:
