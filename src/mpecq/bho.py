@@ -31,7 +31,7 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
 from .kernels import numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
-                    feasibility_of, gradient_bundle_tnlp)
+                    as_floats, feasibility_of, gradient_bundle_tnlp, record_field)
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,14 @@ def load_dataset_csv(path) -> Dataset:
     detected by a non-numeric first row and skipped.
     """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for raw in reader:
-            cells = [c.strip() for c in raw if c.strip() != ""]
-            if cells:
-                rows.append(cells)
+    try:
+        with open(path, newline="") as fh:
+            for raw in csv.reader(fh):
+                cells = [c.strip() for c in raw if c.strip() != ""]
+                if cells:
+                    rows.append(cells)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
 
@@ -162,8 +164,8 @@ class BhoInstance:
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float, ndmin=2)
-        B = np.array(self.B, dtype=float, ndmin=2)
+        A = np.atleast_2d(as_floats(self.A, "A"))
+        B = np.atleast_2d(as_floats(self.B, "B"))
         if A.shape != (self.T * self.m1, self.T * self.p):
             raise InputError(f"A must be {(self.T * self.m1, self.T * self.p)}, got {A.shape}")
         if B.shape != (self.T * self.m2, self.T * self.p):
@@ -282,11 +284,8 @@ class BhoInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BhoInstance":
-        try:
-            return cls(int(data["T"]), int(data["m1"]), int(data["m2"]),
-                       int(data["p"]), data["A"], data["B"])
-        except KeyError as exc:
-            raise InputError(f"instance record is missing key {exc}") from None
+        return cls(*(record_field(data, key, "instance", int) for key in ("T", "m1", "m2", "p")),
+                   record_field(data, "A", "instance"), record_field(data, "B", "instance"))
 
 
 @dataclass(frozen=True)
@@ -307,20 +306,19 @@ class BhoPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BhoPoint":
-        try:
-            return cls(float(data["C"]), np.asarray(data["zeta"], dtype=float),
-                       np.asarray(data["z"], dtype=float),
-                       np.asarray(data["alpha"], dtype=float),
-                       np.asarray(data["xi"], dtype=float))
-        except KeyError as exc:
-            raise InputError(f"point record is missing key {exc}") from None
+        return cls(record_field(data, "C", "point", float),
+                   *(record_field(data, key, "point", functools.partial(as_floats, name=key))
+                     for key in ("zeta", "z", "alpha", "xi")))
 
 
 def to_evaluation(instance: BhoInstance, point: BhoPoint) -> PointEvaluation:
     """Generic evaluation record of the instance at the point (m = p = 0)."""
+    for name, length in (("zeta", instance.n_validation), ("z", instance.n_validation),
+                         ("alpha", instance.n_training), ("xi", instance.n_training)):
+        if np.shape(getattr(point, name)) != (length,):
+            raise InputError(f"point block {name} must have length {length}, "
+                             f"got shape {np.shape(getattr(point, name))}")
     v = point.to_vector()
-    if v.shape[0] != instance.n:
-        raise InputError(f"point has dimension {v.shape[0]}, instance needs {instance.n}")
     P, a, Q = instance.constraint_matrices()
     dims = MpecDimensions(instance.n, 0, 0, instance.n - 1)
     empty = np.zeros((0, instance.n))

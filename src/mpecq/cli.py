@@ -8,7 +8,9 @@ Exit codes: 0 success (including an infeasible-point report), 1 a
 verdict or invariant suite failed or the package raised (an
 `MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
 generator's `RuntimeError` when it runs out of retries), 2 malformed
-input, such as a negative count, cap or seed.
+input, such as a negative count, cap or seed, a record field that is
+not a finite number of the right shape, or a file that cannot be read
+or written.
 
 Tolerance resolution order: command-line flag, then MPECQ_* environment
 variable, then the built-in default.
@@ -31,7 +33,7 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError, MpecqError)
 from .fixtures import run_fixture_suite
 from .fuzz import run_fuzz
-from .model import (PointEvaluation, Tolerances, check_feasibility,
+from .model import (PointEvaluation, Tolerances, as_vector, check_feasibility,
                     classify_active)
 from .stationarity import classify_stationarity
 
@@ -91,7 +93,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}")
@@ -112,9 +114,7 @@ def _dispatch_input(data: dict):
         ev = PointEvaluation.from_dict(data)
         grad_f = None
         if "grad_f" in data:
-            grad_f = np.asarray(data["grad_f"], dtype=float).ravel()
-            if grad_f.shape[0] != ev.dims.n:
-                raise InputError("grad_f length does not match n")
+            grad_f = as_vector(data["grad_f"], ev.dims.n, "grad_f")
         return ev, grad_f, {"affine": bool(data.get("affine", False))}
     raise InputError("input must be either an evaluation record (with G_grads) "
                      "or an {instance, point} pair")
@@ -216,8 +216,11 @@ def cmd_bho_build(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     _emit({"written": args.out, "n": instance.n, "T": instance.T,
            "m1": instance.m1, "m2": instance.m2, "p": instance.p}, started)
     return 0

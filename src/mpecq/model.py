@@ -63,6 +63,28 @@ class MpecDimensions:
             raise InputError("a genuine MPEC needs at least one pair (l >= 1)")
 
 
+def record_field(data, key: str, record: str, convert=lambda value: value):
+    """`convert(data[key])` of an input record; a missing key, or a value
+    `convert` cannot read, is an InputError naming the field."""
+    if not isinstance(data, dict):
+        raise InputError(f"{record} record must be a JSON object")
+    if key not in data:
+        raise InputError(f"{record} record is missing key '{key}'")
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{record} record: {key}: {exc}") from None
+
+
+def as_floats(value, name: str) -> np.ndarray:
+    """`value` as a new float array; a value that is not a number or a
+    rectangular nest of numbers is an InputError naming the field."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must hold numbers in a rectangular array: {exc}") from None
+
+
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     # a read-only float64 array that owns its buffer (the BHO instance's P
     # and Q) cannot change under the evaluation, so it is shared, not copied
@@ -70,7 +92,7 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
             and not value.flags.writeable and value.flags.owndata):
         arr = value
     else:
-        arr = np.array(value, dtype=float)
+        arr = as_floats(value, name)
     if rows == 0:
         arr = arr.reshape(0, cols)
     if arr.ndim == 1 and rows == 1:
@@ -83,8 +105,9 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _as_vector(value, length: int, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float).ravel()
+def as_vector(value, length: int, name: str) -> np.ndarray:
+    """`value` as a read-only, finite float vector of `length` entries."""
+    arr = as_floats(value, name).ravel()
     if arr.shape != (length,):
         raise InputError(f"{name} must have length {length}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -115,11 +138,11 @@ class PointEvaluation:
 
     def __post_init__(self):
         d = self.dims
-        object.__setattr__(self, "point", _as_vector(self.point, d.n, "point"))
-        object.__setattr__(self, "g_vals", _as_vector(self.g_vals, d.m, "g_vals"))
-        object.__setattr__(self, "h_vals", _as_vector(self.h_vals, d.p, "h_vals"))
-        object.__setattr__(self, "G_vals", _as_vector(self.G_vals, d.l, "G_vals"))
-        object.__setattr__(self, "H_vals", _as_vector(self.H_vals, d.l, "H_vals"))
+        object.__setattr__(self, "point", as_vector(self.point, d.n, "point"))
+        object.__setattr__(self, "g_vals", as_vector(self.g_vals, d.m, "g_vals"))
+        object.__setattr__(self, "h_vals", as_vector(self.h_vals, d.p, "h_vals"))
+        object.__setattr__(self, "G_vals", as_vector(self.G_vals, d.l, "G_vals"))
+        object.__setattr__(self, "H_vals", as_vector(self.H_vals, d.l, "H_vals"))
         object.__setattr__(self, "g_grads", _as_matrix(self.g_grads, d.m, d.n, "g_grads"))
         object.__setattr__(self, "h_grads", _as_matrix(self.h_grads, d.p, d.n, "h_grads"))
         object.__setattr__(self, "G_grads", _as_matrix(self.G_grads, d.l, d.n, "G_grads"))
@@ -129,18 +152,11 @@ class PointEvaluation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointEvaluation":
-        try:
-            dims = MpecDimensions(int(data["n"]), int(data["m"]),
-                                  int(data["p"]), int(data["l"]))
-        except KeyError as exc:
-            raise InputError(f"evaluation record is missing key {exc}") from None
-        def get(key):
-            if key not in data:
-                raise InputError(f"evaluation record is missing key '{key}'")
-            return data[key]
-        return cls(dims, get("point"), get("g_vals"), get("h_vals"),
-                   get("G_vals"), get("H_vals"), get("g_grads"),
-                   get("h_grads"), get("G_grads"), get("H_grads"))
+        dims = MpecDimensions(*(record_field(data, key, "evaluation", int)
+                                for key in ("n", "m", "p", "l")))
+        return cls(dims, *(record_field(data, key, "evaluation") for key in (
+            "point", "g_vals", "h_vals", "G_vals", "H_vals",
+            "g_grads", "h_grads", "G_grads", "H_grads")))
 
     def to_dict(self) -> dict:
         d = self.dims

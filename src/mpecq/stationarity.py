@@ -17,9 +17,10 @@ constraints on the biactive multipliers (i in I_GH):
 The weak system is solved first.  A biactive pair whose G and H rows
 lie outside the span of the other tightened-NLP bundle rows
 (`cq.determined_pairs`, the rule the NNAMCQ and GMFCQ searches share)
-has the same gamma_i and nu_i in every weak solution; when both are
-nonzero beyond activity_eps their signs settle the pair for every class.
-Under MPEC-LICQ every pair is settled so, and the weak system is the
+has the same gamma_i and nu_i in every weak solution, so the weak
+witness's signs decide each class for it, snapped at activity_eps by
+the rules that re-check every returned witness (`_signs_satisfy`).
+Under MPEC-LICQ every pair is determined, and the weak system is the
 only one solved.  For the other pairs, M's per-pair set equals the
 union of three closed branches, both >= 0, gamma = 0 and nu = 0, and
 C's the union of both >= 0 and both <= 0, so each is one LP per branch
@@ -87,7 +88,8 @@ def _solve_system(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         "gamma": {str(i): 0.0 for i in pattern.G_active},
         "nu": {str(i): 0.0 for i in pattern.H_active},
     }
-    for (family, i), value in zip(bundle.provenance, values * bundle.signs):
+    # + 0.0 turns -0.0 into 0.0, so no witness prints -0.0
+    for (family, i), value in zip(bundle.provenance, values * bundle.signs + 0.0):
         multipliers[_MULTIPLIER[family]][str(i)] = float(value)
     residual = witness_residual(ev, pattern, grad_f, multipliers)
     if residual > WITNESS_RESIDUAL_SLACK:
@@ -122,12 +124,12 @@ def witness_satisfies(ev: PointEvaluation, pattern: ActivePattern, grad_f,
     counts as zero.
     """
     return (witness_residual(ev, pattern, grad_f, multipliers) <= WITNESS_RESIDUAL_SLACK
-            and _signs_satisfy(pattern, multipliers, cls, tol))
+            and _signs_satisfy(pattern.I_GH, multipliers, cls, tol))
 
 
-def _signs_satisfy(pattern: ActivePattern, multipliers: dict, cls: str,
-                   tol: Tolerances) -> bool:
-    """The sign conditions of `witness_satisfies`, without the residual.
+def _signs_satisfy(pairs, multipliers: dict, cls: str, tol: Tolerances) -> bool:
+    """The sign conditions of `witness_satisfies` on the biactive
+    `pairs`, without the residual.
 
     A magnitude at or below activity_eps counts as exactly 0, and then
     each class's exact rule applies, so the accepted sets nest: strong
@@ -142,7 +144,7 @@ def _signs_satisfy(pattern: ActivePattern, multipliers: dict, cls: str,
         return False
     if cls == "weak":
         return True
-    for i in pattern.I_GH:
+    for i in pairs:
         gamma = sign(multipliers["gamma"][str(i)])
         nu = sign(multipliers["nu"][str(i)])
         if cls == "C":
@@ -162,13 +164,12 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                           cap: int = DEFAULT_BRANCH_CAP) -> StationarityReport:
     """Decide weak/C/M/strong stationarity and report the strongest class.
 
-    A determined pair whose |gamma| and |nu| both exceed activity_eps
-    is decided by the signs of the weak witness: both positive admits
-    every class, both negative rules out strong and M, mixed signs rule
-    out C as well.  Only the other pairs are constrained in the strong
-    system and searched for M and C; the decided ones stay free there,
-    which changes no feasible set.  The sign conditions of the returned
-    witness are re-checked against its class and every weaker one.
+    A determined pair's multipliers are those of the weak witness, so
+    its snapped signs (`_signs_satisfy`) decide each class for it.  Only
+    the other pairs are constrained in the strong system and searched
+    for M and C; the determined ones stay free there, which changes no
+    feasible set.  The sign conditions of the returned witness are
+    re-checked against its class and every weaker one.
     """
     k = len(pattern.I_GH)
     notes: list[str] = []
@@ -185,23 +186,18 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         # _solve_system has already checked the residual, which is the
         # same for every class
         for weaker in CLASS_ORDER[CLASS_ORDER.index(cls):]:
-            if not _signs_satisfy(pattern, witness, weaker, tol):
+            if not _signs_satisfy(pattern.I_GH, witness, weaker, tol):
                 raise WitnessVerificationError(f"{cls} witness does not certify {weaker}")
             classes[weaker] = "holds"
         return StationarityReport(cls, classes, witness, tuple(notes))
 
-    eps = tol.activity_eps
-    decided = []  # (gamma, nu) of each pair decided by its signs
-    open_pairs = list(pattern.I_GH)
-    for i in (determined_pairs(ev, pattern, tol) if k else ()):
-        gamma, nu = weak_witness["gamma"][str(i)], weak_witness["nu"][str(i)]
-        if abs(gamma) > eps and abs(nu) > eps:
-            decided.append((gamma, nu))
-            open_pairs.remove(i)
-    positive = all(gamma > 0 and nu > 0 for gamma, nu in decided)  # strong and M
-    same_sign = all(gamma * nu > 0 for gamma, nu in decided)       # C
+    determined = determined_pairs(ev, pattern, tol) if k else []
+    open_pairs = [i for i in pattern.I_GH if i not in determined]
 
-    if positive:
+    def admits(cls):
+        return _signs_satisfy(determined, weak_witness, cls, tol)
+
+    if admits("strong"):
         strong_witness = weak_witness if not open_pairs else _solve_system(
             ev, pattern, grad_f, tol, dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
         if strong_witness is not None:
@@ -224,11 +220,11 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         found = first_leaf(open_pairs, tuple(modes_of), admit)
         return None if found is None else found[1]
 
-    if positive:
+    if admits("M"):
         m_witness = search(M_BRANCHES)
         if m_witness is not None:
             return report("M", m_witness)
-    if same_sign:
+    if admits("C"):
         c_witness = search({"nonneg": ("nonneg", "nonneg"), "nonpos": ("nonpos", "nonpos")})
         if c_witness is not None:
             return report("C", c_witness)

@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from mpecq import (BhoInstance, BhoPoint, MpecDimensions, PointEvaluation,
                    Tolerances, check_mpec_gmfcq, check_nnamcq,
-                   classify_active, classify_stationarity, cq, gen_bho_case,
-                   kernels, run_all_checks, stationarity, to_evaluation)
+                   classify_active, classify_stationarity, cq, fold_knots,
+                   gen_bho_case, kernels, run_all_checks, stationarity,
+                   to_evaluation)
 from mpecq.cq import DEFAULT_BRANCH_CAP, _direction_exists, first_leaf
 from mpecq.fixtures import all_fixtures
 from mpecq.fuzz import FORCE_MODES
@@ -27,6 +28,7 @@ from mpecq.stationarity import CLASS_ORDER
 from _oracles import (STRICT_MARGIN, direction_margin, gmfcq_oracle,
                       gmfcq_oracle_failure, nnamcq_oracle, rational_rank,
                       stationarity_oracle)
+from _svc import svc_instance, svc_point
 from conftest import FUZZ_POINTS, FUZZ_SEED, PINNED_TOL
 
 TOL = Tolerances()
@@ -338,18 +340,30 @@ def differential_points(source):
     if source in ("integer", "deficient"):
         draw = integer_point if source == "integer" else deficient_point
         return [(*draw(seed, k), TOL) for seed in range(40) for k in range(1, 5)]
+    if source == "knots":
+        # every fourth fold knot below C = 100, fold by fold (71 points)
+        points = []
+        for index in (1, 4, 7):
+            inst = svc_instance(index)
+            for t in range(inst.T):
+                for C in [C for C in fold_knots(inst, t) if C < 100.0][::4]:
+                    ev, _, grad_f = svc_point(index, float(C), inst)
+                    points.append((ev, grad_f, TOL))
+        assert len(points) == 71
+        return points
     return [(ev, grad_f, PINNED_TOL) for mode in ("gh3", "gh4", "multi")
             for ev, grad_f in forced_corpus_points(mode)]
 
 
 @pytest.mark.parametrize("source", ["fixtures", "biactive_records", "integer",
-                                    "deficient", "corpus"])
+                                    "deficient", "corpus", "knots"])
 def test_determined_pair_rule_changes_no_report(source, monkeypatch):
     # the rule settles a determined pair's nodes without a system of their
     # own; with it disabled every node solves one.  NNAMCQ and GMFCQ
     # verdicts and certificates must not change, nor the stationarity
     # classes.  Without the rule the classifier solves other systems, so
-    # its witness may move by rounding (8.9e-16 on one deficient draw).
+    # its witness may move by rounding (8.9e-16 on one deficient draw,
+    # 1.6e-14 relative at one knot).
     def outcome(ev, grad_f, tol):
         pattern = classify_active(ev, tol)
         return (check_nnamcq(ev, pattern, tol).to_dict(),

@@ -135,6 +135,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["check", "--input", "/nonexistent.json"])
         assert code == 2 and "cannot read" in err
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run_cli(capsys, ["check", "--input", str(path)])
+        assert code == 2 and err.startswith("error: cannot read")
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -222,6 +228,57 @@ class TestExitCodes:
         assert run_cli(capsys, ["check", "--input", path]) == expected
 
 
+def fold_knot_record():
+    return json.loads((GOLDEN / "cli" / "fold_knot.input.json").read_text())
+
+
+def malformed(edit, base):
+    record = base()
+    edit(record)
+    return record
+
+
+def misplaced_block(record):
+    # fold_knot's point with z[0] moved to the end of zeta: the right
+    # total length, the wrong blocks
+    point = record["point"]
+    point["zeta"].append(point["z"].pop(0))
+
+
+# one malformed field each: evaluation records, then {instance, point} pairs
+MALFORMED = {
+    "n_not_a_number": (lambda r: r.update(n="abc"), e2_record),
+    "n_infinite": (lambda r: r.update(n=float("inf")), e2_record),
+    "G_grads_string_entry": (lambda r: r.update(G_grads=[[1, "a"]]), e2_record),
+    "G_grads_ragged": (lambda r: r.update(G_grads=[[1, 0], [1]]), e2_record),
+    "grad_f_string_entry": (lambda r: r.update(grad_f=["a", 1]), e2_record),
+    "grad_f_nan": (lambda r: r.update(grad_f=[float("nan"), 1]), e2_record),
+    "grad_f_infinity": (lambda r: r.update(grad_f=[float("inf"), 1]), e2_record),
+    "T_not_a_number": (lambda r: r["instance"].update(T="two"), fold_knot_record),
+    "A_string_entry": (lambda r: r["instance"]["A"][0].__setitem__(0, "a"), fold_knot_record),
+    "A_ragged_row": (lambda r: r["instance"]["A"][0].pop(), fold_knot_record),
+    "C_not_a_number": (lambda r: r["point"].update(C="abc"), fold_knot_record),
+    "alpha_null": (lambda r: r["point"].update(alpha=None), fold_knot_record),
+    "misplaced_block": (misplaced_block, fold_knot_record),
+    "point_not_an_object": (lambda r: r.update(point=[1.0]), fold_knot_record),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("command", ["check", "stationarity"])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exits_two_with_an_error_line(self, capsys, tmp_path, case, command):
+        path = write_json(tmp_path, "bad.json", malformed(*MALFORMED[case]))
+        code, out, err = run_cli(capsys, [command, "--input", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_misplaced_block_is_named(self, capsys, tmp_path):
+        path = write_json(tmp_path, "bad.json", malformed(*MALFORMED["misplaced_block"]))
+        _, _, err = run_cli(capsys, ["check", "--input", path])
+        assert err == "error: point block zeta must have length 6, got shape (7,)\n"
+
+
 class TestGoldenReports:
     """`check` and `stationarity` output pinned byte for byte.
 
@@ -241,6 +298,16 @@ class TestGoldenReports:
         code, out, err = run_cli(capsys, [command, "--input", str(path)])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "cli" / f"{case}.{command}.json").read_text()
+
+    def test_no_stationarity_golden_holds_a_negative_zero(self):
+        # the classifier writes +0.0 for a -0.0 multiplier
+        paths = sorted((GOLDEN / "cli").glob("*.stationarity.json"))
+        assert len(paths) == len(self.CASES)
+        for path in paths:
+            literals = []
+            json.loads(path.read_text(),
+                       parse_float=lambda text: literals.append(text) or float(text))
+            assert not [t for t in literals if float(t) == 0.0 and t.startswith("-")], path.name
 
 
 class TestFixturesCommand:
@@ -327,6 +394,35 @@ class TestBhoCommands:
             "--grid", "0.01,0.03162,0.1,0.3162,1,3.162,10,31.62,100"])
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "bho_sweep.json").read_text()
+
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_missing_csv_exits_two(self, capsys, tmp_path, command):
+        extra = ["--out", str(tmp_path / "x.json")] if command == "build" else ["--grid", "1"]
+        code, out, err = run_cli(capsys, [
+            "bho", command, "--csv", str(tmp_path / "nonexistent.csv"), "--T", "1",
+            "--m1", "1", "--m2", "2", *extra])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read")
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe1,2,1\n", b"1," + b"2" * 200000 + b",1\n"],
+                             ids=["undecodable", "oversized_field"])
+    def test_unreadable_csv_exits_two(self, capsys, tmp_path, content):
+        csv = tmp_path / "data.csv"
+        csv.write_bytes(content)
+        code, out, err = run_cli(capsys, [
+            "bho", "sweep", "--csv", str(csv), "--T", "1", "--m1", "1", "--m2", "2",
+            "--grid", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read")
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text(CSV_TEXT)
+        code, out, err = run_cli(capsys, [
+            "bho", "build", "--csv", str(csv), "--T", "1", "--m1", "1", "--m2", "2",
+            "--out", str(tmp_path / "nonexistent" / "x.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write")
 
     def test_sweep_bad_grid(self, capsys, tmp_path):
         csv = tmp_path / "data.csv"

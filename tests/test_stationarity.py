@@ -5,41 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from mpecq import (BhoInstance, Dataset, MpecDimensions, PointEvaluation,
-                   Tolerances, assemble_feasible_point, classify_active, cq, model,
-                   classify_stationarity, fold_knots, gradient_bundle_tnlp, kernels,
-                   run_all_checks, solve_all_folds, split_folds, to_evaluation,
-                   verify_kkt_equivalence, witness_residual, witness_satisfies)
+from mpecq import (MpecDimensions, PointEvaluation, Tolerances, classify_active,
+                   classify_stationarity, cq, fold_knots, gradient_bundle_tnlp,
+                   kernels, model, run_all_checks, verify_kkt_equivalence,
+                   witness_residual, witness_satisfies)
 from mpecq.fixtures import all_fixtures, fixture_e1, fixture_e2, fixture_e3
 from mpecq.stationarity import CLASS_ORDER
 from _oracles import svd_rank
+from _svc import C_GRID, svc_instance, svc_point
 from test_branch_search import biactive_point
 
 TOL = Tolerances()
-
-
-# the benchmark's grid of C
-C_GRID = tuple(float(c) for c in np.logspace(-2.0, 2.0, 9))
-
-
-def svc_instance(index):
-    """An n = 121 SVC instance (T = 3, m1 = 5, m2 = 15, p = 5) on dataset
-    `index` of the benchmark's generator."""
-    rng = np.random.default_rng([2, index])
-    X = rng.normal(0.0, 1.0, size=(60, 5))
-    w = rng.normal(0.0, 1.0, size=5)
-    y = np.where(X @ w + 0.5 * rng.normal(0.0, 1.0, size=60) >= 0.0, 1.0, -1.0)
-    ds = Dataset(X, y)
-    return BhoInstance.from_dataset(ds, split_folds(ds, 3, 5, 15,
-                                                    int(rng.integers(2 ** 31))))
-
-
-def svc_point(index, C, inst=None):
-    """The SVC point at C on `svc_instance(index)`, or on `inst`."""
-    inst = inst or svc_instance(index)
-    point, _ = assemble_feasible_point(inst, C, solve_all_folds(inst, C), TOL)
-    ev = to_evaluation(inst, point)
-    return ev, classify_active(ev, TOL), inst.grad_f
 
 
 def one_pair_point(grad_f):
@@ -169,13 +145,22 @@ class TestLpCount:
                                                    ([-1.0, -1.0], "C"),
                                                    ([-1.0, 1.0], "weak")])
     def test_unique_multipliers_take_one_system(self, lps, grad_f, strongest):
-        # gamma = grad_f[0] and nu = grad_f[1] in every weak solution; a
-        # pair at zero is not decided by its signs but searched
+        # gamma = grad_f[0] and nu = grad_f[1] in every weak solution
         ev, pattern, gf = one_pair_point(grad_f)
         report = classify_stationarity(ev, pattern, gf, TOL)
         assert report.strongest == strongest
-        if 0.0 not in grad_f:
-            assert len(lps) == 1
+        assert len(lps) == 1
+
+    def test_fold_knot_under_licq_takes_one_system(self, lps):
+        # the first knot of a fold's path: one biactive pair, determined
+        # because MPEC-LICQ holds, with a multiplier at zero
+        inst = svc_instance(9)
+        ev, pattern, gf = svc_point(9, float(fold_knots(inst, 0)[0]), inst)
+        assert len(pattern.I_GH) == 1
+        assert cq.check_mpec_licq(ev, pattern, TOL).status == "holds"
+        del lps[:]
+        classify_stationarity(ev, pattern, gf, TOL)
+        assert len(lps) == 1
 
 
 class TestOneFactorizationPerSvcPoint:
