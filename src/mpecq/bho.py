@@ -31,7 +31,8 @@ from .errors import (ClassificationError, ConvergenceError,
                      InfeasiblePointError, InputError)
 from .kernels import numerical_rank
 from .model import (ActivePattern, MpecDimensions, PointEvaluation, Tolerances,
-                    as_floats, feasibility_of, gradient_bundle_tnlp, record_field)
+                    as_count, as_floats, feasibility_of, gradient_bundle_tnlp,
+                    record_field)
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ class BhoInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BhoInstance":
-        return cls(*(record_field(data, key, "instance", int) for key in ("T", "m1", "m2", "p")),
+        return cls(*(record_field(data, key, "instance", as_count) for key in ("T", "m1", "m2", "p")),
                    record_field(data, "A", "instance"), record_field(data, "B", "instance"))
 
 

@@ -115,7 +115,11 @@ def _dispatch_input(data: dict):
         grad_f = None
         if "grad_f" in data:
             grad_f = as_vector(data["grad_f"], ev.dims.n, "grad_f")
-        return ev, grad_f, {"affine": bool(data.get("affine", False))}
+        affine = data.get("affine", False)
+        if not isinstance(affine, bool):
+            raise InputError(f"evaluation record: affine: expected true or false, "
+                             f"got {affine!r}")
+        return ev, grad_f, {"affine": affine}
     raise InputError("input must be either an evaluation record (with G_grads) "
                      "or an {instance, point} pair")
 

@@ -14,19 +14,24 @@ NNAMCQ and GMFCQ quantify over 3^k sign branches or partitions of the
 k biactive pairs.  Both are searched depth first by `first_leaf`, which
 also drives M- and C-stationarity: unassigned pairs stay relaxed, and a
 node whose relaxation settles every leaf below it skips its subtree.
-On a full-rank bundle NNAMCQ is one LP, and GMFCQ none: a GMFCQ node
-whose rows have full row rank is certified by that rank alone.  A pair
-whose G and H rows both lie outside the span of the other bundle rows
-(`determined_pairs`, shared with the stationarity classifier) weighs
-nothing in any vanishing combination, so a node that assigns it is
-settled by its parent's answer or, in GMFCQ's R, by a direction on its
-own rows, without an LP or a rank test.  Where every pair but a few is
-so determined, both searches take a fixed number of LPs, whatever k.
+On a full-rank bundle, the rank MPEC-LICQ keeps, MFCQ-TNLP,
+MFCQ-RNLP, NNAMCQ and GMFCQ all hold with no LP: no combination of
+the bundle's rows vanishes, and a GMFCQ node whose rows have full row
+rank is certified by that rank alone.  A pair whose G and H rows both
+lie outside the span of the other bundle rows (`determined_pairs`,
+shared with the stationarity classifier) weighs nothing in any
+vanishing combination, so a node that assigns it is settled by its
+parent's answer or, in GMFCQ's R, by a direction on its own rows,
+without an LP or a rank test, and an NNAMCQ node whose unassigned
+pairs are all determined poses its first leaf's system, often
+MFCQ-RNLP's.  Where every pair but a few is so determined, both
+searches take a fixed number of LPs, whatever k.
 
-The module builds no LP itself.  MFCQ-TNLP, MFCQ-RNLP and every NNAMCQ
-node ask `kernels.null_combination` for a vanishing combination of
-their rows; a GMFCQ node asks `kernels.cone_combination` for the
-Motzkin alternative of its direction system.  GMFCQ poses its own
+The module builds no LP itself.  Short of that rank, MFCQ-TNLP,
+MFCQ-RNLP and every NNAMCQ node ask `kernels.null_combination` for a
+vanishing combination of their rows; a GMFCQ node asks
+`kernels.cone_combination` for the Motzkin alternative of its
+direction system.  GMFCQ poses its own
 direction systems, so the audited NNAMCQ <=> GMFCQ edge compares two
 different computations.
 
@@ -161,10 +166,21 @@ def _positive_independence(name: str, bundle: GradientBundle,
     return CqVerdict(name, "fails", certificate=_witness_cert(*found, labels))
 
 
+def _full_row_rank(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances) -> bool:
+    """Whether the tightened-NLP bundle has full row rank, the result
+    the MPEC-LICQ check keeps.  Then no nonzero combination of its rows
+    vanishes, whatever signs or dropped rows a check puts on them."""
+    rows = gradient_bundle_tnlp(ev, pattern).rows
+    return numerical_rank(rows, tol.rank_rel_tol).rank == len(rows)
+
+
 def check_mpec_mfcq_t(ev: PointEvaluation, pattern: ActivePattern,
                       tol: Tolerances) -> CqVerdict:
     """Positive linear independence of the tightened-NLP bundle, whose
-    only signed rows are the active g rows."""
+    only signed rows are the active g rows; it holds without a
+    combination query when the bundle has full row rank."""
+    if _full_row_rank(ev, pattern, tol):
+        return CqVerdict("MPEC_MFCQ_TNLP", "holds")
     return _positive_independence("MPEC_MFCQ_TNLP", gradient_bundle_tnlp(ev, pattern), tol)
 
 
@@ -181,8 +197,7 @@ def check_mpec_mfcq_r(ev: PointEvaluation, pattern: ActivePattern,
     bundle has full row rank, a memo hit after the LICQ check, no
     combination of them vanishes and MFCQ-R holds without an LP.
     """
-    rows = gradient_bundle_tnlp(ev, pattern).rows
-    if numerical_rank(rows, tol.rank_rel_tol).rank == len(rows):
+    if _full_row_rank(ev, pattern, tol):
         return CqVerdict("MPEC_MFCQ_RNLP", "holds")
     bundle = gradient_bundle_tnlp(ev, pattern,
                                   dict.fromkeys(pattern.I_GH, ("nonneg", "nonneg")))
@@ -224,12 +239,16 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     multiplier vector.  The branches are searched depth first with the
     unassigned pairs free; a node whose relaxation admits no nonzero
     multiplier clears its whole subtree, and the root is the MFCQ-TNLP
-    query.  A determined pair (`determined_pairs`) has zero weight in
-    every vanishing combination, so an inner node that assigns one
-    admits exactly when its parent did and poses no system; a leaf
-    always solves its own, which is the reported certificate.  Each
-    node's rows are `gradient_bundle_tnlp` with the pairs'
-    `M_BRANCHES` modes, a pinned multiplier's row dropped.  The labels
+    query.  On a full-row-rank bundle no combination vanishes at all,
+    so the condition holds at the root without a query.  A determined
+    pair (`determined_pairs`) has zero weight in every vanishing
+    combination, so an inner node that assigns one admits exactly when
+    its parent did and poses no system, and a node whose unassigned
+    pairs are all determined admits exactly when its first leaf does,
+    those pairs `nonneg`, so it poses that leaf's system; a leaf always
+    solves its own, which is the reported certificate.  Each node's
+    rows are `gradient_bundle_tnlp` with the pairs' `M_BRANCHES`
+    modes, a pinned multiplier's row dropped.  The labels
     lambda_g, lambda_h, lambda_G and lambda_H name the multipliers of
     grad g, grad h, -grad G and -grad H; a pinned multiplier appears in
     `multipliers` only, as 0.0.  The failing branch is reported as read
@@ -239,14 +258,21 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
     if k > cap:
         return CqVerdict("NNAMCQ", "undecided",
                          notes=(f"biactive count {k} exceeds enumeration cap {cap}",))
+    if _full_row_rank(ev, pattern, tol):
+        return CqVerdict("NNAMCQ", "holds", certificate={"branches_checked": 3 ** k})
 
-    # computed at the first inner node, so a search that stops at its root
-    # (a full-rank bundle) never needs it
-    determined = functools.cache(lambda: set(determined_pairs(ev, pattern, tol)))
+    determined = set(determined_pairs(ev, pattern, tol))
+    # the pairs from position `tail` on are all determined
+    tail = k
+    while tail and pattern.I_GH[tail - 1] in determined:
+        tail -= 1
 
     def admit(partial):
-        if 0 < len(partial) < k and pattern.I_GH[len(partial) - 1] in determined():
+        depth = len(partial)
+        if 0 < depth < k and pattern.I_GH[depth - 1] in determined:
             return True  # a determined pair changes no admitted combination
+        if depth == tail:  # the first leaf below admits exactly when this node does
+            partial = {**partial, **dict.fromkeys(pattern.I_GH[depth:], "nonneg")}
         bundle = gradient_bundle_tnlp(ev, pattern,
                                       {i: M_BRANCHES[c] for i, c in partial.items()})
         found, order = _null_combination(bundle, tol)
@@ -263,8 +289,7 @@ def check_nnamcq(ev: PointEvaluation, pattern: ActivePattern, tol: Tolerances,
 
     found = first_leaf(pattern.I_GH, tuple(M_BRANCHES), admit)
     if found is None:
-        return CqVerdict("NNAMCQ", "holds",
-                         certificate={"branches_checked": 3 ** k})
+        return CqVerdict("NNAMCQ", "holds", certificate={"branches_checked": 3 ** k})
     coeffs, residual, labels = found[1]
     cert = _witness_cert(coeffs, residual, labels)
     multipliers: dict = {}

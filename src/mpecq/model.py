@@ -17,6 +17,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,6 +75,17 @@ def record_field(data, key: str, record: str, convert=lambda value: value):
         return convert(data[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{record} record: {key}: {exc}") from None
+
+
+def as_count(value) -> int:
+    """A record's count as an int: an integer, or a float with an integral
+    value such as 3.0; anything else, such as 2.5, true or "3", is a
+    ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def as_floats(value, name: str) -> np.ndarray:
@@ -152,7 +164,7 @@ class PointEvaluation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PointEvaluation":
-        dims = MpecDimensions(*(record_field(data, key, "evaluation", int)
+        dims = MpecDimensions(*(record_field(data, key, "evaluation", as_count)
                                 for key in ("n", "m", "p", "l")))
         return cls(dims, *(record_field(data, key, "evaluation") for key in (
             "point", "g_vals", "h_vals", "G_vals", "H_vals",

@@ -14,14 +14,17 @@ constraints on the biactive multipliers (i in I_GH):
   M       (gamma_i > 0 and nu_i > 0) or gamma_i = 0 or nu_i = 0
   strong  gamma_i >= 0 and nu_i >= 0
 
-The weak system is solved first.  A biactive pair whose G and H rows
-lie outside the span of the other tightened-NLP bundle rows
-(`cq.determined_pairs`, the rule the NNAMCQ and GMFCQ searches share)
-has the same gamma_i and nu_i in every weak solution, so the weak
-witness's signs decide each class for it, snapped at activity_eps by
-the rules that re-check every returned witness (`_signs_satisfy`).
-Under MPEC-LICQ every pair is determined, and the weak system is the
-only one solved.  For the other pairs, M's per-pair set equals the
+The weak system is solved first, and its witness is reported as the
+strong, M or C witness when its signs meet that class, snapped at
+activity_eps by the rules that re-check every returned witness
+(`_signs_satisfy`); each class is tried only once every stronger one
+has failed, and M and C only below the branch cap.  A biactive pair
+whose G and H rows lie outside the span of the other tightened-NLP
+bundle rows (`cq.determined_pairs`, the rule the NNAMCQ and GMFCQ
+searches share) has the same gamma_i and nu_i in every weak solution,
+so the weak witness's signs decide each class for it.  Under
+MPEC-LICQ every pair is determined, and the weak system is the only
+one solved.  For the other pairs, M's per-pair set equals the
 union of three closed branches, both >= 0, gamma = 0 and nu = 0, and
 C's the union of both >= 0 and both <= 0, so each is one LP per branch
 with no margin tolerance.  The branches are searched depth first
@@ -164,8 +167,10 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                           cap: int = DEFAULT_BRANCH_CAP) -> StationarityReport:
     """Decide weak/C/M/strong stationarity and report the strongest class.
 
-    A determined pair's multipliers are those of the weak witness, so
-    its snapped signs (`_signs_satisfy`) decide each class for it.  Only
+    The weak witness is the witness of the strongest class whose snapped
+    signs (`_signs_satisfy`) it meets on every pair, once each stronger
+    class has failed.  A determined pair's multipliers are those of the
+    weak witness, so its signs decide each class for it.  Only
     the other pairs are constrained in the strong system and searched
     for M and C; the determined ones stay free there, which changes no
     feasible set.  The sign conditions of the returned witness are
@@ -191,15 +196,18 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
             classes[weaker] = "holds"
         return StationarityReport(cls, classes, witness, tuple(notes))
 
-    determined = determined_pairs(ev, pattern, tol) if k else []
+    if _signs_satisfy(pattern.I_GH, weak_witness, "strong", tol):
+        return report("strong", weak_witness)
+    determined = determined_pairs(ev, pattern, tol)
     open_pairs = [i for i in pattern.I_GH if i not in determined]
 
     def admits(cls):
         return _signs_satisfy(determined, weak_witness, cls, tol)
 
+    # with no pair open admits("strong") is the test above, so one is open here
     if admits("strong"):
-        strong_witness = weak_witness if not open_pairs else _solve_system(
-            ev, pattern, grad_f, tol, dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
+        strong_witness = _solve_system(ev, pattern, grad_f, tol,
+                                       dict.fromkeys(open_pairs, ("nonneg", "nonneg")))
         if strong_witness is not None:
             return report("strong", strong_witness)
 
@@ -209,8 +217,14 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
                      "M and C undecided")
         return StationarityReport("weak", classes, weak_witness, tuple(notes))
 
-    def search(modes_of):
-        """Witness of the first feasible branch; choices in modes_of order."""
+    def search(cls, modes_of):
+        """A witness of `cls`: the weak one when its signs meet the class,
+        else that of the first feasible branch, choices in modes_of order."""
+        if _signs_satisfy(pattern.I_GH, weak_witness, cls, tol):
+            return weak_witness
+        if not admits(cls):
+            return None
+
         def admit(partial):
             if not partial:  # the root is the weak system
                 return weak_witness
@@ -220,14 +234,11 @@ def classify_stationarity(ev: PointEvaluation, pattern: ActivePattern, grad_f,
         found = first_leaf(open_pairs, tuple(modes_of), admit)
         return None if found is None else found[1]
 
-    if admits("M"):
-        m_witness = search(M_BRANCHES)
-        if m_witness is not None:
-            return report("M", m_witness)
-    if admits("C"):
-        c_witness = search({"nonneg": ("nonneg", "nonneg"), "nonpos": ("nonpos", "nonpos")})
-        if c_witness is not None:
-            return report("C", c_witness)
+    for cls, modes_of in (("M", M_BRANCHES), ("C", {"nonneg": ("nonneg", "nonneg"),
+                                                    "nonpos": ("nonpos", "nonpos")})):
+        witness = search(cls, modes_of)
+        if witness is not None:
+            return report(cls, witness)
     return StationarityReport("weak", classes, weak_witness, tuple(notes))
 
 

@@ -99,6 +99,21 @@ class TestFoldSplit:
 
 
 class TestInstanceAssembly:
+    @pytest.mark.parametrize("key", ["T", "m1", "m2", "p"])
+    def test_integral_float_count_is_read(self, key):
+        _, _, inst = make_instance()
+        data = inst.to_dict()
+        data[key] = float(data[key])
+        assert BhoInstance.from_dict(data).to_dict() == inst.to_dict()
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "boolean", "string"])
+    @pytest.mark.parametrize("key", ["T", "m1", "m2", "p"])
+    def test_count_that_is_not_an_integer_is_input_error(self, key, value):
+        _, _, inst = make_instance()
+        data = dict(inst.to_dict(), **{key: value})
+        with pytest.raises(InputError, match=f"^instance record: {key}: expected an integer"):
+            BhoInstance.from_dict(data)
+
     def test_dimensions(self):
         _, _, inst = make_instance()
         assert inst.n == 2 * 2 * (2 + 3) + 1 == 21

@@ -227,6 +227,12 @@ def assert_matches_oracles_in_detail(ev, grad_f, tol=TOL):
         cert = gmfcq.certificate
         assert gmfcq.status == "fails"
         assert (cert["condition"], cert["P"], cert["Q"], cert.get("R", [])) == failure
+    assert_classes_match_oracle(ev, pattern, grad_f, tol)
+
+
+def assert_classes_match_oracle(ev, pattern, grad_f, tol=TOL):
+    """The strongest class and every class equal what the exhaustive
+    stationarity oracle gives."""
     stat = classify_stationarity(ev, pattern, grad_f, tol)
     strongest = stationarity_oracle(ev, pattern, grad_f, tol)
     assert stat.strongest == strongest
@@ -238,6 +244,27 @@ def assert_matches_oracles_in_detail(ev, grad_f, tol=TOL):
 def test_fails_family_matches_oracles_in_detail(k):
     ev, grad_f = biactive_point(k, "fails", np.random.default_rng([k, 5]))
     assert_matches_oracles_in_detail(ev, grad_f)
+
+
+@pytest.mark.parametrize("family", ["holds", "fails"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_biactive_records_match_the_stationarity_oracle(k, family):
+    # the first draw of perfbench's biactive sweep at seed 0; the oracle
+    # enumerates all 3^k M and 2^k C branches
+    j = ("holds", "fails").index(family)
+    ev, grad_f = biactive_point(k, family, np.random.default_rng([0, 0, k, j]))
+    assert_classes_match_oracle(ev, classify_active(ev, TOL), grad_f)
+
+
+@pytest.mark.parametrize("index, knot_count", [(1, 98), (4, 82), (7, 87)])
+def test_fold_knots_match_oracles_in_detail(index, knot_count):
+    inst = svc_instance(index)
+    knots = sorted({float(C) for t in range(inst.T) for C in fold_knots(inst, t)
+                    if C < 100.0})
+    assert len(knots) == knot_count
+    for C in knots:
+        ev, _, grad_f = svc_point(index, C, inst)
+        assert_matches_oracles_in_detail(ev, grad_f)
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
@@ -262,8 +289,10 @@ def counting(log, function):
 
 def test_fails_family_search_cost_is_flat_in_k(monkeypatch):
     # every pair but pair 0 is determined, so NNAMCQ and GMFCQ assign it
-    # without a solve or a factorization; both are counted below the
-    # kept results, so a kept answer counts as neither
+    # without a solve or a factorization, and NNAMCQ's node {0: nonneg}
+    # poses its first leaf's system, whose answer the leaf gets back;
+    # both are counted below the kept results, so a kept answer counts
+    # as neither
     solves, factorizations = [], []
     monkeypatch.setattr(kernels, "_nnls", counting(solves, kernels._nnls))
     monkeypatch.setattr(kernels, "_presolved_rank",
@@ -276,7 +305,7 @@ def test_fails_family_search_cost_is_flat_in_k(monkeypatch):
         del solves[:], factorizations[:]
         assert check_nnamcq(ev, pattern, TOL).status == "fails"
         assert check_mpec_gmfcq(ev, pattern, TOL).status == "fails"
-        assert (len(solves), len(factorizations)) == (3, 3), k
+        assert (len(solves), len(factorizations)) == (2, 2), k
 
 
 @pytest.mark.parametrize("family", ["holds", "fails"])
@@ -408,7 +437,53 @@ def test_full_rank_bundle_needs_no_branch_lps(monkeypatch):
     stat, s_lps = lps(lambda: classify_stationarity(ev, pattern, grad_f, TOL))
     assert stat.strongest == "C" and s_lps == 1
     nnamcq, n_lps = lps(lambda: check_nnamcq(ev, pattern, TOL))
-    assert nnamcq.status == "holds" and n_lps == 1
+    assert nnamcq.status == "holds" and n_lps == 0
+    assert nnamcq.certificate == {"branches_checked": 3 ** k}
+
+
+# (systems posed, NNLS runs, factorizations) per check at k = 7, in
+# `run_all_checks` order, then the classifier; the last two are counted
+# below the kept results, so a kept answer counts as a system only
+K7_COUNTS = {
+    # a full-rank bundle: every CQ holds by the rank LICQ keeps, and the
+    # unique multipliers decide every class
+    "holds": {"MPEC_LICQ": (0, 0, 1), "stationarity": (1, 1, 0)},
+    # the MFCQ-TNLP dependence is the free rows' rank; NNAMCQ's node
+    # {0: nonneg} poses its first leaf's system, MFCQ-RNLP's, and the leaf
+    # gets the same kept answer; the weak witness meets C
+    "fails": {"MPEC_LICQ": (0, 0, 1), "MPEC_MFCQ_TNLP": (0, 0, 1),
+              "MPEC_MFCQ_RNLP": (1, 1, 0), "NNAMCQ": (2, 0, 0),
+              "MPEC_GMFCQ": (1, 1, 0), "stationarity": (1, 1, 0)},
+}
+
+
+@pytest.mark.parametrize("family", ["holds", "fails"])
+def test_lp_counts_at_k7(family, monkeypatch):
+    counts = {}
+    stage = [None]
+
+    def count(position, function):
+        def counted(*args):
+            tally = counts.setdefault(stage[0], [0, 0, 0])
+            tally[position] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(kernels.LinearProgram, "solve", count(0, kernels.LinearProgram.solve))
+    monkeypatch.setattr(kernels, "_nnls", count(1, kernels._nnls))
+    monkeypatch.setattr(kernels, "_presolved_rank", count(2, kernels._presolved_rank))
+    ev, grad_f = biactive_point(7, family, np.random.default_rng([7, 5]))
+    pattern = classify_active(ev, TOL)
+    kernels._recent_results.clear()
+    kernels._recent_answers.clear()
+    for stage[0], check in (("MPEC_LICQ", cq.check_mpec_licq),
+                            ("MPEC_MFCQ_TNLP", cq.check_mpec_mfcq_t),
+                            ("MPEC_MFCQ_RNLP", cq.check_mpec_mfcq_r),
+                            ("NNAMCQ", check_nnamcq), ("MPEC_GMFCQ", check_mpec_gmfcq)):
+        assert check(ev, pattern, TOL).status == family
+    stage[0] = "stationarity"
+    assert classify_stationarity(ev, pattern, grad_f, TOL).strongest == "C"
+    assert {name: tuple(tally) for name, tally in counts.items()} == K7_COUNTS[family]
 
 
 def test_biactive_count_above_the_cap_stays_undecided():

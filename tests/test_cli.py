@@ -249,12 +249,14 @@ def misplaced_block(record):
 MALFORMED = {
     "n_not_a_number": (lambda r: r.update(n="abc"), e2_record),
     "n_infinite": (lambda r: r.update(n=float("inf")), e2_record),
+    "n_fraction": (lambda r: r.update(n=2.5), e2_record),
     "G_grads_string_entry": (lambda r: r.update(G_grads=[[1, "a"]]), e2_record),
     "G_grads_ragged": (lambda r: r.update(G_grads=[[1, 0], [1]]), e2_record),
     "grad_f_string_entry": (lambda r: r.update(grad_f=["a", 1]), e2_record),
     "grad_f_nan": (lambda r: r.update(grad_f=[float("nan"), 1]), e2_record),
     "grad_f_infinity": (lambda r: r.update(grad_f=[float("inf"), 1]), e2_record),
     "T_not_a_number": (lambda r: r["instance"].update(T="two"), fold_knot_record),
+    "T_fraction": (lambda r: r["instance"].update(T=2.5), fold_knot_record),
     "A_string_entry": (lambda r: r["instance"]["A"][0].__setitem__(0, "a"), fold_knot_record),
     "A_ragged_row": (lambda r: r["instance"]["A"][0].pop(), fold_knot_record),
     "C_not_a_number": (lambda r: r["point"].update(C="abc"), fold_knot_record),
@@ -277,6 +279,32 @@ class TestMalformedRecords:
         path = write_json(tmp_path, "bad.json", malformed(*MALFORMED["misplaced_block"]))
         _, _, err = run_cli(capsys, ["check", "--input", path])
         assert err == "error: point block zeta must have length 6, got shape (7,)\n"
+
+
+class TestAffineKey:
+    """An evaluation record's `affine` is a JSON boolean, read from e2's
+    golden input."""
+
+    @staticmethod
+    def check(capsys, tmp_path, edit):
+        record = json.loads((GOLDEN / "cli" / "e2.input.json").read_text())
+        edit(record)
+        return run_cli(capsys, ["check", "--input", write_json(tmp_path, "e2.json", record)])
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_exits_two(self, capsys, tmp_path, value):
+        code, out, err = self.check(capsys, tmp_path, lambda r: r.update(affine=value))
+        assert (code, out) == (2, "")
+        assert err == f"error: evaluation record: affine: expected true or false, got {value!r}\n"
+
+    @pytest.mark.parametrize("edit, status", [
+        (lambda r: r.update(affine=True), "holds"),
+        (lambda r: r.update(affine=False), "undecided"),
+        (lambda r: r.pop("affine"), "undecided")], ids=["true", "false", "absent"])
+    def test_boolean_or_absent_is_read(self, capsys, tmp_path, edit, status):
+        code, out, _ = self.check(capsys, tmp_path, edit)
+        assert code == 0
+        assert json.loads(out)["cq"]["verdicts"]["MPEC_ACQ_AFFINE"]["status"] == status
 
 
 class TestGoldenReports:

@@ -58,6 +58,19 @@ class TestPointEvaluation:
         with pytest.raises(InputError):
             PointEvaluation.from_dict(record(G_grads=grads))
 
+    @pytest.mark.parametrize("key", ["n", "m", "p", "l"])
+    def test_integral_float_count_is_read(self, key):
+        ev = PointEvaluation.from_dict(record(**{key: float(record()[key])}))
+        assert canonical_json(ev.to_dict()) == canonical_json(
+            PointEvaluation.from_dict(record()).to_dict())
+        assert type(getattr(ev.dims, key)) is int
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "boolean", "string"])
+    @pytest.mark.parametrize("key", ["n", "m", "p", "l"])
+    def test_count_that_is_not_an_integer_is_input_error(self, key, value):
+        with pytest.raises(InputError, match=f"^evaluation record: {key}: expected an integer"):
+            PointEvaluation.from_dict(record(**{key: value}))
+
     def test_an_array_that_can_still_change_is_copied(self):
         writable = np.array(record()["G_grads"], dtype=float)
         base = writable.copy()

@@ -249,17 +249,15 @@ class TestOneFactorizationPerSvcPoint:
         rows = gradient_bundle_tnlp(ev, pattern).rows
         assert np.ascontiguousarray(systems[0].T).tobytes() == rows.tobytes()  # weak
 
+        # MFCQ-TNLP and NNAMCQ hold by the same full row rank, with no
+        # combination query
         queries = []
         combine = cq.null_combination
         monkeypatch.setattr(cq, "null_combination",
                             lambda r, s, t: queries.append((r, s)) or combine(r, s, t))
-        cq.check_mpec_mfcq_t(ev, pattern, TOL)
-        cq.check_nnamcq(ev, pattern, TOL)
-        mfcq_t, nnamcq_root = queries[:2]
-        for a, b in zip(mfcq_t, nnamcq_root):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        # every row free: the kernel factors the bundle itself
-        assert not mfcq_t[1].any() and mfcq_t[0].tobytes() == rows.tobytes()
+        assert cq.check_mpec_mfcq_t(ev, pattern, TOL).status == "holds"
+        assert cq.check_nnamcq(ev, pattern, TOL).status == "holds"
+        assert queries == [] and len(factorizations) == 1
 
 
 class TestPresolveAgainstFullSvd:
