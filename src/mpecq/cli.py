@@ -1,9 +1,14 @@
 """Command-line interface.
 
 Subcommands: check, stationarity, fixtures, fuzz, bho build, bho sweep.
-All output is JSON on stdout (pretty-printed, sorted keys) and is
-byte-for-byte deterministic for fixed inputs unless --timing is given.
-Every payload is built from Python builtins, so it is dumped as is.
+Every command prints exactly one JSON document on stdout (indented by
+two spaces, sorted keys), byte-for-byte deterministic for fixed inputs
+unless --timing is given. One writer, `_dumps`, makes every document,
+with the bytes of `json.dumps(payload, indent=2, sort_keys=True)`. It
+accepts dict (str keys), list, tuple, str, int, float, bool and None,
+the builtins every payload is built from, and raises TypeError on
+anything else. `bho build --out -` prints the instance record alone;
+with a file target it writes the record there and prints a summary.
 Exit codes: 0 success (including an infeasible-point report), 1 a
 verdict or invariant suite failed or the package raised (an
 `MpecqError` such as a kernel's `ConvergenceError`, or the fuzz
@@ -83,10 +88,72 @@ def _resolve_int(flag_value, flag: str, env_name: str, default: int) -> int:
     return _count(value, env_name)
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if value - value == 0.0:  # finite; inf - inf and NaN - NaN are NaN
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# each scalar type's writer, giving the text json.dumps gives
+_SCALARS = {str: _escape, int: int.__repr__, float: _float_text,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, for the
+    types payloads hold: dict with str keys, list, tuple, str, int,
+    float, bool and None. Anything else, a numpy scalar included, is a
+    TypeError. json's indent path runs its general pure-Python encoder;
+    this one dispatches on the exact type, leaving strings to json's C
+    escaper."""
+    chunks = []
+    write, scalar = chunks.append, _SCALARS.get
+
+    def value(obj, newline):
+        kind = type(obj)
+        text = scalar(kind)
+        if text is not None:
+            write(text(obj))
+        elif kind is dict:
+            if not obj:
+                write("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            # sorted() raises TypeError on mixed key types, _escape on a non-str key
+            for key in sorted(obj):
+                write(sep)
+                write(_escape(key))
+                write(": ")
+                value(obj[key], inner)
+                sep = "," + inner
+            write(newline + "}")
+        elif kind is list or kind is tuple:
+            if not obj:
+                write("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in obj:
+                write(sep)
+                value(item, inner)
+                sep = "," + inner
+            write(newline + "]")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    value(obj, "\n")
+    return "".join(chunks)
+
+
 def _emit(payload: dict, timing_started: float | None):
     if timing_started is not None:
         payload = dict(payload, timing_seconds=time.perf_counter() - timing_started)
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -216,15 +283,14 @@ def cmd_bho_build(args) -> int:
                       "validation_indices": [list(f) for f in split.validation],
                       "training_indices": [list(f) for f in split.training],
                       "csv": os.path.basename(args.csv)}
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from None
+        _emit(record, started)
+        return 0
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(_dumps(record) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from None
     _emit({"written": args.out, "n": instance.n, "T": instance.T,
            "m1": instance.m1, "m2": instance.m2, "p": instance.p}, started)
     return 0

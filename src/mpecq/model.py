@@ -111,7 +111,7 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.shape != (rows, cols):
         raise InputError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -122,7 +122,7 @@ def as_vector(value, length: int, name: str) -> np.ndarray:
     arr = as_floats(value, name).ravel()
     if arr.shape != (length,):
         raise InputError(f"{name} must have length {length}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,11 +11,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mpecq
 from mpecq import (BhoInstance, Dataset, Tolerances, assemble_feasible_point,
                    kernels, solve_all_folds, split_folds)
-from mpecq.cli import _TOL_SOURCES, build_parser, main
+from mpecq.cli import _TOL_SOURCES, _dumps, build_parser, main
 from mpecq.fixtures import fixture_e2
 
 TOL = Tolerances()
@@ -472,6 +474,102 @@ class TestBhoCommands:
             "--m2", "2", "--grid", grid])
         assert (code, out) == (2, "")
         assert "--grid" in err and "finite" in err
+
+
+def indented(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# floats json.dumps writes in every form: signed zeros, subnormals, a
+# float just past 2**53, and the non-finite values as NaN and Infinity
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, 1e300, 0.1, 1 / 3,
+               math.nan, math.inf, -math.inf)
+EDGE_INTS = (0, -1, 2**53 + 1, 2**100, -2**100)
+# non-ASCII, non-BMP, control and escaped characters
+EDGE_TEXT = ("", "e", "\u00e9", "\u2603", "\U0001F600", "\x00\x1f\x7f", '"\\/\b\f\n\r\t')
+scalars = (st.none() | st.booleans() | st.sampled_from(EDGE_FLOATS) | st.sampled_from(EDGE_INTS)
+           | st.integers() | st.floats() | st.text() | st.sampled_from(EDGE_TEXT))
+keys = st.text() | st.sampled_from(EDGE_TEXT)
+payloads = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestWriter:
+    """Every payload is written by `cli._dumps`, which must give the bytes
+    of `json.dumps(indent=2, sort_keys=True)`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payloads)
+    def test_matches_json_dumps(self, payload):
+        assert _dumps(payload) == indented(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), [{}, [], ()], {"": {"": []}}, list(EDGE_FLOATS), list(EDGE_INTS),
+        {text: text for text in EDGE_TEXT}, {"b": 1, "a": (True, False, None)}])
+    def test_edge_payloads_match_json_dumps(self, payload):
+        assert _dumps(payload) == indented(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {1: "a"}, {"a": 1, 2: "b"}, {"a": np.float64(1.0)}, [np.int64(1)], np.float64(0.5),
+        {"a": {1, 2}}, frozenset()], ids=["int key", "mixed keys", "float64", "int64",
+                                          "scalar", "set", "frozenset"])
+    def test_other_types_are_type_errors(self, payload):
+        with pytest.raises(TypeError):
+            _dumps(payload)
+
+
+def bho_args(csv, *extra):
+    return ["bho", *extra, "--csv", str(csv), "--T", "1", "--m1", "1", "--m2", "2",
+            "--seed", "0"]
+
+
+class TestOneDocument:
+    """Every command prints exactly one JSON document, with the bytes
+    `json.dumps(indent=2, sort_keys=True)` gives for what it parses to."""
+
+    @staticmethod
+    def argv(name, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text(CSV_TEXT)
+        infeasible = dict(near_biactive_record(), G_vals=[-1.0], point=[-1.0, 0.0])
+        return {
+            "check record": ["check", "--input", str(GOLDEN / "cli" / "e2.input.json")],
+            "check pair": ["check", "--input", str(GOLDEN / "cli" / "fold_knot.input.json")],
+            "check timing": ["check", "--input", str(GOLDEN / "cli" / "e3.input.json"),
+                             "--timing"],
+            "stationarity": ["stationarity", "--input",
+                             str(GOLDEN / "cli" / "biactive_fails_k2.input.json")],
+            "infeasible": ["check", "--input", write_json(tmp_path, "bad.json", infeasible)],
+            "fixtures": ["fixtures"],
+            "fuzz": ["fuzz", "--points", "3", "--seed", "1"],
+            "bho sweep": [*bho_args(csv, "sweep"), "--grid", "0.5,1"],
+            "bho build": [*bho_args(csv, "build"), "--out", "-"],
+            "bho build file": [*bho_args(csv, "build"), "--out", str(tmp_path / "x.json")],
+        }[name]
+
+    @pytest.mark.parametrize("name", [
+        "check record", "check pair", "check timing", "stationarity", "infeasible",
+        "fixtures", "fuzz", "bho sweep", "bho build", "bho build file"])
+    def test_stdout_is_one_indented_document(self, capsys, tmp_path, name):
+        code, out, err = run_cli(capsys, self.argv(name, tmp_path))
+        assert (code, err) == (0, "")
+        assert out == indented(json.loads(out)) + "\n"
+
+    def test_build_to_stdout_prints_the_record_alone(self, capsys, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text(CSV_TEXT)
+        out_path = tmp_path / "instance.json"
+        code, summary, _ = run_cli(capsys, [*bho_args(csv, "build"), "--out", str(out_path)])
+        assert code == 0 and json.loads(summary)["written"] == str(out_path)
+        code, out, _ = run_cli(capsys, [*bho_args(csv, "build"), "--out", "-"])
+        assert code == 0
+        assert out == out_path.read_text()
+        record = json.loads(out)
+        instance = BhoInstance.from_dict(record)
+        assert (instance.n, record["meta"]["csv"]) == (7, "data.csv")
 
 
 class TestFuzzCommand:
