@@ -521,8 +521,8 @@ class TestWriter:
             _dumps(payload)
 
 
-def bho_args(csv, *extra):
-    return ["bho", *extra, "--csv", str(csv), "--T", "1", "--m1", "1", "--m2", "2",
+def bho_args(csv, command):
+    return ["bho", command, "--csv", str(csv), "--T", "1", "--m1", "1", "--m2", "2",
             "--seed", "0"]
 
 
